@@ -9,7 +9,6 @@ produces garbage slopes.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,15 +27,12 @@ from .quantize import (
     operator_trace,
     quantum_torus_generators,
 )
-from .starprod import HbarValue, berezin_exact, berezin_truncated, star_truncated
+from .starprod import HbarValue, berezin_exact, berezin_truncated, star_exact, star_truncated
 from .trigpoly import TrigPoly
 
 # Measured errors at or below this are double-precision accumulation noise
 # and are treated as exact zeros.
 ERROR_FLOOR = 1e-13
-
-POWER_TOL = 1e-10
-_POWER_SEED = 20240214  # start-vector seed; estimates must reproduce bit-for-bit
 
 # Empirical slope for an order-N truncation must land in
 # [N + 1 - SLOPE_BELOW, N + 1 + SLOPE_ABOVE].
@@ -58,63 +54,24 @@ NORM_ORDER = (NormKind.L1, NormKind.L2, NormKind.LINF)  # report row order
 
 
 class PowerIterationWarning(UserWarning):
-    """Spectral-norm power iteration hit its iteration cap.
+    """Former spectral-norm power-iteration cap warning.
 
-    The returned value is the last Rayleigh estimate, which can only
-    underestimate the true norm.
+    Kept so that code filtering or subclassing it still imports; nothing in
+    the package raises it since l2 norms come from the LAPACK SVD.
     """
 
 
-def spectral_norm(
-    matrix,
-    tol: float = POWER_TOL,
-    max_iter: int | None = None,
-    seed: int = _POWER_SEED,
-) -> float:
-    """Largest singular value by power iteration on A*A.
+def spectral_norm(matrix) -> float:
+    """Largest singular value, ``np.linalg.norm(a, 2)`` (LAPACK SVD).
 
-    Stops when successive estimates agree to ``tol`` relative; after
-    ``max_iter`` (default 10 * dim) iterations without that, warns with
-    PowerIterationWarning and returns the current estimate.
+    Exact to rounding; empty matrices have norm 0.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
+    if a.size == 0:
         return 0.0
-    if max_iter is None:
-        max_iter = 10 * max(rows, cols)
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
-    nb = np.linalg.norm(b)
-    b = b / nb
-    ah = a.conj().T
-    sigma_prev = None
-    sigma = 0.0
-    last_change = 0.0
-    for iteration in range(1, max_iter + 1):
-        c = a @ b
-        sigma = float(np.linalg.norm(c))
-        if sigma == 0.0:
-            return 0.0
-        if sigma_prev is not None:
-            last_change = abs(sigma - sigma_prev) / sigma
-            if last_change <= tol:
-                return sigma
-        sigma_prev = sigma
-        b = ah @ c
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            return sigma
-        b = b / nb
-    warnings.warn(
-        PowerIterationWarning(
-            f"no convergence in {max_iter} iterations (last relative change {last_change:.2e}); "
-            "returning the current underestimate"
-        )
-    )
-    return sigma
+    return float(np.linalg.norm(a, 2))
 
 
 def _entries(op) -> np.ndarray:
@@ -124,11 +81,9 @@ def _entries(op) -> np.ndarray:
 def certified_l2_norm(op, tol: float) -> float:
     """l2 norm for comparisons against a tolerance.
 
-    Tries the interpolation bound sqrt(l1 * linf) first: it dominates the l2
-    norm, so when it already sits at or below ``tol`` it certifies the check
-    without iterating.  Otherwise falls back to power iteration.  Near-zero
-    matrices (defects of exact identities) have flat noise spectra on which
-    power iteration cannot converge, so the cheap certificate matters.
+    Returns the interpolation bound sqrt(l1 * linf) when it already sits at
+    or below ``tol``: the bound dominates the l2 norm, so it certifies the
+    check without an SVD.  Otherwise returns the exact LAPACK 2-norm.
     """
     a = _entries(op)
     if a.size == 0:
@@ -143,7 +98,8 @@ def operator_norm(op, kind: NormKind | str) -> float:
     """Operator norm of a QuantumOperator or a plain matrix.
 
     ``l1`` is the max column absolute sum, ``linf`` the max row absolute sum,
-    ``l2`` the largest singular value (power iteration; see spectral_norm).
+    ``l2`` the largest singular value (LAPACK; see spectral_norm).  All three
+    are exact to rounding.
     """
     kind = NormKind(kind) if not isinstance(kind, NormKind) else kind
     a = _entries(op)
@@ -157,30 +113,60 @@ def operator_norm(op, kind: NormKind | str) -> float:
 
 
 # -- error operators ----------------------------------------------------------
+#
+# Quantization is an exact homomorphism for the convergent products on the
+# torus: Q_f Q_g = Q_{star_exact(f, g, 1/k)}, and re-expressing a dual-basis
+# matrix in the primary basis gives Q_{berezin_exact(f, 1/k)}.  So each
+# truncation error is the Toeplitz operator of a remainder symbol, exact minus
+# truncated series at hbar = 1/k: one assembly, no matrix product.  The
+# k-independent series is computed once per sweep.
+
+
+def _product_remainder(f: TrigPoly, g: TrigPoly, order: int) -> Callable[[int], QuantumOperator]:
+    series = star_truncated(f, g, order)
+
+    def at(k: int) -> QuantumOperator:
+        h = HbarValue(k)
+        return assemble_toeplitz(star_exact(f, g, h) - series.evaluate(h.hbar), HilbertSpec(f.n, k))
+
+    return at
+
+
+def _berezin_remainder(f: TrigPoly, order: int) -> Callable[[int], QuantumOperator]:
+    series = berezin_truncated(f, order)
+
+    def at(k: int) -> QuantumOperator:
+        h = HbarValue(k)
+        return assemble_toeplitz(berezin_exact(f, h) - series.evaluate(h.hbar), HilbertSpec(f.n, k))
+
+    return at
 
 
 def error_product(f: TrigPoly, g: TrigPoly, order: int, k: int) -> QuantumOperator:
-    """Q_f Q_g - Q_{f *_order g at hbar=1/k} in the position basis."""
-    h = HbarValue(k)
-    spec = HilbertSpec(f.n, k, Polarization.POSITION)
-    qf = assemble_toeplitz(f, spec)
-    qg = assemble_toeplitz(g, spec)
-    approx = star_truncated(f, g, order).evaluate(h.hbar)
-    return (qf @ qg) - assemble_toeplitz(approx, spec)
+    """Q_f Q_g - Q_{f *_order g at hbar=1/k} in the position basis.
+
+    Built as the Toeplitz operator of the remainder symbol
+    star_exact(f, g, 1/k) - star_truncated(f, g, order)(1/k), which equals
+    the dense difference to rounding.
+    """
+    return _product_remainder(f, g, order)(k)
 
 
 def error_intertwine(f: TrigPoly, order: int | None, k: int) -> QuantumOperator:
     """Dual-basis quantization re-expressed, minus quantization of the
-    Berezin-transformed symbol; ``order=None`` uses the exact transform."""
-    h = HbarValue(k)
+    Berezin-transformed symbol.
+
+    With an integer ``order`` this is the Toeplitz operator of the remainder
+    symbol berezin_exact(f, 1/k) - berezin_truncated(f, order)(1/k).
+    ``order=None`` compares the exact transform against the basis change
+    itself, intertwine(Q^dual_f) - Q_{berezin_exact f}: two independent
+    routes, so it checks the identity the remainder route relies on.
+    """
+    if order is not None:
+        return _berezin_remainder(f, order)(k)
     dual = HilbertSpec(f.n, k, Polarization.MOMENTUM)
     primary = HilbertSpec(f.n, k, Polarization.POSITION)
-    left = intertwine(assemble_toeplitz(f, dual))
-    if order is None:
-        target = berezin_exact(f, h)
-    else:
-        target = berezin_truncated(f, order).evaluate(h.hbar)
-    return left - assemble_toeplitz(target, primary)
+    return intertwine(assemble_toeplitz(f, dual)) - assemble_toeplitz(berezin_exact(f, HbarValue(k)), primary)
 
 
 def trace_error(f: TrigPoly, k: int, reference: complex | None = None) -> float:
@@ -420,9 +406,10 @@ def _run_product(cfg: ExperimentConfig, threads: int) -> ConvergenceReport:
     f = cfg.f.realize(cfg.n, rng)
     g = cfg.g.realize(cfg.n, rng)
     ks = cfg.k_values()
+    error_at = _product_remainder(f, g, cfg.order)
 
     def cell(k: int) -> dict[str, float]:
-        return _all_norms(error_product(f, g, cfg.order, k))
+        return _all_norms(error_at(k))
 
     cells = _map_levels(ks, cell, threads)
     rows = [
@@ -448,9 +435,10 @@ def _run_intertwine(cfg: ExperimentConfig, threads: int) -> ConvergenceReport:
     f = cfg.f.realize(cfg.n, rng)
     ks = cfg.k_values()
     exact_tol = 1e-10
+    error_at = _berezin_remainder(f, cfg.order)
 
     def cell(k: int) -> tuple[dict[str, float], float]:
-        truncated = _all_norms(error_intertwine(f, cfg.order, k))
+        truncated = _all_norms(error_at(k))
         exact = certified_l2_norm(error_intertwine(f, None, k), exact_tol)
         return truncated, exact
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import checks, reporting
 from .analysis import run_experiment
 from .config import ConfigError, config_hash, parse_config
-from .quantize import HilbertSpec, write_operator_csv, assemble_toeplitz
+from .quantize import DENSE_DIM_CAP, HilbertSpec, write_operator_csv, assemble_toeplitz
 from .starprod import Orientation, star_truncated
 
 
@@ -126,6 +126,8 @@ def _cmd_assemble(args, parser) -> int:
         raise ConfigError("f", "the assemble subcommand needs a function")
     if cfg.k_min < 2:
         raise ConfigError("k_min", "assemble uses k_min as the level; it must be >= 2")
+    if cfg.k_min**cfg.n > DENSE_DIM_CAP:
+        raise ConfigError("k_min", f"dimension {cfg.k_min**cfg.n} is above the dense cap {DENSE_DIM_CAP}")
     f = cfg.f.realize(cfg.n, np.random.default_rng(cfg.seed))
     spec = HilbertSpec(cfg.n, cfg.k_min, cfg.polarization)
     op = assemble_toeplitz(f, spec)

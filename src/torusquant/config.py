@@ -17,6 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from . import funcexpr
+from .quantize import DENSE_DIM_CAP
 from .starprod import MAX_ORDER
 from .trigpoly import TrigPoly, random_trig_poly
 
@@ -39,6 +40,8 @@ SWEEP_KINDS = tuple(k for k in EXPERIMENT_KINDS if k != "star_table")
 PAIR_KINDS = ("product", "star_table")
 # kinds that need any function at all
 FUNCTION_KINDS = ("product", "intertwine", "trace", "riemann", "norm_bound", "star_table")
+# kinds that assemble dense k^n x k^n operators at every level
+OPERATOR_KINDS = ("product", "intertwine", "trace", "norm_bound", "torus_relations")
 
 
 class ConfigError(ValueError):
@@ -203,6 +206,19 @@ def _parse_function(data, path: str) -> FunctionSpec:
     return FunctionSpec(random_bandwidth=bw, random_decay=float(decay))
 
 
+def _check_samples(spec: FunctionSpec, n: int, path: str) -> None:
+    """Evaluate each expression on its projection grid, so that a division by
+    zero, an overflow or a variable beyond n is a config error up front."""
+    grid = spec.projection_spec().grid
+    for label, ast in zip(("expr", "expr_im"), spec.asts()):
+        if ast is None:
+            continue
+        try:
+            funcexpr.sample_grid(ast, n, grid)
+        except funcexpr.EvaluationError as exc:
+            raise ConfigError(f"{path}.{label}", str(exc)) from exc
+
+
 _TOP_LEVEL_KEYS = {
     "experiment",
     "n",
@@ -355,6 +371,15 @@ def parse_config(source) -> ExperimentConfig:
     )
     if experiment in SWEEP_KINDS and not cfg.k_values():
         raise ConfigError("k_min", "sweep is empty; check k_min/k_max/k_rule")
+    if experiment in OPERATOR_KINDS:
+        top = max(cfg.k_values())
+        if top**n > DENSE_DIM_CAP:
+            raise ConfigError(
+                "k_max", f"level {top} needs dimension {top}^{n} = {top**n}, above the dense cap {DENSE_DIM_CAP}"
+            )
+    for name, spec in (("f", f_spec), ("g", g_spec)):
+        if spec is not None and spec.kind == "expr":
+            _check_samples(spec, n, name)
     return cfg
 
 

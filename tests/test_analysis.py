@@ -6,13 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import iv
 
 from torusquant.analysis import (
     ERROR_FLOOR,
     ConvergenceReport,
     NormKind,
-    PowerIterationWarning,
     TooFewPointsError,
     certified_l2_norm,
     error_intertwine,
@@ -28,7 +29,8 @@ from torusquant.analysis import (
     trace_error,
 )
 from torusquant.config import ExperimentConfig, FunctionSpec
-from torusquant.quantize import HilbertSpec, QuantumOperator
+from torusquant.quantize import HilbertSpec, Polarization, QuantumOperator, assemble_toeplitz, intertwine
+from torusquant.starprod import berezin_truncated, star_truncated
 from torusquant.trigpoly import TrigPoly, random_trig_poly
 
 X = TrigPoly.harmonic(1, (1,), (0,))
@@ -59,16 +61,26 @@ def test_spectral_norm_deterministic():
     assert spectral_norm(a) == spectral_norm(a)
 
 
-def test_power_iteration_cap_warns_and_underestimates():
-    a = np.diag([1.0, 2.0, 3.0])
-    with pytest.warns(PowerIterationWarning):
-        got = spectral_norm(a, max_iter=1)
-    assert got <= 3.0 + 1e-12
+def test_spectral_norm_is_lapack_two_norm_without_warnings():
+    # matrices on which the former power iteration hit its cap or stopped
+    # early: a near-degenerate top pair and a flat noise spectrum
+    rng = np.random.default_rng(37)
+    cases = [
+        np.diag([1.0, 2.0, 3.0]),
+        np.diag([1.0, 1.0 - 1e-9, 0.5]).astype(complex),
+        rng.normal(size=(64, 64)) * 1e-16 + 1j * rng.normal(size=(64, 64)) * 1e-16,
+        rng.normal(size=(20, 35)) + 1j * rng.normal(size=(20, 35)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in cases:
+            assert spectral_norm(a) == np.linalg.norm(a, 2)
+            assert operator_norm(a, "l2") == np.linalg.norm(a, 2)
 
 
 def test_certified_norm_certificate_path():
-    # near-zero matrices have flat noise spectra; the interpolation bound
-    # certifies them without power iteration (and without warnings)
+    # near-zero matrices (defects of exact identities): the interpolation
+    # bound certifies them without an SVD
     a = np.full((60, 60), 1e-16, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -108,18 +120,55 @@ def test_error_product_monomial():
     assert operator_norm(error_product(Y, X, 0, 4), "l2") == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
 
-# near-degenerate defect spectra legitimately hit the iteration cap; the
-# returned underestimates are fine for ordering and window assertions
-CAP_OK = pytest.mark.filterwarnings("ignore::torusquant.analysis.PowerIterationWarning")
-
-
-@CAP_OK
 def test_error_product_higher_order_smaller():
     f = random_trig_poly(np.random.default_rng(35), 1, 2)
     g = random_trig_poly(np.random.default_rng(36), 1, 2)
     k = 32
     norms = [operator_norm(error_product(f, g, order, k), "l2") for order in (0, 1, 2)]
     assert norms[0] > norms[1] > norms[2] > 0.0
+
+
+def assert_remainder_routes_match_dense(f, g, order, k):
+    """The remainder-symbol error operators against the dense routes they
+    replace: Q_f Q_g - Q_{f *_N g} and intertwine(Q^dual_f) - Q_{B_N f}."""
+    spec = HilbertSpec(f.n, k)
+    qf = assemble_toeplitz(f, spec)
+    qg = assemble_toeplitz(g, spec)
+    dense = (qf @ qg) - assemble_toeplitz(star_truncated(f, g, order).evaluate(1.0 / k), spec)
+    scale = operator_norm(qf, "l2") * operator_norm(qg, "l2")
+    assert operator_norm(error_product(f, g, order, k) - dense, "l2") <= 1e-12 * scale
+    dual = intertwine(assemble_toeplitz(f, HilbertSpec(f.n, k, Polarization.MOMENTUM)))
+    dense = dual - assemble_toeplitz(berezin_truncated(f, order).evaluate(1.0 / k), spec)
+    assert operator_norm(error_intertwine(f, order, k) - dense, "l2") <= 1e-12 * operator_norm(qf, "l2")
+
+
+# k <= 2 * bandwidth aliases frequencies of f (and of the product, whose
+# bandwidth doubles); the explicit examples pin the smallest levels
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.sampled_from((0.0, 3.0, 8.0)),
+    st.integers(0, 2),
+    st.integers(2, 64),
+)
+@example(seed=1, bandwidth=3, decay=0.0, order=2, k=2)
+@example(seed=2, bandwidth=3, decay=3.0, order=1, k=6)
+def test_remainder_error_operators_match_dense_n1(seed, bandwidth, decay, order, k):
+    rng = np.random.default_rng(seed)
+    f = random_trig_poly(rng, 1, bandwidth, decay=decay)
+    g = random_trig_poly(rng, 1, bandwidth, decay=decay)
+    assert_remainder_routes_match_dense(f, g, order, k)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(2, 8))
+@example(seed=3, order=2, k=2)
+def test_remainder_error_operators_match_dense_n2(seed, order, k):
+    rng = np.random.default_rng(seed)
+    f = random_trig_poly(rng, 2, 1)
+    g = random_trig_poly(rng, 2, 1)
+    assert_remainder_routes_match_dense(f, g, order, k)
 
 
 def test_error_product_vanishes_for_commuting_symbols():
@@ -236,7 +285,6 @@ def test_torus_relation_defects_values():
 RANDOM_F = FunctionSpec(random_bandwidth=2, random_decay=8.0)
 
 
-@CAP_OK
 def test_run_product_experiment():
     cfg = ExperimentConfig(
         experiment="product", n=1, k_min=8, k_max=64, order=1, seed=7,
@@ -341,7 +389,6 @@ def test_run_experiment_rejects_star_table():
         run_experiment(cfg)
 
 
-@CAP_OK
 def test_run_experiment_deterministic_and_threaded():
     cfg = ExperimentConfig(
         experiment="product", n=1, k_min=8, k_max=32, order=0, seed=5,
@@ -353,7 +400,6 @@ def test_run_experiment_deterministic_and_threaded():
     assert a == b == c
 
 
-@CAP_OK
 def test_report_rows_sorted_in_dict():
     cfg = ExperimentConfig(
         experiment="product", n=1, k_min=8, k_max=16, order=0, seed=5,

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torusquant
 from torusquant.analysis import ConvergenceReport, SweepPoint
 from torusquant.cli import main
 from torusquant.config import (
@@ -199,12 +204,6 @@ def test_write_report_roundtrip(tmp_path):
 # -- CLI -----------------------------------------------------------------------
 
 
-# sweeps at small k legitimately hit the power-iteration cap; the warning is
-# the module reporting an underestimate, not a failure of these tests
-CAP_OK = pytest.mark.filterwarnings("ignore::torusquant.analysis.PowerIterationWarning")
-
-
-@CAP_OK
 def test_cli_run_product(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, PRODUCT_CFG)
     out_dir = tmp_path / "out"
@@ -220,7 +219,6 @@ def test_cli_run_product(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 3  # three levels, three norms
 
 
-@CAP_OK
 def test_cli_run_deterministic(tmp_path):
     cfg_path = write_cfg(tmp_path, PRODUCT_CFG)
     out_a = tmp_path / "a"
@@ -233,7 +231,6 @@ def test_cli_run_deterministic(tmp_path):
     assert next(out_a.glob("*.csv")).read_bytes() == next(out_b.glob("*.csv")).read_bytes()
 
 
-@CAP_OK
 def test_cli_run_seed_override_changes_stem(tmp_path):
     cfg_path = write_cfg(tmp_path, PRODUCT_CFG)
     out_dir = tmp_path / "out"
@@ -251,7 +248,6 @@ def test_out_directory_does_not_change_hash(tmp_path):
     assert "out" not in cfg.normalized()
 
 
-@CAP_OK
 def test_cli_run_reports_failure_exit_code(tmp_path, capsys):
     # a two-point sweep cannot support a slope fit: honest FAIL, exit 1
     data = dict(PRODUCT_CFG, k_min=4, k_max=8)
@@ -270,6 +266,47 @@ def test_cli_run_rejects_star_table(tmp_path, capsys):
     code = main(["run", str(write_cfg(tmp_path, data))])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_level_above_dense_cap(tmp_path, capsys):
+    # 128^2 = 16384 exceeds DENSE_DIM_CAP: refused before any level runs
+    data = {"experiment": "norm_bound", "n": 2, "k_min": 128, "k_max": 128,
+            "f": {"random": {"bandwidth": 1}}}
+    code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: k_max:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # riemann builds no operators, so only assemble meets the cap
+    data = {"experiment": "riemann", "n": 1, "k_min": 8192, "k_max": 8192,
+            "f": {"coeffs": [{"p": [0], "q": [1], "re": 1.0}]}}
+    code = main(["assemble", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: k_min:" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_expression_that_fails_on_its_grid(tmp_path, capsys):
+    data = {"experiment": "trace", "n": 1, "k_min": 4, "k_max": 16,
+            "f": {"expr": "1/sin(2*pi*x1)", "bandwidth": 2}}
+    code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: f.expr: division by zero" in capsys.readouterr().err
+
+
+def test_cli_run_byte_identical_across_processes(tmp_path):
+    # fresh interpreters: LAPACK 2-norms must not depend on process state
+    config = Path(__file__).resolve().parents[1] / "configs" / "product_random.json"
+    src = str(Path(torusquant.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    reports = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-m", "torusquant.cli", "run", str(config), "--out", str(out), "--quiet"],
+            env=env, check=True,
+        )
+        reports.append(next(out.glob("*.report.json")).read_text(encoding="utf-8"))
+    assert reports[0] != normalize_volatile(reports[0])  # the volatile fields are there
+    assert normalize_volatile(reports[0]) == normalize_volatile(reports[1])
 
 
 def test_cli_usage_errors(tmp_path, capsys):
