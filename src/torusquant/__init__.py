@@ -36,7 +36,6 @@ from .quantize import (
     apply_toeplitz,
     assemble_toeplitz,
     intertwine,
-    operator_trace,
     quantum_torus_generators,
 )
 from .starprod import (
@@ -100,7 +99,6 @@ __all__ = [
     "intertwine",
     "mixed_laplacian",
     "operator_norm",
-    "operator_trace",
     "parse",
     "parse_config",
     "poisson_bracket",

@@ -9,7 +9,6 @@ produces garbage slopes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -17,14 +16,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import funcexpr
-from .config import ExperimentConfig
+from .config import SWEEP_KINDS, ConfigError, ExperimentConfig, check_riemann_profile, expression_means
 from .quantize import (
     HilbertSpec,
     Polarization,
     QuantumOperator,
     assemble_toeplitz,
     intertwine,
-    operator_trace,
     quantum_torus_generators,
 )
 from .starprod import HbarValue, berezin_exact, berezin_truncated, star_exact, star_truncated
@@ -122,24 +120,23 @@ def operator_norm(op, kind: NormKind | str) -> float:
 # k-independent series is computed once per sweep.
 
 
-def _product_remainder(f: TrigPoly, g: TrigPoly, order: int) -> Callable[[int], QuantumOperator]:
-    series = star_truncated(f, g, order)
+def _remainder_at(exact: Callable[[HbarValue], TrigPoly], series) -> Callable[[int], QuantumOperator]:
+    """Level k -> Toeplitz operator of exact(1/k) - series(1/k)."""
 
     def at(k: int) -> QuantumOperator:
         h = HbarValue(k)
-        return assemble_toeplitz(star_exact(f, g, h) - series.evaluate(h.hbar), HilbertSpec(f.n, k))
+        remainder = exact(h) - series.evaluate(h.hbar)
+        return assemble_toeplitz(remainder, HilbertSpec(remainder.n, k))
 
     return at
+
+
+def _product_remainder(f: TrigPoly, g: TrigPoly, order: int) -> Callable[[int], QuantumOperator]:
+    return _remainder_at(lambda h: star_exact(f, g, h), star_truncated(f, g, order))
 
 
 def _berezin_remainder(f: TrigPoly, order: int) -> Callable[[int], QuantumOperator]:
-    series = berezin_truncated(f, order)
-
-    def at(k: int) -> QuantumOperator:
-        h = HbarValue(k)
-        return assemble_toeplitz(berezin_exact(f, h) - series.evaluate(h.hbar), HilbertSpec(f.n, k))
-
-    return at
+    return _remainder_at(lambda h: berezin_exact(f, h), berezin_truncated(f, order))
 
 
 def error_product(f: TrigPoly, g: TrigPoly, order: int, k: int) -> QuantumOperator:
@@ -174,7 +171,7 @@ def trace_error(f: TrigPoly, k: int, reference: complex | None = None) -> float:
     spec = HilbertSpec(f.n, k, Polarization.POSITION)
     if reference is None:
         reference = f.mean
-    scaled = operator_trace(assemble_toeplitz(f, spec)) / float(k) ** f.n
+    scaled = assemble_toeplitz(f, spec).trace() / float(k) ** f.n
     return abs(scaled - complex(reference))
 
 
@@ -320,21 +317,21 @@ def slope_window(order: int) -> tuple[float, float]:
     return (expected - SLOPE_BELOW, expected + SLOPE_ABOVE)
 
 
-def _fit_series(name: str, kind: str, points: list[tuple[float, float]], order: int) -> SeriesSummary:
+def _fit_series(kind: str, points: list[tuple[float, float]], order: int) -> SeriesSummary:
     lo, hi = slope_window(order)
     if all(e <= ERROR_FLOOR for _, e in points):
-        return SeriesSummary(name=name, norm_kind=kind, outcome="exact_identity", passed=True,
+        return SeriesSummary(name=kind, norm_kind=kind, outcome="exact_identity", passed=True,
                              n_excluded=len(points))
     try:
         fit = fit_slope(points)
     except TooFewPointsError as exc:
         return SeriesSummary(
-            name=name, norm_kind=kind, outcome="insufficient_points", passed=False,
+            name=kind, norm_kind=kind, outcome="insufficient_points", passed=False,
             n_excluded=exc.n_points - exc.n_usable,
         )
     passed = lo <= fit.slope <= hi
     return SeriesSummary(
-        name=name,
+        name=kind,
         norm_kind=kind,
         outcome="fit",
         passed=passed,
@@ -371,255 +368,134 @@ def superpoly_decay_ok(points: Sequence[tuple[int, float]], exponent: float = RA
     return True, False
 
 
-def _map_levels(ks: Sequence[int], fn: Callable[[int], object], threads: int) -> list:
-    if threads <= 1 or len(ks) <= 1:
-        return [fn(k) for k in ks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, ks))
-
-
-def _all_norms(op: QuantumOperator) -> dict[str, float]:
-    return {kind.value: operator_norm(op, kind) for kind in NORM_ORDER}
-
-
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceReport:
-    """Run one configured experiment and judge its pass rule.
-
-    Dispatches on cfg.experiment; see the package README for the per-kind
-    row and series layout.
-    """
-    handlers = {
-        "product": _run_product,
-        "intertwine": _run_intertwine,
-        "trace": _run_trace,
-        "riemann": _run_riemann,
-        "norm_bound": _run_norm_bound,
-        "torus_relations": _run_torus_relations,
-    }
-    if cfg.experiment not in handlers:
-        raise ValueError(f"experiment {cfg.experiment!r} is not a sweep; use the star subcommand")
-    return handlers[cfg.experiment](cfg, threads)
-
-
-def _run_product(cfg: ExperimentConfig, threads: int) -> ConvergenceReport:
-    rng = np.random.default_rng(cfg.seed)
-    f = cfg.f.realize(cfg.n, rng)
-    g = cfg.g.realize(cfg.n, rng)
-    ks = cfg.k_values()
-    error_at = _product_remainder(f, g, cfg.order)
-
-    def cell(k: int) -> dict[str, float]:
-        return _all_norms(error_at(k))
-
-    cells = _map_levels(ks, cell, threads)
+def _norm_report(
+    experiment: str,
+    ks: Sequence[int],
+    error_at: Callable[[int], QuantumOperator],
+    order: int,
+    details: dict,
+    extra: Sequence[SeriesSummary] = (),
+) -> ConvergenceReport:
+    """Rows of the three norms of ``error_at(k)`` per level, one slope fit
+    per norm against the order-``order`` window, then the ``extra`` series."""
+    cells = [{kind.value: operator_norm(op, kind) for kind in NORM_ORDER} for op in map(error_at, ks)]
     rows = [
         SweepPoint(k, 1.0 / k, norms[kind.value], kind.value)
         for k, norms in zip(ks, cells)
         for kind in NORM_ORDER
     ]
     series = [
-        _fit_series(kind.value, kind.value, [(1.0 / k, norms[kind.value]) for k, norms in zip(ks, cells)], cfg.order)
+        _fit_series(kind.value, [(1.0 / k, norms[kind.value]) for k, norms in zip(ks, cells)], order)
         for kind in NORM_ORDER
     ]
-    return ConvergenceReport(
-        experiment="product",
-        rows=rows,
-        series=series,
-        passed=all(s.passed for s in series),
-        details={"order": cfg.order, "error_floor": ERROR_FLOOR},
-    )
+    series += extra
+    return ConvergenceReport(experiment, rows, series, all(s.passed for s in series), {"order": order, **details})
 
 
-def _run_intertwine(cfg: ExperimentConfig, threads: int) -> ConvergenceReport:
-    rng = np.random.default_rng(cfg.seed)
-    f = cfg.f.realize(cfg.n, rng)
-    ks = cfg.k_values()
-    exact_tol = 1e-10
-    error_at = _berezin_remainder(f, cfg.order)
+def _abs_report(
+    experiment: str, ks: Sequence[int], errors: list[float], band_limit: int | None, tol: float, details: dict
+) -> ConvergenceReport:
+    """Report of an ``abs`` error series.
 
-    def cell(k: int) -> tuple[dict[str, float], float]:
-        truncated = _all_norms(error_at(k))
-        exact = certified_l2_norm(error_intertwine(f, None, k), exact_tol)
-        return truncated, exact
-
-    cells = _map_levels(ks, cell, threads)
-    rows = [
-        SweepPoint(k, 1.0 / k, norms[kind.value], kind.value)
-        for k, (norms, _exact) in zip(ks, cells)
-        for kind in NORM_ORDER
-    ]
-    series = [
-        _fit_series(
-            kind.value, kind.value,
-            [(1.0 / k, norms[kind.value]) for k, (norms, _e) in zip(ks, cells)],
-            cfg.order,
-        )
-        for kind in NORM_ORDER
-    ]
-    exact_errors = [[k, exact] for k, (_n, exact) in zip(ks, cells)]
-    exact_max = max(e for _k, e in exact_errors)
-    series.append(
-        SeriesSummary(
-            name="exact_transform",
-            norm_kind=NormKind.L2.value,
-            outcome="exact_identity" if exact_max <= exact_tol else "violation",
-            passed=exact_max <= exact_tol,
-        )
-    )
-    return ConvergenceReport(
-        experiment="intertwine",
-        rows=rows,
-        series=series,
-        passed=all(s.passed for s in series),
-        details={
-            "order": cfg.order,
-            "transform_phase": "+p.a",  # exact transform multiplies (p,a)-amplitudes by e^{+2 pi i hbar p.a}
-            "exact_errors": exact_errors,
-            "exact_max_error": exact_max,
-            "exact_tolerance": exact_tol,
-        },
-    )
-
-
-def _expression_mean(spec_f, n: int, k_max: int) -> complex:
-    """Reference mean of an expression on a fine grid.
-
-    Uses at least 4x the finest sweep resolution (and >= 1024 points per axis
-    for n = 1), capped so the total grid stays affordable; for analytic
-    integrands this trapezoid rule is exact to rounding.
+    With ``band_limit`` None the errors must decay faster than any power
+    (superpoly_decay_ok); otherwise every level above the band limit must be
+    exact to ``tol``.
     """
-    re_ast, im_ast = spec_f.asts()
-    target = max(4 * k_max, 1024 if n == 1 else 64)
-    cap = int(2 ** (24 / (2 * n)))
-    m = min(target, cap)
-    if m % 2:
-        m += 1
-    mean = complex(funcexpr.sample_grid(re_ast, n, m).mean())
-    if im_ast is not None:
-        mean += 1j * complex(funcexpr.sample_grid(im_ast, n, m).mean())
-    return mean
-
-
-def _run_trace(cfg: ExperimentConfig, threads: int) -> ConvergenceReport:
-    rng = np.random.default_rng(cfg.seed)
-    f = cfg.f.realize(cfg.n, rng)
-    ks = cfg.k_values()
-    from_expr = cfg.f.kind == "expr"
-    if from_expr:
-        reference = _expression_mean(cfg.f, cfg.n, max(ks))
-    else:
-        reference = f.mean
-
-    def cell(k: int) -> float:
-        return trace_error(f, k, reference=reference)
-
-    errors = _map_levels(ks, cell, threads)
     rows = [SweepPoint(k, 1.0 / k, e, "abs") for k, e in zip(ks, errors)]
-    details: dict = {
-        "reference_re": reference.real,
-        "reference_im": reference.imag,
-        "error_floor": ERROR_FLOOR,
-    }
-    if from_expr:
+    details["error_floor"] = ERROR_FLOOR
+    if band_limit is None:
         ok, exact = superpoly_decay_ok(list(zip(ks, errors)))
+        name = f"{experiment}_decay"
         outcome = "exact_identity" if exact else ("fit" if ok else "violation")
-        series = [SeriesSummary(name="trace_decay", norm_kind="abs", outcome=outcome, passed=ok)]
         details["rate_exponent"] = RATE_EXPONENT
-        details["rate_rule"] = "error*k^4 strictly decreasing above the floor (chosen rendering of faster-than-any-power decay)"
     else:
-        bandwidth = f.bandwidth()
-        tol = 1e-10 * abs(reference) + 1e-12
-        judged = [(k, e) for k, e in zip(ks, errors) if k > bandwidth]
+        judged = [(k, e) for k, e in zip(ks, errors) if k > band_limit]
         ok = all(e <= tol for _k, e in judged) and bool(judged)
-        series = [
-            SeriesSummary(
-                name="band_limited_trace",
-                norm_kind="abs",
-                outcome="exact_identity" if ok else "violation",
-                passed=ok,
-            )
-        ]
-        details["bandwidth"] = bandwidth
+        name = f"band_limited_{experiment}"
+        outcome = "exact_identity" if ok else "violation"
+        details["bandwidth"] = band_limit
+        details["levels_judged"] = [k for k, _ in judged]
+    series = [SeriesSummary(name=name, norm_kind="abs", outcome=outcome, passed=ok)]
+    return ConvergenceReport(experiment=experiment, rows=rows, series=series, passed=ok, details=details)
+
+
+# -- sweeps --------------------------------------------------------------------
+#
+# One sweep per experiment kind, over realized symbols and explicit levels.
+# run_experiment feeds them from a config; the acceptance criteria in
+# checks.py feed them their own corpora.
+
+
+def product_sweep(f: TrigPoly, g: TrigPoly, order: int, ks: Sequence[int]) -> ConvergenceReport:
+    """Norms of Q_f Q_g - Q_{f *_order g} per level, slope-fitted per norm."""
+    return _norm_report("product", ks, _product_remainder(f, g, order), order, {"error_floor": ERROR_FLOOR})
+
+
+def intertwine_sweep(f: TrigPoly, order: int, ks: Sequence[int]) -> ConvergenceReport:
+    """Norms of the order-``order`` intertwining error per level, slope-fitted
+    per norm, plus the exact-transform identity checked to 1e-10 in l2."""
+    exact_tol = 1e-10
+    exact_errors = [[k, certified_l2_norm(error_intertwine(f, None, k), exact_tol)] for k in ks]
+    exact_max = max(e for _k, e in exact_errors)
+    exact = SeriesSummary(
+        name="exact_transform",
+        norm_kind=NormKind.L2.value,
+        outcome="exact_identity" if exact_max <= exact_tol else "violation",
+        passed=exact_max <= exact_tol,
+    )
+    details = {
+        "transform_phase": "+p.a",  # exact transform multiplies (p,a)-amplitudes by e^{+2 pi i hbar p.a}
+        "exact_errors": exact_errors,
+        "exact_max_error": exact_max,
+        "exact_tolerance": exact_tol,
+    }
+    return _norm_report("intertwine", ks, _berezin_remainder(f, order), order, details, [exact])
+
+
+def trace_sweep(f: TrigPoly, ks: Sequence[int], reference: complex | None = None) -> ConvergenceReport:
+    """|hbar^n tr Q_f - reference| per level.
+
+    Without a reference, f counts as band-limited and its own mean is the
+    reference: traces must be exact (to 1e-10 relative) once k exceeds its
+    bandwidth.  A given reference, the mean of the function f was projected
+    from, asks for faster-than-any-power decay instead.
+    """
+    band_limited = reference is None
+    if band_limited:
+        reference = f.mean
+    errors = [trace_error(f, k, reference=reference) for k in ks]
+    tol = 1e-10 * abs(reference) + 1e-12
+    details: dict = {"reference_re": reference.real, "reference_im": reference.imag}
+    if band_limited:
         details["tolerance"] = tol
-        details["levels_judged"] = [k for k, _ in judged]
-    return ConvergenceReport(
-        experiment="trace",
-        rows=rows,
-        series=series,
-        passed=all(s.passed for s in series),
-        details=details,
-    )
-
-
-def _run_riemann(cfg: ExperimentConfig, threads: int) -> ConvergenceReport:
-    rng = np.random.default_rng(cfg.seed)
-    ks = cfg.k_values()
-    from_expr = cfg.f.kind == "expr"
-    details: dict = {"error_floor": ERROR_FLOOR}
-    if from_expr:
-        re_ast, im_ast = cfg.f.asts()
-        if im_ast is not None:
-            raise ValueError("riemann profiles must be real expressions")
-        mean = _expression_mean(cfg.f, cfg.n, max(ks))
-
-        def profile(y):
-            return funcexpr.evaluate(re_ast, (0.0,) * cfg.n, y)
-
-        def cell(k: int) -> float:
-            return riemann_sum_error(profile, k, n=cfg.n, mean=mean)
-
     else:
-        poly = cfg.f.realize(cfg.n, rng)
-        if poly.x_bandwidth() != 0:
-            raise ValueError("riemann profiles must not depend on x")
-        mean = poly.mean
-
-        def cell(k: int) -> float:
-            return riemann_sum_error(poly, k)
-
-    errors = _map_levels(ks, cell, threads)
-    rows = [SweepPoint(k, 1.0 / k, e, "abs") for k, e in zip(ks, errors)]
-    details["mean_re"] = complex(mean).real
-    details["mean_im"] = complex(mean).imag
-    if from_expr:
-        ok, exact = superpoly_decay_ok(list(zip(ks, errors)))
-        outcome = "exact_identity" if exact else ("fit" if ok else "violation")
-        series = [SeriesSummary(name="riemann_decay", norm_kind="abs", outcome=outcome, passed=ok)]
-        details["rate_exponent"] = RATE_EXPONENT
-    else:
-        bandwidth = poly.y_bandwidth()
-        judged = [(k, e) for k, e in zip(ks, errors) if k > bandwidth]
-        ok = all(e <= 1e-12 for _k, e in judged) and bool(judged)
-        series = [
-            SeriesSummary(
-                name="band_limited_riemann",
-                norm_kind="abs",
-                outcome="exact_identity" if ok else "violation",
-                passed=ok,
-            )
-        ]
-        details["bandwidth"] = bandwidth
-        details["levels_judged"] = [k for k, _ in judged]
-    return ConvergenceReport(
-        experiment="riemann",
-        rows=rows,
-        series=series,
-        passed=all(s.passed for s in series),
-        details=details,
-    )
+        details["rate_rule"] = "error*k^4 strictly decreasing above the floor (chosen rendering of faster-than-any-power decay)"
+    return _abs_report("trace", ks, errors, f.bandwidth() if band_limited else None, tol, details)
 
 
-def _run_norm_bound(cfg: ExperimentConfig, threads: int) -> ConvergenceReport:
-    rng = np.random.default_rng(cfg.seed)
-    f = cfg.f.realize(cfg.n, rng)
+def riemann_sweep(profile, ks: Sequence[int], n: int, mean: complex | None = None) -> ConvergenceReport:
+    """|mean - k^{-n} sum over the lattice| per level for a profile in y.
+
+    An x-independent TrigPoly profile (mean defaults to its coefficient
+    average) must be exact to 1e-12 beyond its y-bandwidth.  A callable
+    profile of a length-n y-vector needs ``mean`` and must decay faster than
+    any power.
+    """
+    band_limited = isinstance(profile, TrigPoly)
+    if band_limited and mean is None:
+        mean = profile.mean
+    errors = [riemann_sum_error(profile, k, n=n, mean=mean) for k in ks]
+    details = {"mean_re": complex(mean).real, "mean_im": complex(mean).imag}
+    return _abs_report("riemann", ks, errors, profile.y_bandwidth() if band_limited else None, 1e-12, details)
+
+
+def norm_bound_sweep(f: TrigPoly, ks: Sequence[int]) -> ConvergenceReport:
+    """||Q_f||_2 per level against the coefficient bound ||f||_l1 (tolerance
+    1e-10 relative plus 1e-12)."""
     bound = f.l1_norm()
-    ks = cfg.k_values()
-
-    def cell(k: int) -> float:
-        spec = HilbertSpec(cfg.n, k, Polarization.POSITION)
-        return operator_norm(assemble_toeplitz(f, spec), NormKind.L2)
-
-    values = _map_levels(ks, cell, threads)
+    values = [
+        operator_norm(assemble_toeplitz(f, HilbertSpec(f.n, k, Polarization.POSITION)), NormKind.L2) for k in ks
+    ]
     rows = [SweepPoint(k, 1.0 / k, v, "l2") for k, v in zip(ks, values)]
     tol = bound * 1e-10 + 1e-12
     ok = all(v <= bound + tol for v in values)
@@ -679,17 +555,16 @@ def torus_relation_defects(n: int, k: int, tol: float = 1e-12) -> tuple[float, i
     return defect, sign
 
 
-def _run_torus_relations(cfg: ExperimentConfig, threads: int) -> ConvergenceReport:
-    ks = cfg.k_values()
+def torus_relations_sweep(n: int, ks: Sequence[int]) -> ConvergenceReport:
+    """Generator relation defects per level (tolerance 1e-12) and one
+    commutation sign across all levels where it is observable."""
     tol = 1e-12
-
-    cells = _map_levels(ks, lambda k: torus_relation_defects(cfg.n, k, tol), threads)
+    cells = [torus_relation_defects(n, k, tol) for k in ks]
     rows = [SweepPoint(k, 1.0 / k, d, "l2") for k, (d, _s) in zip(ks, cells)]
     signs = {k: s for k, (_d, s) in zip(ks, cells) if s is not None}
     distinct = sorted(set(signs.values()))
-    consistent = len(distinct) <= 1
     max_defect = max(d for d, _s in cells)
-    ok = consistent and max_defect <= tol
+    ok = len(distinct) <= 1 and max_defect <= tol
     series = [
         SeriesSummary(
             name="generator_relations",
@@ -711,3 +586,64 @@ def _run_torus_relations(cfg: ExperimentConfig, threads: int) -> ConvergenceRepo
             "note": "sign is unobservable at k=2 where the phase is real",
         },
     )
+
+
+# -- experiment driver ---------------------------------------------------------
+
+
+def _expression_mean(spec_f, n: int, k_max: int) -> complex:
+    """Reference mean of an expression on a fine grid.
+
+    Uses at least 4x the finest sweep resolution (and >= 1024 points per axis
+    for n = 1), capped so the total grid stays affordable; for analytic
+    integrands this trapezoid rule is exact to rounding.  An expression that
+    cannot be evaluated on this grid is a ConfigError on f.expr or f.expr_im.
+    """
+    target = max(4 * k_max, 1024 if n == 1 else 64)
+    cap = int(2 ** (24 / (2 * n)))
+    m = min(target, cap)
+    if m % 2:
+        m += 1
+    mean, *im = expression_means(spec_f, n, m, "f")
+    if im:
+        mean += 1j * im[0]
+    return mean
+
+
+def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
+    """Realize a config's inputs and run the sweep of its kind.
+
+    Random symbols are drawn f first, then g, from one generator seeded with
+    cfg.seed.  Expression symbols of ``trace`` and ``riemann`` configs are
+    judged against their mean on a fine reference grid (_expression_mean),
+    and a riemann expression is read as a profile in y at x = 0.  The
+    ``check`` criteria call the same sweeps on their own corpora; see the
+    package README for the per-kind row and series layout.
+    """
+    kind = cfg.experiment
+    if kind not in SWEEP_KINDS:
+        raise ValueError(f"experiment {kind!r} is not a sweep; use the star subcommand")
+    ks = cfg.k_values()
+    if kind == "torus_relations":
+        return torus_relations_sweep(cfg.n, ks)
+    from_expr = cfg.f.kind == "expr"
+    rng = np.random.default_rng(cfg.seed)
+    if kind == "riemann":
+        check_riemann_profile(cfg.f)
+        if not from_expr:
+            return riemann_sweep(cfg.f.realize(cfg.n, rng), ks, cfg.n)
+        re_ast, _im_ast = cfg.f.asts()
+        x = (0.0,) * cfg.n
+        mean = _expression_mean(cfg.f, cfg.n, max(ks))
+        try:
+            return riemann_sweep(lambda y: funcexpr.evaluate(re_ast, x, y), ks, cfg.n, mean)
+        except funcexpr.EvaluationError as exc:
+            raise ConfigError("f.expr", f"{exc} on the level-k lattice") from exc
+    f = cfg.f.realize(cfg.n, rng)
+    if kind == "product":
+        return product_sweep(f, cfg.g.realize(cfg.n, rng), cfg.order, ks)
+    if kind == "intertwine":
+        return intertwine_sweep(f, cfg.order, ks)
+    if kind == "trace":
+        return trace_sweep(f, ks, _expression_mean(cfg.f, cfg.n, max(ks)) if from_expr else None)
+    return norm_bound_sweep(f, ks)

@@ -19,15 +19,13 @@ from .analysis import (
     NormKind,
     SweepPoint,
     certified_l2_norm,
-    error_intertwine,
-    error_product,
-    fit_slope,
+    intertwine_sweep,
+    norm_bound_sweep,
     operator_norm,
-    riemann_sum_error,
-    slope_window,
-    superpoly_decay_ok,
-    torus_relation_defects,
-    trace_error,
+    product_sweep,
+    riemann_sweep,
+    torus_relations_sweep,
+    trace_sweep,
 )
 from .quantize import HilbertSpec, assemble_toeplitz
 from .starprod import HbarValue, Orientation, bidifferential, star_exact
@@ -99,28 +97,18 @@ def check_product_rates() -> CheckResult:
     slopes: dict[str, float] = {}
     blocks: dict[str, list[SweepPoint]] = {}
     for order in (0, 1, 2):
-        lo, hi = slope_window(order)
         for i in range(5):
             # smooth-function corpus: spectral decay keeps k=8 inside the
             # asymptotic regime that the rate windows assume
             rng = np.random.default_rng(2000 + i)
             f = random_trig_poly(rng, 1, 2, decay=8.0)
             g = random_trig_poly(rng, 1, 2, decay=8.0)
-            pts: dict[str, list[tuple[float, float]]] = {k.value: [] for k in NormKind}
-            rows: list[SweepPoint] = []
-            for k in POW2_LEVELS:
-                err_op = error_product(f, g, order, k)
-                for kind in NormKind:
-                    v = operator_norm(err_op, kind)
-                    pts[kind.value].append((1.0 / k, v))
-                    rows.append(SweepPoint(k, 1.0 / k, v, kind.value))
-            for kind, series in pts.items():
-                fit = fit_slope(series)
-                slopes[f"order{order}_pair{i}_{kind}"] = round(fit.slope, 4)
-                if not lo <= fit.slope <= hi:
-                    all_ok = False
+            report = product_sweep(f, g, order, POW2_LEVELS)
+            for s in report.series:
+                slopes[f"order{order}_pair{i}_{s.norm_kind}"] = round(s.slope, 4)
+            all_ok = all_ok and report.passed
             if i == 0:
-                blocks[f"order{order}"] = rows
+                blocks[f"order{order}"] = report.rows
     values = list(slopes.values())
     return CheckResult(
         cid=2,
@@ -141,22 +129,14 @@ def check_intertwining() -> CheckResult:
     blocks: dict[str, list[SweepPoint]] = {}
     for i in range(3):
         f = random_trig_poly(np.random.default_rng(3000 + i), 1, 2, decay=8.0)
-        for k in POW2_LEVELS:
-            max_exact = max(max_exact, certified_l2_norm(error_intertwine(f, None, k), exact_tol))
         for order in (0, 1, 2):
-            lo, hi = slope_window(order)
-            pts = []
-            rows = []
-            for k in POW2_LEVELS:
-                v = operator_norm(error_intertwine(f, order, k), NormKind.L2)
-                pts.append((1.0 / k, v))
-                rows.append(SweepPoint(k, 1.0 / k, v, "l2"))
-            fit = fit_slope(pts)
-            slopes[f"f{i}_order{order}"] = round(fit.slope, 4)
-            if not lo <= fit.slope <= hi:
-                all_ok = False
+            report = intertwine_sweep(f, order, POW2_LEVELS)
+            max_exact = max(max_exact, report.details["exact_max_error"])
+            l2 = next(s for s in report.series if s.name == NormKind.L2.value)
+            slopes[f"f{i}_order{order}"] = round(l2.slope, 4)
+            all_ok = all_ok and l2.passed
             if i == 0:
-                blocks[f"order{order}"] = rows
+                blocks[f"order{order}"] = [r for r in report.rows if r.norm_kind == NormKind.L2.value]
     passed = all_ok and max_exact <= exact_tol
     return CheckResult(
         cid=3,
@@ -179,35 +159,22 @@ def check_intertwining() -> CheckResult:
 def check_trace_identities() -> CheckResult:
     """Band-limited traces are exact; smooth-symbol trace errors decay fast."""
     # (a) band-limited symbols: exact once k exceeds the bandwidth
-    ok_a = True
-    worst_a = 0.0
-    for i in range(3):
-        f = random_trig_poly(np.random.default_rng(4000 + i), 1, 3)
-        tol = 1e-10 * abs(f.mean) + 1e-12
-        for k in range(4, 65):
-            e = trace_error(f, k)
-            worst_a = max(worst_a, e)
-            if e > tol:
-                ok_a = False
-    f2 = random_trig_poly(np.random.default_rng(4100), 2, 1)
-    tol2 = 1e-10 * abs(f2.mean) + 1e-12
-    for k in range(2, 9):
-        e = trace_error(f2, k)
-        worst_a = max(worst_a, e)
-        if e > tol2:
-            ok_a = False
+    band_limited = [
+        trace_sweep(random_trig_poly(np.random.default_rng(4000 + i), 1, 3), range(4, 65)) for i in range(3)
+    ]
+    band_limited.append(trace_sweep(random_trig_poly(np.random.default_rng(4100), 2, 1), range(2, 9)))
+    ok_a = all(r.passed for r in band_limited)
+    worst_a = max(row.error for r in band_limited for row in r.rows)
     # (b) smooth symbol, band-limited to B=12 on a 64-point grid
     ast = funcexpr.parse("exp(cos(2*pi*x1)) * cos(2*pi*y1)")
     proj = funcexpr.project(ast, funcexpr.ProjectionSpec(12, 64), 1)
     reference = complex(funcexpr.sample_grid(ast, 1, 1024).mean())
-    levels = (16, 32, 64, 128, 256)
-    errs = [(k, trace_error(proj, k, reference=reference)) for k in levels]
-    ok_b, exact_b = superpoly_decay_ok(errs)
-    rows = [SweepPoint(k, 1.0 / k, e, "abs") for k, e in errs]
+    smooth = trace_sweep(proj, (16, 32, 64, 128, 256), reference=reference)
+    exact_b = smooth.series[0].outcome == "exact_identity"
     return CheckResult(
         cid=4,
         title="operator trace identities",
-        passed=ok_a and ok_b,
+        passed=ok_a and smooth.passed,
         summary=(
             f"band-limited worst error {worst_a:.3e}; smooth-symbol decay "
             + ("holds as an exact identity (all errors at the floor)" if exact_b else "holds")
@@ -215,28 +182,20 @@ def check_trace_identities() -> CheckResult:
         details={
             "band_limited_worst": worst_a,
             "smooth_symbol_exact_identity": exact_b,
-            "smooth_symbol_errors": [[k, e] for k, e in errs],
+            "smooth_symbol_errors": [[r.k, r.error] for r in smooth.rows],
             "rate_exponent": 4.0,
         },
-        csv_blocks={"smooth_symbol": rows},
+        csv_blocks={"smooth_symbol": smooth.rows},
     )
 
 
 def check_torus_relations() -> CheckResult:
     """Shift/clock generators satisfy the quantum torus relations."""
     tol = 1e-12
-    max_defect = 0.0
-    signs: set[int] = set()
-    blocks: dict[str, list[SweepPoint]] = {}
-    for n in (1, 2):
-        rows = []
-        for k in range(2, 17):
-            defect, sign = torus_relation_defects(n, k, tol)
-            max_defect = max(max_defect, defect)
-            if sign is not None:
-                signs.add(sign)
-            rows.append(SweepPoint(k, 1.0 / k, defect, "l2"))
-        blocks[f"n{n}"] = rows
+    reports = {n: torus_relations_sweep(n, range(2, 17)) for n in (1, 2)}
+    max_defect = max(r.details["max_defect"] for r in reports.values())
+    # one sign across both dimensions, not just within each sweep
+    signs = {s for r in reports.values() for s in r.details["signs_by_level"].values()}
     passed = max_defect <= tol and len(signs) == 1
     sign = signs.pop() if len(signs) == 1 else None
     return CheckResult(
@@ -245,22 +204,17 @@ def check_torus_relations() -> CheckResult:
         passed=passed,
         summary=f"max defect {max_defect:.3e} (tol {tol:.0e}), commutation sign {sign:+d}" if sign else f"max defect {max_defect:.3e}, sign inconsistent",
         details={"max_defect": max_defect, "tolerance": tol, "commutation_sign": sign},
-        csv_blocks=blocks,
+        csv_blocks={f"n{n}": r.rows for n, r in reports.items()},
     )
 
 
 def check_norm_bound() -> CheckResult:
     """Toeplitz 2-norms never exceed the coefficient l1 sum of the symbol."""
-    worst_ratio = 0.0
-    ok = True
-    for i in range(10):
-        for f in _corpus_pair(i):
-            bound = f.l1_norm()
-            for k in POW2_LEVELS:
-                v = operator_norm(assemble_toeplitz(f, HilbertSpec(1, k)), NormKind.L2)
-                worst_ratio = max(worst_ratio, v / bound)
-                if v > bound * (1.0 + 1e-12) + 1e-12:
-                    ok = False
+    reports = [norm_bound_sweep(f, POW2_LEVELS) for i in range(10) for f in _corpus_pair(i)]
+    values = [(row.error, r.details["bound"]) for r in reports for row in r.rows]
+    worst_ratio = max(v / bound for v, bound in values)
+    # stricter than the sweep's own 1e-10 relative tolerance
+    ok = not any(v > bound * (1.0 + 1e-12) + 1e-12 for v, bound in values)
     return CheckResult(
         cid=6,
         title="coefficient norm bound",
@@ -312,10 +266,8 @@ def check_riemann_sums() -> CheckResult:
     def profile(y):
         return funcexpr.evaluate(ast, (0.0,), y)
 
-    levels = (8, 16, 32, 64, 128)
-    errs = [(k, riemann_sum_error(profile, k, n=1, mean=mean)) for k in levels]
-    ok_smooth, exact_smooth = superpoly_decay_ok(errs)
-    rows = [SweepPoint(k, 1.0 / k, e, "abs") for k, e in errs]
+    smooth = riemann_sweep(profile, (8, 16, 32, 64, 128), 1, mean=mean)
+    errs = [[r.k, r.error] for r in smooth.rows]
 
     g = TrigPoly(
         1,
@@ -327,22 +279,22 @@ def check_riemann_sums() -> CheckResult:
             ((0,), (-2,)): 0.1,
         },
     )
-    worst_bl = max(riemann_sum_error(g, k) for k in range(3, 33))
-    ok_bl = worst_bl <= 1e-12
+    band_limited = riemann_sweep(g, range(3, 33), 1)
+    worst_bl = max(r.error for r in band_limited.rows)
     return CheckResult(
         cid=8,
         title="lattice Riemann sums",
-        passed=ok_smooth and ok_bl,
+        passed=smooth.passed and band_limited.passed,
         summary=(
             f"smooth profile decay holds (k=8 error {errs[0][1]:.3e}, floor beyond); "
             f"band-limited worst error {worst_bl:.3e}"
         ),
         details={
-            "smooth_errors": [[k, e] for k, e in errs],
-            "smooth_exact_identity": exact_smooth,
+            "smooth_errors": errs,
+            "smooth_exact_identity": smooth.series[0].outcome == "exact_identity",
             "band_limited_worst": worst_bl,
         },
-        csv_blocks={"smooth_profile": rows},
+        csv_blocks={"smooth_profile": smooth.rows},
     )
 
 

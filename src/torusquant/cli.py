@@ -36,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", dest="config_flag", metavar="PATH", help="path to a JSON config")
         p.add_argument("--out", metavar="DIR", help="output directory override")
         p.add_argument("--seed", type=int, metavar="U64", help="seed override")
-        p.add_argument("--threads", type=int, default=1, metavar="INT", help="worker threads for sweeps")
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
         return p
 
@@ -73,7 +72,7 @@ def _cmd_run(args, parser) -> int:
     if cfg.experiment == "star_table":
         raise ConfigError("experiment", "star_table configs are handled by the star subcommand")
     t0 = perf_counter()
-    result = run_experiment(cfg, threads=args.threads)
+    result = run_experiment(cfg)
     report_path, csv_path = reporting.write_report(cfg, result, perf_counter() - t0, cfg.out)
     if not args.quiet:
         print(f"{cfg.experiment}: {'PASS' if result.passed else 'FAIL'}")

@@ -206,17 +206,33 @@ def _parse_function(data, path: str) -> FunctionSpec:
     return FunctionSpec(random_bandwidth=bw, random_decay=float(decay))
 
 
-def _check_samples(spec: FunctionSpec, n: int, path: str) -> None:
-    """Evaluate each expression on its projection grid, so that a division by
-    zero, an overflow or a variable beyond n is a config error up front."""
-    grid = spec.projection_spec().grid
+def expression_means(spec: FunctionSpec, n: int, grid: int, path: str) -> list[complex]:
+    """Mean of the real expression, then of ``expr_im`` if given, on the
+    uniform grid; a division by zero, an overflow or a variable beyond n
+    there is a config error naming ``path.expr`` or ``path.expr_im``."""
+    means = []
     for label, ast in zip(("expr", "expr_im"), spec.asts()):
         if ast is None:
             continue
         try:
-            funcexpr.sample_grid(ast, n, grid)
+            means.append(complex(funcexpr.sample_grid(ast, n, grid).mean()))
         except funcexpr.EvaluationError as exc:
             raise ConfigError(f"{path}.{label}", str(exc)) from exc
+    return means
+
+
+def check_riemann_profile(spec: FunctionSpec) -> None:
+    """Refuse riemann inputs that are not a real profile in y alone: the
+    sweep reads the real expression at x = 0."""
+    if spec.expr_im is not None:
+        raise ConfigError("f.expr_im", "riemann profiles must be real expressions")
+    if spec.kind == "expr" and any(v.axis == "x" for v in funcexpr.variables(funcexpr.parse(spec.expr))):
+        raise ConfigError("f.expr", "riemann profiles must not depend on x")
+    if spec.kind == "random" and spec.random_bandwidth > 0:
+        raise ConfigError("f.random", "riemann profiles must not depend on x; a random symbol of bandwidth > 0 does")
+    for i, rec in enumerate(spec.coeffs or ()):
+        if any(rec["p"]):
+            raise ConfigError(f"f.coeffs[{i}].p", "riemann profiles must not depend on x")
 
 
 _TOP_LEVEL_KEYS = {
@@ -377,9 +393,11 @@ def parse_config(source) -> ExperimentConfig:
             raise ConfigError(
                 "k_max", f"level {top} needs dimension {top}^{n} = {top**n}, above the dense cap {DENSE_DIM_CAP}"
             )
+    if experiment == "riemann":
+        check_riemann_profile(f_spec)
     for name, spec in (("f", f_spec), ("g", g_spec)):
         if spec is not None and spec.kind == "expr":
-            _check_samples(spec, n, name)
+            expression_means(spec, n, spec.projection_spec().grid, name)
     return cfg
 
 

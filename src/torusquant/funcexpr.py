@@ -241,14 +241,19 @@ def parse(source: str) -> ExprAst:
     return _Parser(source).parse()
 
 
-def max_variable_index(ast: ExprAst) -> int:
+def variables(ast: ExprAst) -> set[Variable]:
+    """Every variable that occurs in the expression."""
     if isinstance(ast, Variable):
-        return ast.index
+        return {ast}
     if isinstance(ast, Unary):
-        return max_variable_index(ast.operand)
+        return variables(ast.operand)
     if isinstance(ast, Binary):
-        return max(max_variable_index(ast.left), max_variable_index(ast.right))
-    return 0
+        return variables(ast.left) | variables(ast.right)
+    return set()
+
+
+def max_variable_index(ast: ExprAst) -> int:
+    return max((v.index for v in variables(ast)), default=0)
 
 
 # -- printing ----------------------------------------------------------------

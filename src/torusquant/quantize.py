@@ -242,10 +242,6 @@ def quantum_torus_generators(spec: HilbertSpec, axis: int) -> tuple[QuantumOpera
     return u, v
 
 
-def operator_trace(op: QuantumOperator) -> complex:
-    return op.trace()
-
-
 def operator_to_csv(op: QuantumOperator) -> str:
     """CSV dump "row,col,re,im" of nonzero entries in row-major order."""
     lines = ["row,col,re,im"]

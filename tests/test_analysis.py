@@ -389,15 +389,14 @@ def test_run_experiment_rejects_star_table():
         run_experiment(cfg)
 
 
-def test_run_experiment_deterministic_and_threaded():
+def test_run_experiment_deterministic():
     cfg = ExperimentConfig(
         experiment="product", n=1, k_min=8, k_max=32, order=0, seed=5,
         f=RANDOM_F, g=RANDOM_F,
     )
     a = run_experiment(cfg).to_dict()
     b = run_experiment(cfg).to_dict()
-    c = run_experiment(cfg, threads=3).to_dict()
-    assert a == b == c
+    assert a == b
 
 
 def test_report_rows_sorted_in_dict():

@@ -292,6 +292,48 @@ def test_cli_run_rejects_expression_that_fails_on_its_grid(tmp_path, capsys):
     assert "config error: f.expr: division by zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, path",
+    [
+        ({"expr": "cos(2*pi*y1)", "expr_im": "sin(2*pi*y1)", "bandwidth": 2}, "f.expr_im"),
+        ({"random": {"bandwidth": 2}}, "f.random"),
+        ({"coeffs": [{"p": [0], "q": [1], "re": 1.0}, {"p": [1], "q": [0], "re": 0.5}]}, "f.coeffs[1].p"),
+        ({"expr": "cos(2*pi*(x1 + y1))", "bandwidth": 2}, "f.expr"),
+    ],
+)
+def test_cli_run_rejects_riemann_profile_that_is_not_real_in_y(tmp_path, capsys, spec, path):
+    data = {"experiment": "riemann", "n": 1, "k_min": 4, "k_max": 16, "f": spec}
+    code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: {path}: riemann profiles must" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # finite on the 16-point projection grid, singular on the reference grid
+        {"experiment": "trace", "n": 1, "k_min": 4, "k_max": 16,
+         "f": {"expr": "1/(64*x1 - 1)", "bandwidth": 2}},
+        # finite on both grids, singular at the level-3 lattice point y = 1/3
+        {"experiment": "riemann", "n": 1, "k_min": 3, "k_max": 8, "k_rule": "linear",
+         "f": {"expr": "1/(3*y1 - 1)", "bandwidth": 2}},
+    ],
+)
+def test_cli_run_maps_evaluation_errors_past_parsing_to_config_errors(tmp_path, capsys, data):
+    code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: f.expr: division by zero" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_threads_flag_is_a_usage_error(tmp_path):
+    cfg_path = write_cfg(tmp_path, PRODUCT_CFG)
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(cfg_path), "--threads", "2"])
+    assert info.value.code == 2
+
+
 def test_cli_run_byte_identical_across_processes(tmp_path):
     # fresh interpreters: LAPACK 2-norms must not depend on process state
     config = Path(__file__).resolve().parents[1] / "configs" / "product_random.json"

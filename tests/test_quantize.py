@@ -17,7 +17,6 @@ from torusquant.quantize import (
     basis_index,
     intertwine,
     operator_to_csv,
-    operator_trace,
     quantum_torus_generators,
     write_operator_csv,
 )
@@ -174,13 +173,13 @@ def test_trace_is_scaled_mean_beyond_bandwidth():
     f = random_trig_poly(rng, 1, 3)
     for k in (4, 7, 16):
         op = assemble_toeplitz(f, HilbertSpec(1, k))
-        assert abs(operator_trace(op) - k * f.mean) < 1e-12
+        assert abs(op.trace() - k * f.mean) < 1e-12
     g = random_trig_poly(rng, 2, 1)
     op2 = assemble_toeplitz(g, HilbertSpec(2, 3))
-    assert abs(operator_trace(op2) - 9 * g.mean) < 1e-12
+    assert abs(op2.trace() - 9 * g.mean) < 1e-12
     # the clock generator alone: character sum vanishes exactly
     _, v = quantum_torus_generators(HilbertSpec(1, 5), 1)
-    assert abs(operator_trace(v)) < 1e-14
+    assert abs(v.trace()) < 1e-14
 
 
 def test_operator_arithmetic_and_space_checks():
