@@ -31,11 +31,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config_args(p, needs_config=True):
+        # check runs fixed seeded corpora: it takes neither a config nor a seed
         if needs_config:
             p.add_argument("config_path", nargs="?", help="path to a JSON config")
             p.add_argument("--config", dest="config_flag", metavar="PATH", help="path to a JSON config")
+            p.add_argument("--seed", type=int, metavar="U64", help="seed override")
         p.add_argument("--out", metavar="DIR", help="output directory override")
-        p.add_argument("--seed", type=int, metavar="U64", help="seed override")
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
         return p
 

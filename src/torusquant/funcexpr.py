@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .trigpoly import TrigPoly
+from .trigpoly import PRUNE_REL, TrigPoly, box_keys
 
 
 class ExpressionError(ValueError):
@@ -424,10 +424,6 @@ def project(ast: ExprAst, spec: ProjectionSpec, n: int | None = None) -> TrigPol
     M = spec.grid
     samples = sample_grid(ast, n, M)
     spectrum = np.fft.fftn(samples) / float(M ** (2 * n))
-    coeffs = {}
-    for key in np.ndindex(*((2 * B + 1,) * (2 * n))):
-        vec = tuple(k - B for k in key)
-        p, q = vec[:n], vec[n:]
-        idx = tuple(v % M for v in vec)
-        coeffs[(p, q)] = complex(spectrum[idx])
-    return TrigPoly(n, coeffs)
+    keys = box_keys(n, B)
+    values = spectrum[tuple((keys % M).T)]  # negative frequencies wrap around
+    return TrigPoly._from_arrays(n, keys, values).truncate(PRUNE_REL)

@@ -177,13 +177,14 @@ def assemble_toeplitz(f: TrigPoly, spec: HilbertSpec) -> QuantumOperator:
     cols = np.arange(dim)
     A = np.zeros((dim, dim), dtype=complex)
     shape = (k,) * spec.n
-    for (p, q), c in f.terms():
-        shifted = (grid + np.asarray(p)) % k  # row residue m = m' + p (mod k)
+    n = spec.n
+    for p, q, c in zip(f.keys[:, :n], f.keys[:, n:], f.values):
+        shifted = (grid + p) % k  # row residue m = m' + p (mod k)
         rows = np.ravel_multi_index(shifted.T, shape)
         if spec.polarization is Polarization.POSITION:
-            phase_arg = grid @ np.asarray(q)  # profile evaluated at m'/k
+            phase_arg = grid @ q  # profile evaluated at m'/k
         else:
-            phase_arg = (grid + np.asarray(p)) @ np.asarray(q)  # at m/k, unreduced is fine: profiles are 1-periodic
+            phase_arg = (grid + p) @ q  # at m/k, unreduced is fine: profiles are 1-periodic
         A[rows, cols] += c * np.exp(2j * np.pi * hbar * phase_arg)
     return QuantumOperator(spec, A)
 
@@ -202,13 +203,14 @@ def apply_toeplitz(f: TrigPoly, state: QuantumState) -> QuantumState:
     grid = _residue_grid(spec.n, k)  # rows are output indices m
     shape = (k,) * spec.n
     out = np.zeros(spec.dim, dtype=complex)
-    for (p, q), c in f.terms():
-        source = (grid - np.asarray(p)) % k  # m' = m - p (mod k)
+    n = spec.n
+    for p, q, c in zip(f.keys[:, :n], f.keys[:, n:], f.values):
+        source = (grid - p) % k  # m' = m - p (mod k)
         src_idx = np.ravel_multi_index(source.T, shape)
         if spec.polarization is Polarization.POSITION:
-            phase_arg = (grid - np.asarray(p)) @ np.asarray(q)
+            phase_arg = (grid - p) @ q
         else:
-            phase_arg = grid @ np.asarray(q)
+            phase_arg = grid @ q
         out += c * np.exp(2j * np.pi * hbar * phase_arg) * state.amplitudes[src_idx]
     return QuantumState(spec, out)
 
@@ -244,14 +246,11 @@ def quantum_torus_generators(spec: HilbertSpec, axis: int) -> tuple[QuantumOpera
 
 def operator_to_csv(op: QuantumOperator) -> str:
     """CSV dump "row,col,re,im" of nonzero entries in row-major order."""
+    rows, cols = np.nonzero(op.entries)
+    values = op.entries[rows, cols]
     lines = ["row,col,re,im"]
-    dim = op.spec.dim
-    for r in range(dim):
-        row = op.entries[r]
-        for c in range(dim):
-            v = row[c]
-            if v != 0:
-                lines.append(f"{r},{c},{float(v.real)!r},{float(v.imag)!r}")
+    for r, c, re, im in zip(rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist()):
+        lines.append(f"{r},{c},{re!r},{im!r}")
     return "\n".join(lines) + "\n"
 
 

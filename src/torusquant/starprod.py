@@ -15,10 +15,15 @@ product with the same Poisson bracket at first order:
       (i/(4 pi))^k sum_{j=0..k} (-1)^{k-j} sum_{|I|=j, |J|=k-j}
           (1/(I! J!)) (d_x^I d_y^J f) (d_y^I d_x^J g).
 
-On single exponentials e^{2 pi i (p.x + a.y)} all three sum to closed-form
-phase factors, which is what ``star_exact`` uses; ``star_truncated`` goes
-through the derivative formulas term by term, so the two routes check each
-other.
+On a pair of exponentials e^{2 pi i (p.x + a.y)}, e^{2 pi i (q.x + b.y)} all
+three sum to a closed-form phase e^{i theta hbar} on the product exponential,
+with theta = 2 pi a.q (STAR), -2 pi p.b (CHECK) or pi (a.q - p.b) (MOYAL), and
+the order-j term is its j-th Taylor coefficient (i theta)^j / j!.  So
+``star_exact`` and ``star_truncated`` are the same vectorized pass over the
+term pairs (an outer sum of keys, then one sort and segmented sum), with
+``exp`` or its truncated series.  The Berezin transform is likewise a phase
+per term.  The derivative formulas above are not used at run time: the tests
+keep them as the independent oracle for the pass.
 """
 
 from __future__ import annotations
@@ -26,12 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .trigpoly import TrigPoly
+from .trigpoly import TrigPoly, _collect, _group_keys, _pair_terms, _sum_groups
 
 # Truncation orders above this are refused: coefficient growth is factorial
 # and double precision has long stopped meaning anything by then.
@@ -85,12 +88,14 @@ class HbarSeries:
         return TrigPoly.zero(self.n)
 
     def evaluate(self, hbar: float) -> TrigPoly:
-        total = TrigPoly.zero(self.n)
+        keys = [np.zeros((0, 2 * self.n), dtype=np.int64)]
+        values = [np.zeros(0, dtype=complex)]
         scale = 1.0
         for c in self.coefficients:
-            total = total + c.scale(scale)
+            keys.append(c.keys)
+            values.append(c.values * complex(scale))
             scale *= hbar
-        return total
+        return _collect(self.n, np.concatenate(keys), np.concatenate(values))
 
     def __add__(self, other: "HbarSeries") -> "HbarSeries":
         if self.n != other.n:
@@ -123,67 +128,64 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
-@lru_cache(maxsize=None)
-def _multi_indices(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
-    if slots == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _multi_indices(total - first, slots - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+def _pair_angles(f: TrigPoly, g: TrigPoly, orientation: Orientation) -> tuple[float, np.ndarray]:
+    """(c, m) with theta = c * m for every term pair of f and g, f-major.
+
+    The exact product multiplies the pair by e^{i theta hbar}: for f-term
+    frequency (p, a) and g-term frequency (q, b), m is a.q with c = 2 pi
+    (STAR), p.b with c = -2 pi (CHECK), or a.q - p.b with c = pi (MOYAL).
+    """
+    f._check_same(g)
+    n = f.n
+    p, a = f.keys[:, :n], f.keys[:, n:]
+    q, b = g.keys[:, :n], g.keys[:, n:]
+    if orientation is Orientation.STAR:
+        return 2.0 * math.pi, (a @ q.T).reshape(-1)
+    if orientation is Orientation.CHECK:
+        return -2.0 * math.pi, (p @ b.T).reshape(-1)
+    if orientation is Orientation.MOYAL:
+        return math.pi, (a @ q.T - p @ b.T).reshape(-1)
+    raise TypeError(f"unknown orientation {orientation!r}")
 
 
-def _factorial_of(index: Sequence[int]) -> int:
-    out = 1
-    for v in index:
-        out *= math.factorial(v)
-    return out
+def _taylor_terms(f: TrigPoly, g: TrigPoly, orientation: Orientation, last: int, first: int = 1) -> list[TrigPoly]:
+    """Order-j terms of the product for j = first..last, from one sort.
+
+    Each pair contributes its amplitude times (i theta)^j / j!, the j-th
+    Taylor coefficient of its exact phase e^{i theta hbar}.
+    """
+    const, m = _pair_angles(f, g, orientation)
+    keys, weights = _pair_terms(f, g)
+    groups = _group_keys(keys)
+    itheta = 1j * (const * m)
+    terms = []
+    for j in range(1, last + 1):
+        weights = weights * itheta / j
+        if j >= first:
+            terms.append(_sum_groups(f.n, groups, weights))
+    return terms
 
 
 def bidifferential(order: int, f: TrigPoly, g: TrigPoly, orientation: Orientation) -> TrigPoly:
     """Order-``order`` bidifferential term of the chosen product.
 
-    Order 0 is the pointwise product for every orientation.
+    Order 0 is the pointwise product for every orientation; higher orders are
+    the order-``order`` slice of the pass in ``star_truncated``.
     """
     order = _check_order(order)
-    f._check_same(g)
-    n = f.n
     if order == 0:
         return f.multiply(g)
-    if orientation is Orientation.STAR:
-        const = (1.0 / (2j * math.pi)) ** order
-        total = TrigPoly.zero(n)
-        for I in _multi_indices(order, n):
-            term = f.differentiate((), I).multiply(g.differentiate(I, ()))
-            total = total + term.scale(const / _factorial_of(I))
-        return total
-    if orientation is Orientation.CHECK:
-        const = (1j / (2.0 * math.pi)) ** order
-        total = TrigPoly.zero(n)
-        for I in _multi_indices(order, n):
-            term = f.differentiate(I, ()).multiply(g.differentiate((), I))
-            total = total + term.scale(const / _factorial_of(I))
-        return total
-    if orientation is Orientation.MOYAL:
-        const = (1j / (4.0 * math.pi)) ** order
-        total = TrigPoly.zero(n)
-        for j in range(order + 1):
-            sign = (-1.0) ** (order - j)
-            for I in _multi_indices(j, n):
-                df_left = f.differentiate(I, ())
-                dg_right = g.differentiate((), I)
-                for J in _multi_indices(order - j, n):
-                    term = df_left.differentiate((), J).multiply(dg_right.differentiate(J, ()))
-                    total = total + term.scale(const * sign / (_factorial_of(I) * _factorial_of(J)))
-        return total
-    raise TypeError(f"unknown orientation {orientation!r}")
+    return _taylor_terms(f, g, orientation, order, first=order)[0]
 
 
 def star_truncated(f: TrigPoly, g: TrigPoly, order: int, orientation: Orientation = Orientation.STAR) -> HbarSeries:
-    """Product truncated at hbar^order, as a series in hbar."""
+    """Product truncated at hbar^order, as a series in hbar.
+
+    The hbar^0 coefficient is the pointwise product; orders 1..order come
+    from one pass over the term pairs of f and g.
+    """
     order = _check_order(order)
-    return HbarSeries(f.n, tuple(bidifferential(i, f, g, orientation) for i in range(order + 1)))
+    return HbarSeries(f.n, (f.multiply(g), *_taylor_terms(f, g, orientation, order)))
 
 
 def star_formal(a: HbarSeries, b: HbarSeries, order: int, orientation: Orientation = Orientation.STAR) -> HbarSeries:
@@ -216,28 +218,9 @@ def star_exact(f: TrigPoly, g: TrigPoly, h: HbarValue, orientation: Orientation 
         CHECK: e^{-2 pi i hbar p.b}
         MOYAL: e^{pi i hbar (a.q - p.b)}
     """
-    f._check_same(g)
-    hbar = h.hbar
-    acc: dict = {}
-    for (p, a), cf in f._coeffs.items():
-        for (q, b), cg in g._coeffs.items():
-            aq = sum(ai * qi for ai, qi in zip(a, q))
-            pb = sum(pi_ * bi for pi_, bi in zip(p, b))
-            if orientation is Orientation.STAR:
-                phase = 2.0 * math.pi * hbar * aq
-            elif orientation is Orientation.CHECK:
-                phase = -2.0 * math.pi * hbar * pb
-            elif orientation is Orientation.MOYAL:
-                phase = math.pi * hbar * (aq - pb)
-            else:
-                raise TypeError(f"unknown orientation {orientation!r}")
-            key = (
-                tuple(u + v for u, v in zip(p, q)),
-                tuple(u + v for u, v in zip(a, b)),
-            )
-            val = cf * cg * complex(math.cos(phase), math.sin(phase))
-            acc[key] = acc.get(key, 0.0j) + val
-    return TrigPoly(f.n, acc)
+    const, m = _pair_angles(f, g, orientation)
+    keys, amps = _pair_terms(f, g)
+    return _collect(f.n, keys, amps * np.exp(1j * (const * h.hbar * m)))
 
 
 # -- Berezin transform -------------------------------------------------------
@@ -274,13 +257,9 @@ def berezin_exact(f: TrigPoly, h: HbarValue) -> TrigPoly:
     for which re-expressing dual-basis matrices in the primary basis agrees
     with quantizing the transformed function exactly.
     """
-    hbar = h.hbar
-    coeffs = {}
-    for (p, a), c in f._coeffs.items():
-        pa = sum(pi_ * ai for pi_, ai in zip(p, a))
-        phase = 2.0 * math.pi * hbar * pa
-        coeffs[(p, a)] = c * complex(math.cos(phase), math.sin(phase))
-    return TrigPoly(f.n, coeffs)
+    n = f.n
+    pa = np.einsum("ij,ij->i", f.keys[:, :n], f.keys[:, n:])
+    return TrigPoly._from_arrays(n, f.keys, f.values * np.exp(1j * (2.0 * math.pi * h.hbar * pa)))
 
 
 # -- equivalence maps --------------------------------------------------------

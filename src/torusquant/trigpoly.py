@@ -4,10 +4,20 @@ A trigonometric polynomial on R^{2n}/Z^{2n} is a finite sum
 
     f(x, y) = sum_{p,q in Z^n} c_{p,q} e^{2 pi i (p.x + q.y)}
 
-stored as a sparse map from integer frequency pairs (p, q) to complex
-amplitudes.  All ring operations (sum, product, derivative, Poisson bracket)
-act exactly on coefficients; grid evaluation exists only so tests can
-cross-check the coefficient routes against brute-force pointwise ones.
+stored as two arrays: ``keys``, the frequency rows (p_1..p_n, q_1..q_n) as a
+(T, 2n) int64 array sorted lexicographically with no repeats, and
+``values``, the (T,) complex128 amplitudes, none of them zero.  Keys are
+checked only where they enter from outside (the constructor, ``harmonic``,
+``from_records``, ``random_trig_poly``); every operation builds its result
+directly from arrays.
+
+All ring operations (sum, product, derivative, Poisson bracket) act exactly
+on coefficients.  A product is an outer sum of the two key arrays followed by
+one deterministic reduction: a stable lexicographic sort, then a segmented sum
+of the values of equal keys, in their original order.  Arithmetic drops only
+amplitudes that are exactly zero, so it is associative up to rounding;
+``truncate`` drops small ones on request.  Grid evaluation exists only so
+tests can cross-check the coefficient routes against pointwise ones.
 """
 
 from __future__ import annotations
@@ -23,8 +33,8 @@ FreqVector = tuple[int, ...]
 
 TWO_PI = 2.0 * math.pi
 
-# Amplitudes below PRUNE_REL * (largest amplitude) are dropped after every
-# operation so coefficient maps stay finite under repeated arithmetic.
+# Relative cutoff that band-limited projections of expressions apply once,
+# through ``TrigPoly.truncate``, to drop the rounding dust of their FFT.
 PRUNE_REL = 1e-14
 
 
@@ -80,25 +90,42 @@ class FibrewiseCoefficient:
 class TrigPoly:
     """Sparse trigonometric polynomial on R^{2n}/Z^{2n}.
 
-    Coefficients are keyed by pairs of integer frequency vectors
-    ``((p_1..p_n), (q_1..q_n))`` and iterated in lexicographic key order, so
-    serialization and repr are reproducible.  Instances are treated as
-    immutable: every operation returns a new object.
+    ``keys`` is the (T, 2n) int64 array of frequency rows (p, q) in
+    lexicographic order and ``values`` the (T,) complex128 amplitudes; both
+    are read-only.  ``terms()`` gives the same data as ``((p, q), c)`` items,
+    so serialization and repr are reproducible.  Instances are immutable:
+    every operation returns a new object.
     """
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ("n", "keys", "values")
 
     def __init__(self, n: int, coeffs: Mapping | Iterable = ()):
         if int(n) != n or n < 1:
             raise ValueError(f"torus half-dimension n must be a positive integer, got {n!r}")
         n = int(n)
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[tuple[FreqVector, FreqVector], complex] = {}
+        rows: list[FreqVector] = []
+        vals: list[complex] = []
         for (p, q), c in items:
-            key = (_as_freq(p, n, "x-frequency"), _as_freq(q, n, "y-frequency"))
-            acc[key] = acc.get(key, 0.0j) + complex(c)
-        self.n = n
-        self._coeffs = _prune(acc)
+            rows.append(_as_freq(p, n, "x-frequency") + _as_freq(q, n, "y-frequency"))
+            vals.append(complex(c))
+        keys = np.array(rows, dtype=np.int64).reshape(-1, 2 * n)
+        poly = _collect(n, keys, np.array(vals, dtype=complex))
+        self.n, self.keys, self.values = n, poly.keys, poly.values
+
+    @classmethod
+    def _from_arrays(cls, n: int, keys: np.ndarray, values: np.ndarray) -> "TrigPoly":
+        """Wrap arrays that already hold sorted, unique keys; drops exact zeros."""
+        live = values != 0
+        if not live.all():
+            keys, values = keys[live], values[live]
+        keys.flags.writeable = False
+        values.flags.writeable = False
+        out = object.__new__(cls)
+        out.n = n
+        out.keys = keys
+        out.values = values
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -120,56 +147,68 @@ class TrigPoly:
 
     def terms(self) -> list[tuple[tuple[FreqVector, FreqVector], complex]]:
         """Coefficient items sorted lexicographically by (p, q)."""
-        return sorted(self._coeffs.items())
+        n = self.n
+        return [
+            ((tuple(row[:n]), tuple(row[n:])), c)
+            for row, c in zip(self.keys.tolist(), self.values.tolist())
+        ]
 
     def __iter__(self) -> Iterator:
         return iter(self.terms())
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self.values)
 
     def coeff(self, p: Sequence[int], q: Sequence[int]) -> complex:
-        key = (_as_freq(p, self.n, "x-frequency"), _as_freq(q, self.n, "y-frequency"))
-        return self._coeffs.get(key, 0.0j)
+        key = _as_freq(p, self.n, "x-frequency") + _as_freq(q, self.n, "y-frequency")
+        hit = np.flatnonzero((self.keys == key).all(axis=1))
+        return complex(self.values[hit[0]]) if len(hit) else 0.0j
 
     @property
     def mean(self) -> complex:
         """The (0,0) amplitude: the average of f over the torus."""
-        z = (0,) * self.n
-        return self._coeffs.get((z, z), 0.0j)
+        return self.coeff((0,) * self.n, (0,) * self.n)
 
     def x_bandwidth(self) -> int:
-        return max((max(map(abs, p)) for (p, _q) in self._coeffs), default=0)
+        return int(np.abs(self.keys[:, : self.n]).max(initial=0))
 
     def y_bandwidth(self) -> int:
-        return max((max(map(abs, q)) for (_p, q) in self._coeffs), default=0)
+        return int(np.abs(self.keys[:, self.n :]).max(initial=0))
 
     def bandwidth(self) -> int:
         return max(self.x_bandwidth(), self.y_bandwidth())
 
     def l1_norm(self) -> float:
-        return sum(abs(c) for c in self._coeffs.values())
+        return float(np.abs(self.values).sum())
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self._coeffs.values()), default=0.0)
+        return float(np.abs(self.values).max(initial=0.0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        return self.n == other.n and self._coeffs == other._coeffs
+        return (
+            self.n == other.n
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.values, other.values)
+        )
 
     __hash__ = None
 
     def l1_distance(self, other: "TrigPoly") -> float:
-        self._check_same(other)
-        keys = set(self._coeffs) | set(other._coeffs)
-        return sum(abs(self._coeffs.get(k, 0.0j) - other._coeffs.get(k, 0.0j)) for k in keys)
+        return (self - other).l1_norm()
 
     def isclose(self, other: "TrigPoly", tol: float = 1e-10) -> bool:
         return self.l1_distance(other) <= tol
 
+    def truncate(self, tol: float) -> "TrigPoly":
+        """Drop every amplitude below ``tol`` times the largest one."""
+        mags = np.abs(self.values)
+        keep = mags >= tol * mags.max(initial=0.0)
+        return TrigPoly._from_arrays(self.n, self.keys[keep], self.values[keep])
+
     def __repr__(self) -> str:
-        return f"TrigPoly(n={self.n}, terms={len(self._coeffs)})"
+        return f"TrigPoly(n={self.n}, terms={len(self)})"
 
     # -- arithmetic --------------------------------------------------------
 
@@ -179,10 +218,11 @@ class TrigPoly:
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         self._check_same(other)
-        acc = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            acc[k] = acc.get(k, 0.0j) + c
-        return TrigPoly(self.n, acc)
+        return _collect(
+            self.n,
+            np.concatenate([self.keys, other.keys]),
+            np.concatenate([self.values, other.values]),
+        )
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         return self + (-other)
@@ -191,8 +231,7 @@ class TrigPoly:
         return self.scale(-1.0)
 
     def scale(self, value: complex) -> "TrigPoly":
-        value = complex(value)
-        return TrigPoly(self.n, {k: c * value for k, c in self._coeffs.items()})
+        return TrigPoly._from_arrays(self.n, self.keys, self.values * complex(value))
 
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
@@ -203,26 +242,14 @@ class TrigPoly:
         return self.scale(other)
 
     def multiply(self, other: "TrigPoly") -> "TrigPoly":
-        """Pointwise product by convolution of coefficient maps."""
+        """Pointwise product by convolution of coefficient arrays."""
         self._check_same(other)
-        acc: dict[tuple[FreqVector, FreqVector], complex] = {}
-        for (p1, q1), c1 in self._coeffs.items():
-            for (p2, q2), c2 in other._coeffs.items():
-                key = (
-                    tuple(a + b for a, b in zip(p1, p2)),
-                    tuple(a + b for a, b in zip(q1, q2)),
-                )
-                acc[key] = acc.get(key, 0.0j) + c1 * c2
-        return TrigPoly(self.n, acc)
+        keys, amps = _pair_terms(self, other)
+        return _collect(self.n, keys, amps)
 
     def conjugate(self) -> "TrigPoly":
-        return TrigPoly(
-            self.n,
-            {
-                (tuple(-a for a in p), tuple(-b for b in q)): c.conjugate()
-                for (p, q), c in self._coeffs.items()
-            },
-        )
+        # negating every key reverses lexicographic order
+        return TrigPoly._from_arrays(self.n, -self.keys[::-1], self.values[::-1].conj())
 
     def differentiate(self, x_orders: Sequence[int] = (), y_orders: Sequence[int] = ()) -> "TrigPoly":
         """Mixed partial derivative d^{|I|+|J|} f / dx^I dy^J.
@@ -232,41 +259,32 @@ class TrigPoly:
         factor prod_j (2 pi i p_j)^{I_j} (2 pi i q_j)^{J_j}.
         """
         n = self.n
-        ix = _as_order(x_orders, n)
-        iy = _as_order(y_orders, n)
-        if not any(ix) and not any(iy):
+        orders = _as_order(x_orders, n) + _as_order(y_orders, n)
+        if not any(orders):
             return self
-        acc = {}
-        for (p, q), c in self._coeffs.items():
-            factor = 1.0 + 0.0j
-            dead = False
-            for freq, order in zip(p + q, ix + iy):
-                if order == 0:
-                    continue
-                if freq == 0:
-                    dead = True
-                    break
-                factor *= (2j * math.pi * freq) ** order
-            if not dead:
-                acc[(p, q)] = acc.get((p, q), 0.0j) + c * factor
-        return TrigPoly(n, acc)
+        factor = np.ones(len(self), dtype=complex)
+        for column, order in enumerate(orders):
+            if order:
+                factor *= (2j * math.pi * self.keys[:, column]) ** order
+        return TrigPoly._from_arrays(n, self.keys, self.values * factor)
 
     # -- structure ---------------------------------------------------------
 
     def fibrewise_coefficient(self, m: Sequence[int]) -> FibrewiseCoefficient:
         """Profile of the x-frequency m: y -> sum_q c_{m,q} e^{2 pi i q.y}."""
         mm = _as_freq(m, self.n, "x-frequency")
-        profile = {q: c for (p, q), c in self._coeffs.items() if p == mm}
+        rows = np.flatnonzero((self.keys[:, : self.n] == mm).all(axis=1))
+        profile = {tuple(self.keys[i, self.n :].tolist()): complex(self.values[i]) for i in rows}
         return FibrewiseCoefficient(mm, profile)
 
     def x_frequencies(self) -> list[FreqVector]:
-        return sorted({p for (p, _q) in self._coeffs})
+        return sorted({p for (p, _q), _c in self.terms()})
 
     def evaluate(self, x, y) -> complex:
         xx = _as_point(x, self.n, "x")
         yy = _as_point(y, self.n, "y")
         total = 0.0 + 0.0j
-        for (p, q), c in self._coeffs.items():
+        for (p, q), c in self.terms():
             phase = sum(pi_ * xi for pi_, xi in zip(p, xx))
             phase += sum(qi * yi for qi, yi in zip(q, yy))
             total += c * cmath.exp(2j * math.pi * phase)
@@ -300,12 +318,62 @@ def _as_order(orders: Sequence[int], n: int) -> tuple[int, ...]:
     return t
 
 
-def _prune(coeffs: dict) -> dict:
-    live = {k: c for k, c in coeffs.items() if c != 0.0}
-    if not live:
-        return {}
-    cutoff = PRUNE_REL * max(abs(c) for c in live.values())
-    return {k: c for k, c in live.items() if abs(c) >= cutoff}
+def _pair_terms(f: TrigPoly, g: TrigPoly) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and amplitudes of every term pair of f and g, f-major.
+
+    Row i * len(g) + j holds the frequency sum and the amplitude product of
+    the i-th term of f and the j-th term of g.
+    """
+    keys = (f.keys[:, None, :] + g.keys[None, :, :]).reshape(-1, 2 * f.n)
+    amps = (f.values[:, None] * g.values[None, :]).reshape(-1)
+    return keys, amps
+
+
+def _group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable lexicographic sort of key rows, split into runs of equal keys.
+
+    Returns ``(order, starts, unique)``: ``keys[order]`` is sorted with rows
+    of equal keys left in their given order, each run begins at an index of
+    ``starts``, and ``unique`` holds one key per run.
+    """
+    if len(keys) == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, keys.copy()
+    lows = [int(column.min()) for column in keys.T]
+    spans = [int(column.max()) - low + 1 for column, low in zip(keys.T, lows)]
+    first = np.ones(len(keys), dtype=bool)
+    if math.prod(spans) < 2**62:
+        # mixed-radix code of each row: one int64 whose order is the rows'
+        # lexicographic order, sorted in one pass instead of one per column
+        code = np.zeros(len(keys), dtype=np.int64)
+        for column, low, span in zip(keys.T, lows, spans):
+            code = code * span + (column - low)
+        order = np.argsort(code, kind="stable")
+        ordered = code[order]
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    else:
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return order, starts, keys[order[starts]]
+
+
+def _sum_groups(n: int, groups, values: np.ndarray) -> TrigPoly:
+    """The polynomial sum_m values[m] e^{2 pi i keys[m]} over ``_group_keys`` runs."""
+    order, starts, unique = groups
+    return TrigPoly._from_arrays(n, unique, np.add.reduceat(values[order], starts))
+
+
+def _collect(n: int, keys: np.ndarray, values: np.ndarray) -> TrigPoly:
+    return _sum_groups(n, _group_keys(keys), values)
+
+
+def box_keys(n: int, bandwidth: int) -> np.ndarray:
+    """Every key with |p_i|, |q_i| <= bandwidth, in lexicographic order."""
+    side = 2 * bandwidth + 1
+    keys = np.indices((side,) * (2 * n), dtype=np.int64).reshape(2 * n, -1).T - bandwidth
+    return np.ascontiguousarray(keys)
 
 
 def poisson_bracket(f: TrigPoly, g: TrigPoly) -> TrigPoly:
@@ -327,31 +395,16 @@ def random_trig_poly(
 
     Amplitudes are drawn uniformly on the unit disc (radius sqrt(U), uniform
     angle) and damped by (1 + |p|^2 + |q|^2)^(-decay/2), the spectral profile
-    of a random smooth function; keys are visited in a fixed order so a
+    of a random smooth function; keys are visited in lexicographic order so a
     seeded generator reproduces the result.  ``decay=0`` gives a flat box.
     """
     if bandwidth < 0:
         raise ValueError("bandwidth must be non-negative")
-    span = range(-bandwidth, bandwidth + 1)
-    keys = []
-
-    def _box(depth, prefix, sink):
-        if depth == 0:
-            sink.append(prefix)
-            return
-        for v in span:
-            _box(depth - 1, prefix + (v,), sink)
-
-    ps: list[FreqVector] = []
-    _box(n, (), ps)
-    for p in ps:
-        for q in ps:
-            keys.append((p, q))
-    coeffs = {}
-    for key in keys:
+    keys = box_keys(n, bandwidth)
+    values = np.empty(len(keys), dtype=complex)
+    for i, key in enumerate(keys.tolist()):
         r = math.sqrt(rng.uniform())
         theta = rng.uniform(0.0, TWO_PI)
-        p, q = key
-        weight = (1.0 + sum(v * v for v in p) + sum(v * v for v in q)) ** (-decay / 2.0)
-        coeffs[key] = r * weight * cmath.exp(1j * theta)
-    return TrigPoly(n, coeffs)
+        weight = (1.0 + sum(v * v for v in key)) ** (-decay / 2.0)
+        values[i] = r * weight * cmath.exp(1j * theta)
+    return TrigPoly._from_arrays(n, keys, values)

@@ -334,6 +334,15 @@ def test_cli_threads_flag_is_a_usage_error(tmp_path):
     assert info.value.code == 2
 
 
+def test_cli_check_refuses_a_seed(tmp_path, capsys):
+    # check runs its fixed seeded corpora; a seed it would ignore is refused
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--seed", "5", "--out", str(tmp_path / "out"), "--quiet"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_byte_identical_across_processes(tmp_path):
     # fresh interpreters: LAPACK 2-norms must not depend on process state
     config = Path(__file__).resolve().parents[1] / "configs" / "product_random.json"

@@ -231,3 +231,29 @@ def test_csv_skips_zero_entries():
     op = QuantumOperator(HilbertSpec(1, 3), np.diag([1.0, 0.0, 2.0]))
     text = operator_to_csv(op)
     assert text == "row,col,re,im\n0,0,1.0,0.0\n2,2,2.0,0.0\n"
+
+
+def _csv_by_scanning_every_entry(op):
+    """The row-major double loop operator_to_csv replaced, kept as its oracle."""
+    lines = ["row,col,re,im"]
+    dim = op.spec.dim
+    for r in range(dim):
+        row = op.entries[r]
+        for c in range(dim):
+            v = row[c]
+            if v != 0:
+                lines.append(f"{r},{c},{float(v.real)!r},{float(v.imag)!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("polarization", ["position", "momentum"])
+def test_csv_matches_the_entry_scan_byte_for_byte(polarization):
+    f = random_trig_poly(np.random.default_rng(31), 2, 1)
+    op = assemble_toeplitz(f, HilbertSpec(2, 5, polarization))
+    entries = op.entries.copy()
+    entries[0, 1] = -0.0 + 0.0j  # a signed zero is still a zero entry
+    entries[2, 3] = 1e-300 - 0.0j
+    op = QuantumOperator(op.spec, entries)
+    text = operator_to_csv(op)
+    assert text == _csv_by_scanning_every_entry(op)
+    assert len(text.splitlines()) == 1 + np.count_nonzero(entries)

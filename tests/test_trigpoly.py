@@ -50,9 +50,29 @@ def test_duplicate_keys_accumulate():
 def test_zero_coefficients_pruned():
     f = TrigPoly(1, {((1,), (0,)): 1.0, ((2,), (0,)): 0.0})
     assert len(f.terms()) == 1
-    # relative prune: dust far below the largest coefficient is dropped
+    # only exact zeros go: dust far below the largest coefficient stays ...
     g = TrigPoly(1, {((1,), (0,)): 1.0, ((2,), (0,)): 1e-16})
-    assert g.coeff((2,), (0,)) == 0.0
+    assert g.coeff((2,), (0,)) == 1e-16
+    # ... until it is truncated explicitly, relative to the largest amplitude
+    assert g.truncate(1e-14) == TrigPoly.harmonic(1, (1,), (0,))
+    assert g.truncate(1e-16) == g
+    assert TrigPoly.zero(1).truncate(1e-14) == TrigPoly.zero(1)
+
+
+def test_arithmetic_keeps_small_terms_and_associates():
+    # (1e-15 e^{2 pi i x} + 1) - 1 is 1e-15 e^{2 pi i x}, not the zero polynomial
+    small = TrigPoly.harmonic(1, (1,), (0,), 1e-15)
+    one = TrigPoly.constant(1, 1.0)
+    assert (small + one) - one == small
+    assert small + (one - one) == small
+    a = random_trig_poly(np.random.default_rng(3), 1, 1)
+    b = random_trig_poly(np.random.default_rng(4), 1, 1).scale(1e-15)
+    c = a.scale(-1.0)
+    left, right = (a + b) + c, a + (b + c)
+    # both keep every term of b, to the rounding of a
+    assert len(left) == len(right) == len(b)
+    assert left.l1_distance(b) <= 1e-15 * a.l1_norm()
+    assert right.l1_distance(b) <= 1e-15 * a.l1_norm()
 
 
 def test_dimension_mismatch_raises():
