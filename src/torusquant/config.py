@@ -19,7 +19,7 @@ import numpy as np
 from . import funcexpr
 from .quantize import DENSE_DIM_CAP
 from .starprod import MAX_ORDER
-from .trigpoly import TrigPoly, random_trig_poly
+from .trigpoly import MAX_FREQ, TrigPoly, random_trig_poly
 
 EXPERIMENT_KINDS = (
     "product",
@@ -165,6 +165,9 @@ def _parse_function(data, path: str) -> FunctionSpec:
                 raise ConfigError(f"{rpath}.p", "expected a list of integers")
             if not isinstance(q, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in q):
                 raise ConfigError(f"{rpath}.q", "expected a list of integers")
+            for label, v in (("p", p), ("q", q)):
+                if any(abs(c) > MAX_FREQ for c in v):
+                    raise ConfigError(f"{rpath}.{label}", f"frequency components must be at most {MAX_FREQ} in size")
             re = _require(rec, f"{rpath}.", "re")
             im = rec.get("im", 0.0)
             for label, v in (("re", re), ("im", im)):

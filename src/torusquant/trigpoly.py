@@ -37,6 +37,11 @@ TWO_PI = 2.0 * math.pi
 # through ``TrigPoly.truncate``, to drop the rounding dust of their FFT.
 PRUNE_REL = 1e-14
 
+# Largest |p_i| or |q_i| a polynomial may be built with.  For keys of this
+# size the pair sums and the dot products of the star phases stay inside
+# int64 for any n below 2^13.
+MAX_FREQ = 2**24
+
 
 class DimensionMismatchError(ValueError):
     """Raised when operands live on tori of different dimension."""
@@ -107,7 +112,10 @@ class TrigPoly:
         rows: list[FreqVector] = []
         vals: list[complex] = []
         for (p, q), c in items:
-            rows.append(_as_freq(p, n, "x-frequency") + _as_freq(q, n, "y-frequency"))
+            row = _as_freq(p, n, "x-frequency") + _as_freq(q, n, "y-frequency")
+            if max(map(abs, row)) > MAX_FREQ:
+                raise ValueError(f"frequency components must be at most {MAX_FREQ} in size, got {row}")
+            rows.append(row)
             vals.append(complex(c))
         keys = np.array(rows, dtype=np.int64).reshape(-1, 2 * n)
         poly = _collect(n, keys, np.array(vals, dtype=complex))
@@ -336,27 +344,12 @@ def _group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of equal keys left in their given order, each run begins at an index of
     ``starts``, and ``unique`` holds one key per run.
     """
-    if len(keys) == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, keys.copy()
-    lows = [int(column.min()) for column in keys.T]
-    spans = [int(column.max()) - low + 1 for column, low in zip(keys.T, lows)]
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
     first = np.ones(len(keys), dtype=bool)
-    if math.prod(spans) < 2**62:
-        # mixed-radix code of each row: one int64 whose order is the rows'
-        # lexicographic order, sorted in one pass instead of one per column
-        code = np.zeros(len(keys), dtype=np.int64)
-        for column, low, span in zip(keys.T, lows, spans):
-            code = code * span + (column - low)
-        order = np.argsort(code, kind="stable")
-        ordered = code[order]
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    else:
-        order = np.lexsort(keys.T[::-1])
-        ordered = keys[order]
-        np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
     starts = np.flatnonzero(first)
-    return order, starts, keys[order[starts]]
+    return order, starts, ordered[starts]
 
 
 def _sum_groups(n: int, groups, values: np.ndarray) -> TrigPoly:

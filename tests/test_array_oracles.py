@@ -15,6 +15,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from torusquant.starprod import (
     star_exact,
     star_truncated,
 )
-from torusquant.trigpoly import TrigPoly
+from torusquant.trigpoly import MAX_FREQ, TrigPoly
 
 REL_TOL = 1e-12
 ORIENTATIONS = tuple(Orientation)
@@ -248,11 +249,12 @@ def test_truncated_orders_match_the_derivative_formula(pair, orientation):
         assert_matches(bidifferential(j, f, g, orientation), ref, size)
 
 
-def test_keys_too_wide_for_one_sort_code_are_sorted_by_column():
-    # frequency spans whose product passes 2^62 take the column-by-column sort
-    big = 2**40
-    f = TrigPoly(2, {((big, -big), (0, 1)): 1.0, ((-big, big), (1, 0)): 2.0j, ((0, 0), (0, 0)): 0.5})
-    g = TrigPoly(2, {((big, big), (0, -1)): 3.0, ((0, 0), (1, 0)): -1.0, ((-big, big), (1, 0)): 0.25})
+def test_keys_at_the_frequency_bound_neither_wrap_nor_pass_it():
+    # pair sums and the Moyal dot products of the largest allowed keys stay
+    # exact in int64; one more is refused where keys come in
+    big = MAX_FREQ
+    f = TrigPoly(2, {((big, -big), (big, 1)): 1.0, ((-big, big), (1, -big)): 2.0j, ((0, 0), (0, 0)): 0.5})
+    g = TrigPoly(2, {((big, big), (-big, -1)): 3.0, ((0, 0), (1, 0)): -1.0, ((-big, big), (1, big)): 0.25})
     fd, gd = as_dict(f), as_dict(g)
     assert [key for key, _c in f.terms()] == sorted(fd)
     assert_matches(f.multiply(g), ref_multiply(fd, gd), ref_size(fd, gd))
@@ -260,6 +262,12 @@ def test_keys_too_wide_for_one_sort_code_are_sorted_by_column():
     for key, c in gd.items():
         _add(summed, key, c)
     assert_matches(f + g, summed, f.l1_norm() + g.l1_norm())
+    for orientation in ORIENTATIONS:
+        ref = ref_bidifferential(1, fd, gd, 2, orientation)
+        assert_matches(bidifferential(1, f, g, orientation), ref, ref_size(fd, gd, 1, orientation))
+    for key in (((big + 1, 0), (0, 0)), ((0, 0), (0, -big - 1)), ((2**63, 0), (0, 0))):
+        with pytest.raises(ValueError, match="at most"):
+            TrigPoly(2, {key: 1.0})
 
 
 def test_truncated_orders_on_full_boxes():

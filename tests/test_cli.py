@@ -89,6 +89,7 @@ def test_parse_linear_rule():
         (lambda d: d.update(f={"random": {"bandwidth": 2, "shape": 1}}), "f.random.shape"),
         (lambda d: d.update(f={"coeffs": [{"p": [0.5], "q": [0], "re": 1.0}]}), "f.coeffs[0].p"),
         (lambda d: d.update(f={"coeffs": [{"p": [0], "q": [0]}]}), "f.coeffs[0].re"),
+        (lambda d: d.update(f={"coeffs": [{"p": [0], "q": [2**24 + 1], "re": 1.0}]}), "f.coeffs[0].q"),
         (lambda d: d.update(f={"expr": "sin(2*pi*x1)", "bandwidth": 2, "grid": 3}), "f.grid"),
     ],
 )
@@ -282,6 +283,20 @@ def test_cli_run_rejects_level_above_dense_cap(tmp_path, capsys):
     code = main(["assemble", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error: k_min:" in capsys.readouterr().err
+
+
+def test_cli_star_refuses_frequencies_past_the_bound(tmp_path, capsys):
+    # 2^62 would overflow the int64 pair keys; 2^63 does not fit them at all
+    for big in (2**62, 2**63):
+        data = {
+            "experiment": "star_table", "n": 1, "order": 1,
+            "f": {"coeffs": [{"p": [0], "q": [1], "re": 1.0}]},
+            "g": {"coeffs": [{"p": [1], "q": [0], "re": 1.0}, {"p": [big], "q": [0], "re": 1.0}]},
+        }
+        code = main(["star", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: g.coeffs[1].p: frequency components must be at most" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_rejects_expression_that_fails_on_its_grid(tmp_path, capsys):
