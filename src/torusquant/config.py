@@ -42,6 +42,8 @@ PAIR_KINDS = ("product", "star_table")
 FUNCTION_KINDS = ("product", "intertwine", "trace", "riemann", "norm_bound", "star_table")
 # kinds that assemble dense k^n x k^n operators at every level
 OPERATOR_KINDS = ("product", "intertwine", "trace", "norm_bound", "torus_relations")
+# kinds that read the truncation order N
+ORDER_KINDS = ("product", "intertwine", "star_table")
 
 
 class ConfigError(ValueError):
@@ -299,7 +301,7 @@ class ExperimentConfig:
             out["k_max"] = self.k_max
             if self.k_rule == "linear":
                 out["k_step"] = self.k_step
-        if self.experiment in ("product", "intertwine", "star_table"):
+        if self.experiment in ORDER_KINDS:
             out["order"] = self.order
         if self.experiment == "star_table":
             out["orientation"] = self.orientation
@@ -349,6 +351,13 @@ def parse_config(source) -> ExperimentConfig:
     out = _as_str(data.get("out", "reports"), "out")
     polarization = _as_str(data.get("polarization", "position"), "polarization", POLARIZATIONS)
     orientation = _as_str(data.get("orientation", "star"), "orientation", ORIENTATIONS)
+    # a field the experiment would ignore is refused unless it has its default
+    if k_rule == "pow2" and k_step != 1:
+        raise ConfigError("k_step", "not used by the pow2 rule")
+    if experiment not in ORDER_KINDS and order != 0:
+        raise ConfigError("order", f"not used by the {experiment} experiment")
+    if experiment != "star_table" and orientation != "star":
+        raise ConfigError("orientation", f"not used by the {experiment} experiment")
 
     k_min = 0
     k_max = 0

@@ -269,11 +269,7 @@ def to_source(ast: ExprAst) -> str:
 def _render(ast: ExprAst, parent_prec: int) -> str:
     if isinstance(ast, Number):
         v = ast.value
-        text = repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
-        if v < 0:
-            # negative literals only arise as integer exponents
-            return text
-        return text
+        return repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
     if isinstance(ast, PiConstant):
         return "pi"
     if isinstance(ast, Variable):

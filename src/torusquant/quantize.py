@@ -15,6 +15,12 @@ on the lattice {m/k}:
 
 where f_hat_r(y) is the profile of x-frequency r.  Profiles are 1-periodic,
 so evaluating on canonical residue representatives is exact.
+
+Each symbol term (p, q) contributes one wrapped diagonal, m = m' + p (mod k),
+and one kernel, ``_toeplitz_terms``, builds all of them at once for both
+``assemble_toeplitz`` and the matrix-free ``apply_toeplitz``.  It costs
+O(#terms(f) * k^n) time and holds two (#terms(f), k^n) temporaries; the
+terms are summed by one ``np.add.at``, which applies them in key order.
 """
 
 from __future__ import annotations
@@ -161,58 +167,45 @@ def _check_dense(spec: HilbertSpec) -> None:
         )
 
 
-def assemble_toeplitz(f: TrigPoly, spec: HilbertSpec) -> QuantumOperator:
-    """Dense Toeplitz matrix of the symbol f at level spec.k.
+def _toeplitz_terms(f: TrigPoly, spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Wrapped diagonals of the Toeplitz operator of f, one per symbol term.
 
-    Cost is O(#terms(f) * k^n): each symbol term contributes one wrapped
-    diagonal.
+    Returns ``(rows, values)``, two (#terms(f), k^n) arrays in key order:
+    term (p, q, c) sends column m' to row [m' + p] with entry
+    c e^{2 pi i hbar phase}, phase = q.m' (POSITION) or q.(m' + p) (MOMENTUM).
     """
     if f.n != spec.n:
         raise ValueError(f"symbol has n={f.n}, space has n={spec.n}")
+    n, k = spec.n, spec.k
+    grid = _residue_grid(n, k)  # rows are column residues m'
+    p, q = f.keys[:, :n], f.keys[:, n:]
+    rows = np.ravel_multi_index(np.moveaxis((grid + p[:, None, :]) % k, -1, 0), (k,) * n)
+    phase_arg = q @ grid.T
+    if spec.polarization is Polarization.MOMENTUM:
+        # at m/k, unreduced is fine: profiles are 1-periodic
+        phase_arg += (p * q).sum(axis=1)[:, None]
+    return rows, f.values[:, None] * np.exp(2j * np.pi * spec.hbar * phase_arg)
+
+
+def assemble_toeplitz(f: TrigPoly, spec: HilbertSpec) -> QuantumOperator:
+    """Dense Toeplitz matrix of the symbol f at level spec.k."""
     _check_dense(spec)
-    k = spec.k
-    hbar = spec.hbar
-    grid = _residue_grid(spec.n, k)  # rows are column indices m'
-    dim = spec.dim
-    cols = np.arange(dim)
-    A = np.zeros((dim, dim), dtype=complex)
-    shape = (k,) * spec.n
-    n = spec.n
-    for p, q, c in zip(f.keys[:, :n], f.keys[:, n:], f.values):
-        shifted = (grid + p) % k  # row residue m = m' + p (mod k)
-        rows = np.ravel_multi_index(shifted.T, shape)
-        if spec.polarization is Polarization.POSITION:
-            phase_arg = grid @ q  # profile evaluated at m'/k
-        else:
-            phase_arg = (grid + p) @ q  # at m/k, unreduced is fine: profiles are 1-periodic
-        A[rows, cols] += c * np.exp(2j * np.pi * hbar * phase_arg)
+    rows, values = _toeplitz_terms(f, spec)
+    A = np.zeros((spec.dim, spec.dim), dtype=complex)
+    np.add.at(A, (rows, np.arange(spec.dim)), values)
     return QuantumOperator(spec, A)
 
 
 def apply_toeplitz(f: TrigPoly, state: QuantumState) -> QuantumState:
     """Matrix-free action of the Toeplitz operator of f on a state.
 
-    Same O(#terms(f) * k^n) cost as assembly but without the dense matrix, so
-    it works above the dense cap.
+    Builds the same wrapped diagonals as assembly but not the dense matrix,
+    so it works above the dense cap.
     """
-    spec = state.spec
-    if f.n != spec.n:
-        raise ValueError(f"symbol has n={f.n}, space has n={spec.n}")
-    k = spec.k
-    hbar = spec.hbar
-    grid = _residue_grid(spec.n, k)  # rows are output indices m
-    shape = (k,) * spec.n
-    out = np.zeros(spec.dim, dtype=complex)
-    n = spec.n
-    for p, q, c in zip(f.keys[:, :n], f.keys[:, n:], f.values):
-        source = (grid - p) % k  # m' = m - p (mod k)
-        src_idx = np.ravel_multi_index(source.T, shape)
-        if spec.polarization is Polarization.POSITION:
-            phase_arg = (grid - p) @ q
-        else:
-            phase_arg = grid @ q
-        out += c * np.exp(2j * np.pi * hbar * phase_arg) * state.amplitudes[src_idx]
-    return QuantumState(spec, out)
+    rows, values = _toeplitz_terms(f, state.spec)
+    out = np.zeros(state.spec.dim, dtype=complex)
+    np.add.at(out, rows, values * state.amplitudes)
+    return QuantumState(state.spec, out)
 
 
 def intertwine(op: QuantumOperator) -> QuantumOperator:

@@ -91,6 +91,13 @@ def test_parse_linear_rule():
         (lambda d: d.update(f={"coeffs": [{"p": [0], "q": [0]}]}), "f.coeffs[0].re"),
         (lambda d: d.update(f={"coeffs": [{"p": [0], "q": [2**24 + 1], "re": 1.0}]}), "f.coeffs[0].q"),
         (lambda d: d.update(f={"expr": "sin(2*pi*x1)", "bandwidth": 2, "grid": 3}), "f.grid"),
+        # fields the experiment would ignore: refused unless they have their default
+        (lambda d: d.update(k_step=3), "k_step"),
+        (lambda d: d.update(orientation="moyal"), "orientation"),
+        *[
+            pytest.param(lambda d, kind=kind: d.update(experiment=kind, order=3), "order", id=f"order-on-{kind}")
+            for kind in ("trace", "riemann", "norm_bound", "torus_relations")
+        ],
     ],
 )
 def test_parse_errors_name_the_field(mutate, path):
@@ -152,6 +159,11 @@ def test_config_hash_properties():
     shuffled = json.dumps(dict(reversed(list(PRODUCT_CFG.items()))), indent=3)
     assert config_hash(parse_config(shuffled)) == a
     assert config_hash(parse_config(dict(PRODUCT_CFG, seed=8))) != a
+    # fields spelled out at their defaults are accepted and hash the same
+    explicit = dict(PRODUCT_CFG, k_step=1, orientation="star", polarization="position")
+    assert config_hash(parse_config(explicit)) == a
+    bound = {"experiment": "norm_bound", "n": 1, "k_min": 8, "k_max": 16, "f": PRODUCT_CFG["f"]}
+    assert config_hash(parse_config(dict(bound, order=0))) == config_hash(parse_config(bound))
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -325,20 +337,28 @@ def test_cli_run_rejects_riemann_profile_that_is_not_real_in_y(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "data",
+    "data, message",
     [
-        # finite on the 16-point projection grid, singular on the reference grid
-        {"experiment": "trace", "n": 1, "k_min": 4, "k_max": 16,
-         "f": {"expr": "1/(64*x1 - 1)", "bandwidth": 2}},
-        # finite on both grids, singular at the level-3 lattice point y = 1/3
-        {"experiment": "riemann", "n": 1, "k_min": 3, "k_max": 8, "k_rule": "linear",
-         "f": {"expr": "1/(3*y1 - 1)", "bandwidth": 2}},
+        pytest.param(
+            {"experiment": "trace", "n": 1, "k_min": 4, "k_max": 16,
+             "f": {"expr": "1/(64*x1 - 1)", "bandwidth": 2}},
+            "f.expr: division by zero",
+            id="trace-expr-singular-on-the-reference-grid",
+        ),
+        pytest.param(
+            {"experiment": "riemann", "n": 1, "k_min": 3, "k_max": 8, "k_rule": "linear",
+             "f": {"expr": "1/(3*y1 - 1)", "bandwidth": 2}},
+            "f.expr: division by zero",
+            id="riemann-expr-singular-at-a-lattice-point",
+        ),
+        # parsing accepts it for assemble; run would ignore it
+        pytest.param(dict(PRODUCT_CFG, polarization="momentum"), "polarization: ", id="polarization"),
     ],
 )
-def test_cli_run_maps_evaluation_errors_past_parsing_to_config_errors(tmp_path, capsys, data):
+def test_cli_run_refuses_configs_past_parsing(tmp_path, capsys, data, message):
     code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "config error: f.expr: division by zero" in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

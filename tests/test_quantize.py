@@ -20,7 +20,7 @@ from torusquant.quantize import (
     quantum_torus_generators,
     write_operator_csv,
 )
-from torusquant.starprod import HbarValue, star_exact
+from torusquant.starprod import HbarValue, star_exact, star_truncated
 from torusquant.trigpoly import TrigPoly, random_trig_poly
 
 
@@ -126,7 +126,14 @@ def test_exact_product_identity_small():
 
 def test_apply_matches_dense():
     rng = np.random.default_rng(7)
-    for n, k, pol in ((1, 9, Polarization.POSITION), (1, 9, Polarization.MOMENTUM), (2, 4, Polarization.POSITION)):
+    cases = (
+        (1, 9, Polarization.POSITION),
+        (1, 9, Polarization.MOMENTUM),
+        (1, 3, Polarization.MOMENTUM),  # k <= 2 * bandwidth: terms alias
+        (2, 4, Polarization.POSITION),
+        (2, 4, Polarization.MOMENTUM),
+    )
+    for n, k, pol in cases:
         spec = HilbertSpec(n, k, pol)
         f = random_trig_poly(rng, n, 2)
         op = assemble_toeplitz(f, spec)
@@ -135,6 +142,40 @@ def test_apply_matches_dense():
         direct = op.apply(state).amplitudes
         free = apply_toeplitz(f, state).amplitudes
         assert np.abs(direct - free).max() < 1e-12
+
+
+def _assemble_term_by_term(f, spec):
+    """The per-term loop assemble_toeplitz replaced, kept as its oracle."""
+    n, k = spec.n, spec.k
+    grid = np.indices((k,) * n).reshape(n, -1).T  # row-major residues m'
+    cols = np.arange(spec.dim)
+    A = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for p, q, c in zip(f.keys[:, :n], f.keys[:, n:], f.values):
+        rows = np.ravel_multi_index(((grid + p) % k).T, (k,) * n)
+        if spec.polarization is Polarization.POSITION:
+            phase_arg = grid @ q
+        else:
+            phase_arg = (grid + p) @ q
+        A[rows, cols] += c * np.exp(2j * np.pi * spec.hbar * phase_arg)
+    return A
+
+
+@pytest.mark.parametrize("polarization", ["position", "momentum"])
+@pytest.mark.parametrize("n, bandwidth, ks", [(1, 3, (2, 3, 6, 7, 16)), (2, 1, (2, 3, 5))])
+def test_assembly_matches_the_per_term_loop_bit_for_bit(polarization, n, bandwidth, ks):
+    # levels k <= 2 * bandwidth fold several terms onto one diagonal; the
+    # remainder symbols are the ones the product sweeps assemble
+    rng = np.random.default_rng(23 + n)
+    f = random_trig_poly(rng, n, bandwidth)
+    g = random_trig_poly(rng, n, bandwidth)
+    series = star_truncated(f, g, 1)
+    for k in ks:
+        spec = HilbertSpec(n, k, polarization)
+        remainder = star_exact(f, g, HbarValue(k)) - series.evaluate(1.0 / k)
+        for symbol in (f, remainder):
+            got = assemble_toeplitz(symbol, spec).entries
+            # compare bit patterns, so that a signed zero counts too
+            assert np.array_equal(got.view(np.uint64), _assemble_term_by_term(symbol, spec).view(np.uint64))
 
 
 def test_apply_works_above_dense_cap():
