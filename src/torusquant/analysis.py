@@ -616,13 +616,16 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     Random symbols are drawn f first, then g, from one generator seeded with
     cfg.seed.  Expression symbols of ``trace`` and ``riemann`` configs are
     judged against their mean on a fine reference grid (_expression_mean),
-    and a riemann expression is read as a profile in y at x = 0.  The
-    ``check`` criteria call the same sweeps on their own corpora; see the
-    package README for the per-kind row and series layout.
+    and a riemann expression is read as a profile in y at x = 0.  A
+    polarization other than position is refused, since sweeps fix their
+    own bases.  The ``check`` criteria call the same sweeps on their own
+    corpora; see the package README for the per-kind row and series layout.
     """
     kind = cfg.experiment
     if kind not in SWEEP_KINDS:
         raise ValueError(f"experiment {kind!r} is not a sweep; use the star subcommand")
+    if cfg.polarization != "position":
+        raise ConfigError("polarization", "only the assemble subcommand reads it")
     ks = cfg.k_values()
     if kind == "torus_relations":
         return torus_relations_sweep(cfg.n, ks)

@@ -72,8 +72,6 @@ def _cmd_run(args, parser) -> int:
     cfg = _load_config(args, parser)
     if cfg.experiment == "star_table":
         raise ConfigError("experiment", "star_table configs are handled by the star subcommand")
-    if cfg.polarization != "position":
-        raise ConfigError("polarization", "only the assemble subcommand reads it")
     t0 = perf_counter()
     result = run_experiment(cfg)
     report_path, csv_path = reporting.write_report(cfg, result, perf_counter() - t0, cfg.out)

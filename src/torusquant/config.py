@@ -351,7 +351,8 @@ def parse_config(source) -> ExperimentConfig:
     out = _as_str(data.get("out", "reports"), "out")
     polarization = _as_str(data.get("polarization", "position"), "polarization", POLARIZATIONS)
     orientation = _as_str(data.get("orientation", "star"), "orientation", ORIENTATIONS)
-    # a field the experiment would ignore is refused unless it has its default
+    # a field the experiment would ignore is refused unless it has its default;
+    # polarization is read by assemble, so the sweeps refuse it in run_experiment
     if k_rule == "pow2" and k_step != 1:
         raise ConfigError("k_step", "not used by the pow2 rule")
     if experiment not in ORDER_KINDS and order != 0:

@@ -17,10 +17,10 @@ where f_hat_r(y) is the profile of x-frequency r.  Profiles are 1-periodic,
 so evaluating on canonical residue representatives is exact.
 
 Each symbol term (p, q) contributes one wrapped diagonal, m = m' + p (mod k),
-and one kernel, ``_toeplitz_terms``, builds all of them at once for both
-``assemble_toeplitz`` and the matrix-free ``apply_toeplitz``.  It costs
-O(#terms(f) * k^n) time and holds two (#terms(f), k^n) temporaries; the
-terms are summed by one ``np.add.at``, which applies them in key order.
+and one kernel, ``_toeplitz_terms``, builds them for ``assemble_toeplitz``
+and the matrix-free ``apply_toeplitz`` in O(#terms(f) * k^n) time, in
+key-order blocks of terms whose temporaries stay O(TERM_BLOCK_ENTRIES + k^n);
+``np.add.at`` sums each block in key order on 1-D flat indices, its fast path.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +36,8 @@ from .trigpoly import TrigPoly
 
 # Dense matrices are capped here; beyond it use apply_toeplitz (matrix-free).
 DENSE_DIM_CAP = 4096
+# Entries per block of symbol terms in the Toeplitz kernel (a few MiB per temporary).
+TERM_BLOCK_ENTRIES = 1 << 18
 
 
 class Polarization(Enum):
@@ -167,10 +169,11 @@ def _check_dense(spec: HilbertSpec) -> None:
         )
 
 
-def _toeplitz_terms(f: TrigPoly, spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+def _toeplitz_terms(f: TrigPoly, spec: HilbertSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Wrapped diagonals of the Toeplitz operator of f, one per symbol term.
 
-    Returns ``(rows, values)``, two (#terms(f), k^n) arrays in key order:
+    Yields ``(rows, values)``, two (B, k^n) arrays, for consecutive blocks
+    of B terms in key order, with B = max(1, TERM_BLOCK_ENTRIES // k^n):
     term (p, q, c) sends column m' to row [m' + p] with entry
     c e^{2 pi i hbar phase}, phase = q.m' (POSITION) or q.(m' + p) (MOMENTUM).
     """
@@ -178,21 +181,24 @@ def _toeplitz_terms(f: TrigPoly, spec: HilbertSpec) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"symbol has n={f.n}, space has n={spec.n}")
     n, k = spec.n, spec.k
     grid = _residue_grid(n, k)  # rows are column residues m'
-    p, q = f.keys[:, :n], f.keys[:, n:]
-    rows = np.ravel_multi_index(np.moveaxis((grid + p[:, None, :]) % k, -1, 0), (k,) * n)
-    phase_arg = q @ grid.T
-    if spec.polarization is Polarization.MOMENTUM:
-        # at m/k, unreduced is fine: profiles are 1-periodic
-        phase_arg += (p * q).sum(axis=1)[:, None]
-    return rows, f.values[:, None] * np.exp(2j * np.pi * spec.hbar * phase_arg)
+    block = max(1, TERM_BLOCK_ENTRIES // spec.dim)
+    for start in range(0, len(f.values), block):
+        p, q = np.hsplit(f.keys[start:start + block], 2)
+        rows = np.ravel_multi_index(np.moveaxis((grid + p[:, None, :]) % k, -1, 0), (k,) * n)
+        phase = q @ grid.T
+        if spec.polarization is Polarization.MOMENTUM:
+            # at m/k, unreduced is fine: profiles are 1-periodic
+            phase += (p * q).sum(axis=1)[:, None]
+        yield rows, f.values[start:start + block, None] * np.exp(2j * np.pi * spec.hbar * phase)
 
 
 def assemble_toeplitz(f: TrigPoly, spec: HilbertSpec) -> QuantumOperator:
     """Dense Toeplitz matrix of the symbol f at level spec.k."""
     _check_dense(spec)
-    rows, values = _toeplitz_terms(f, spec)
     A = np.zeros((spec.dim, spec.dim), dtype=complex)
-    np.add.at(A, (rows, np.arange(spec.dim)), values)
+    flat, cols = A.reshape(-1), np.arange(spec.dim)
+    for rows, values in _toeplitz_terms(f, spec):
+        np.add.at(flat, (rows * spec.dim + cols).ravel(), values.ravel())
     return QuantumOperator(spec, A)
 
 
@@ -202,9 +208,9 @@ def apply_toeplitz(f: TrigPoly, state: QuantumState) -> QuantumState:
     Builds the same wrapped diagonals as assembly but not the dense matrix,
     so it works above the dense cap.
     """
-    rows, values = _toeplitz_terms(f, state.spec)
     out = np.zeros(state.spec.dim, dtype=complex)
-    np.add.at(out, rows, values * state.amplitudes)
+    for rows, values in _toeplitz_terms(f, state.spec):
+        np.add.at(out, rows.ravel(), (values * state.amplitudes).ravel())
     return QuantumState(state.spec, out)
 
 

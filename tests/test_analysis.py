@@ -28,7 +28,7 @@ from torusquant.analysis import (
     torus_relation_defects,
     trace_error,
 )
-from torusquant.config import ExperimentConfig, FunctionSpec
+from torusquant.config import ConfigError, ExperimentConfig, FunctionSpec
 from torusquant.quantize import HilbertSpec, Polarization, QuantumOperator, assemble_toeplitz, intertwine
 from torusquant.starprod import berezin_truncated, star_truncated
 from torusquant.trigpoly import TrigPoly, random_trig_poly
@@ -386,6 +386,12 @@ def test_run_torus_relations():
 def test_run_experiment_rejects_star_table():
     cfg = ExperimentConfig(experiment="star_table", n=1, f=RANDOM_F, g=RANDOM_F)
     with pytest.raises(ValueError, match="star subcommand"):
+        run_experiment(cfg)
+
+
+def test_run_experiment_refuses_a_polarization_it_would_ignore():
+    cfg = ExperimentConfig(experiment="trace", n=1, f=RANDOM_F, polarization="momentum")
+    with pytest.raises(ConfigError, match="polarization"):
         run_experiment(cfg)
 
 

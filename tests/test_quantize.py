@@ -1,12 +1,14 @@
 """Toeplitz assembly against hand-computed small matrices and exact identities."""
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from torusquant.quantize import (
     DENSE_DIM_CAP,
+    TERM_BLOCK_ENTRIES,
     HilbertSpec,
     Polarization,
     PolarizationError,
@@ -127,15 +129,16 @@ def test_exact_product_identity_small():
 def test_apply_matches_dense():
     rng = np.random.default_rng(7)
     cases = (
-        (1, 9, Polarization.POSITION),
-        (1, 9, Polarization.MOMENTUM),
-        (1, 3, Polarization.MOMENTUM),  # k <= 2 * bandwidth: terms alias
-        (2, 4, Polarization.POSITION),
-        (2, 4, Polarization.MOMENTUM),
+        (1, 9, Polarization.POSITION, 2),
+        (1, 9, Polarization.MOMENTUM, 2),
+        (1, 3, Polarization.MOMENTUM, 2),  # k <= 2 * bandwidth: terms alias
+        (2, 4, Polarization.POSITION, 2),
+        (2, 4, Polarization.MOMENTUM, 2),
+        (2, 32, Polarization.MOMENTUM, 4),  # 6561 terms > dim 1024: many blocks
     )
-    for n, k, pol in cases:
+    for n, k, pol, bandwidth in cases:
         spec = HilbertSpec(n, k, pol)
-        f = random_trig_poly(rng, n, 2)
+        f = random_trig_poly(rng, n, bandwidth)
         op = assemble_toeplitz(f, spec)
         vec = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         state = QuantumState(spec, vec)
@@ -161,10 +164,13 @@ def _assemble_term_by_term(f, spec):
 
 
 @pytest.mark.parametrize("polarization", ["position", "momentum"])
-@pytest.mark.parametrize("n, bandwidth, ks", [(1, 3, (2, 3, 6, 7, 16)), (2, 1, (2, 3, 5))])
+@pytest.mark.parametrize(
+    "n, bandwidth, ks", [(1, 3, (2, 3, 6, 7, 16)), (2, 1, (2, 3, 5)), (2, 2, (16, 32))]
+)
 def test_assembly_matches_the_per_term_loop_bit_for_bit(polarization, n, bandwidth, ks):
     # levels k <= 2 * bandwidth fold several terms onto one diagonal; the
-    # remainder symbols are the ones the product sweeps assemble
+    # remainder symbols are the ones the product sweeps assemble, and at
+    # n = 2, bandwidth 2 they have 6553 terms, more than k^n, in many blocks
     rng = np.random.default_rng(23 + n)
     f = random_trig_poly(rng, n, bandwidth)
     g = random_trig_poly(rng, n, bandwidth)
@@ -176,6 +182,28 @@ def test_assembly_matches_the_per_term_loop_bit_for_bit(polarization, n, bandwid
             got = assemble_toeplitz(symbol, spec).entries
             # compare bit patterns, so that a signed zero counts too
             assert np.array_equal(got.view(np.uint64), _assemble_term_by_term(symbol, spec).view(np.uint64))
+
+
+def test_kernel_temporaries_stay_bounded_with_more_terms_than_the_dimension():
+    # 6561 terms at dim 1024: building all their diagonals at once would
+    # hold about 0.5 GB of temporaries next to a 16 MiB matrix
+    f = random_trig_poly(np.random.default_rng(3), 2, 4)
+    spec = HilbertSpec(2, 32)
+    state = QuantumState(spec, np.ones(spec.dim))
+    dense = 16 * spec.dim**2
+    budget = 128 * TERM_BLOCK_ENTRIES  # bytes; a block holds about 72 per entry
+    tracemalloc.start()
+    try:
+        op = assemble_toeplitz(f, spec)
+        _, assemble_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        apply_toeplitz(f, state)
+        _, apply_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert assemble_peak < 2 * dense + budget  # the matrix and its frozen copy
+    assert apply_peak < dense + budget  # op is still alive
+    assert op.entries.shape == (spec.dim, spec.dim)
 
 
 def test_apply_works_above_dense_cap():
