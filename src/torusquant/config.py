@@ -359,6 +359,11 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError("order", f"not used by the {experiment} experiment")
     if experiment != "star_table" and orientation != "star":
         raise ConfigError("orientation", f"not used by the {experiment} experiment")
+    # the star subcommand reads neither a basis nor levels
+    if experiment == "star_table" and polarization != "position":
+        raise ConfigError("polarization", "not used by the star_table experiment")
+    if experiment == "star_table" and k_rule != "pow2":
+        raise ConfigError("k_rule", "not used by the star_table experiment")
 
     k_min = 0
     k_max = 0

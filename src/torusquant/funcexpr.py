@@ -399,7 +399,8 @@ def sample_grid(ast: ExprAst, n: int, grid: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         values = _eval(ast, xs, ys, scalar=False)
     values = np.asarray(values, dtype=float)
-    values = np.broadcast_to(values, (grid,) * (2 * n)).copy()
+    if values.shape != (grid,) * (2 * n):  # a fresh full-size result needs no copy
+        values = np.broadcast_to(values, (grid,) * (2 * n)).copy()
     _check_finite(values, "the expression")
     return values
 

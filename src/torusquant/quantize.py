@@ -16,11 +16,15 @@ on the lattice {m/k}:
 where f_hat_r(y) is the profile of x-frequency r.  Profiles are 1-periodic,
 so evaluating on canonical residue representatives is exact.
 
-Each symbol term (p, q) contributes one wrapped diagonal, m = m' + p (mod k),
-and one kernel, ``_toeplitz_terms``, builds them for ``assemble_toeplitz``
-and the matrix-free ``apply_toeplitz`` in O(#terms(f) * k^n) time, in
-key-order blocks of terms whose temporaries stay O(TERM_BLOCK_ENTRIES + k^n);
-``np.add.at`` sums each block in key order on 1-D flat indices, its fast path.
+Each symbol term (p, q) contributes to one wrapped diagonal, m = m' + p
+(mod k), so the operator is stored as its R nonzero diagonals, one per
+residue p mod k: ``toeplitz_diagonals`` builds them in O(#terms(f) * k^n)
+time, in key-order blocks of terms whose temporaries stay
+O(TERM_BLOCK_ENTRIES + R k^n), and ``np.add.at`` sums each block in key order
+on 1-D flat indices, its fast path.  The diagonal form acts matrix-free
+(``matvec``, ``rmatvec``) at any dimension and is what the sweeps take their
+norms from (see ``analysis.operator_norm``); ``assemble_toeplitz`` scatters
+it into a dense matrix below ``DENSE_DIM_CAP``.
 """
 
 from __future__ import annotations
@@ -28,15 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .trigpoly import TrigPoly
 
-# Dense matrices are capped here; beyond it use apply_toeplitz (matrix-free).
+# Dense matrices are capped here; beyond it use toeplitz_diagonals (matrix-free).
 DENSE_DIM_CAP = 4096
-# Entries per block of symbol terms in the Toeplitz kernel (a few MiB per temporary).
+# Entries per block of symbol terms in toeplitz_diagonals (a few MiB per temporary).
 TERM_BLOCK_ENTRIES = 1 << 18
 
 
@@ -85,37 +88,6 @@ def _residue_grid(n: int, k: int) -> np.ndarray:
     return out
 
 
-def basis_index(spec: HilbertSpec, m: Iterable[int]) -> int:
-    """Flat index of the residue class [m]: row-major over {0..k-1}^n."""
-    mm = tuple(int(v) % spec.k for v in m)
-    if len(mm) != spec.n:
-        raise ValueError(f"residue vector has length {len(mm)}, expected {spec.n}")
-    return int(np.ravel_multi_index(mm, (spec.k,) * spec.n))
-
-
-class QuantumState:
-    """Amplitude vector over the residue basis of a HilbertSpec."""
-
-    __slots__ = ("spec", "amplitudes")
-
-    def __init__(self, spec: HilbertSpec, amplitudes):
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape != (spec.dim,):
-            raise ValueError(f"amplitudes must have shape ({spec.dim},), got {amplitudes.shape}")
-        self.spec = spec
-        self.amplitudes = amplitudes.copy()
-        self.amplitudes.setflags(write=False)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @classmethod
-    def basis_state(cls, spec: HilbertSpec, m: Iterable[int]) -> "QuantumState":
-        v = np.zeros(spec.dim, dtype=complex)
-        v[basis_index(spec, m)] = 1.0
-        return cls(spec, v)
-
-
 class QuantumOperator:
     """Dense operator on a level-k space, tagged with its basis."""
 
@@ -150,11 +122,6 @@ class QuantumOperator:
     def scale(self, value: complex) -> "QuantumOperator":
         return QuantumOperator(self.spec, self.entries * complex(value))
 
-    def apply(self, state: QuantumState) -> QuantumState:
-        if state.spec != self.spec:
-            raise ValueError("state lives on a different space")
-        return QuantumState(self.spec, self.entries @ state.amplitudes)
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
@@ -165,53 +132,107 @@ class QuantumOperator:
 def _check_dense(spec: HilbertSpec) -> None:
     if spec.dim > DENSE_DIM_CAP:
         raise ValueError(
-            f"dimension {spec.dim} exceeds the dense cap {DENSE_DIM_CAP}; use apply_toeplitz"
+            f"dimension {spec.dim} exceeds the dense cap {DENSE_DIM_CAP}; "
+            "use toeplitz_diagonals, whose matvec and rmatvec need no matrix"
         )
 
 
-def _toeplitz_terms(f: TrigPoly, spec: HilbertSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Wrapped diagonals of the Toeplitz operator of f, one per symbol term.
+def _shifted_index(n: int, k: int, shifts: np.ndarray) -> np.ndarray:
+    """(R, k^n) flat indices of the residues [m' + r], one row per shift r."""
+    grid = _residue_grid(n, k)
+    out = np.zeros((len(shifts), k**n), dtype=np.int64)
+    for axis in range(n):  # row-major: the last axis varies fastest
+        out *= k
+        out += (grid[:, axis] + shifts[:, axis, None]) % k
+    return out
 
-    Yields ``(rows, values)``, two (B, k^n) arrays, for consecutive blocks
-    of B terms in key order, with B = max(1, TERM_BLOCK_ENTRIES // k^n):
-    term (p, q, c) sends column m' to row [m' + p] with entry
-    c e^{2 pi i hbar phase}, phase = q.m' (POSITION) or q.(m' + p) (MOMENTUM).
+
+def _distinct_residues(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct residues mod k of the rows of ``vectors``, the index of
+    each row's residue among them)."""
+    shape = (k,) * vectors.shape[1]
+    codes, which = np.unique(np.ravel_multi_index((vectors % k).T, shape), return_inverse=True)
+    return np.stack(np.unravel_index(codes, shape), axis=-1), which.reshape(-1)
+
+
+class DiagonalOperator:
+    """Level-k operator stored as its R nonzero wrapped diagonals.
+
+    ``shifts`` is an (R, n) int array of distinct residues r in
+    {0..k-1}^n and ``values`` an (R, k^n) complex array: column m' holds
+    values[i, m'] in row [m' + shifts[i]] and nothing else.  ``rows`` is
+    that row as a flat index, an (R, k^n) array.  R <= k^n, and R is at
+    most the number of x-frequencies of the symbol.
+    """
+
+    __slots__ = ("spec", "shifts", "values", "rows")
+
+    def __init__(self, spec: HilbertSpec, shifts, values):
+        shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, spec.n)
+        values = np.asarray(values, dtype=complex)
+        if values.shape != (len(shifts), spec.dim):
+            raise ValueError(f"values must have shape ({len(shifts)}, {spec.dim}), got {values.shape}")
+        self.spec, self.shifts, self.values = spec, shifts % spec.k, values.copy()
+        self.rows = _shifted_index(spec.n, spec.k, self.shifts)
+        if len(set(self.rows[:, 0].tolist())) != len(shifts):  # rows[:, 0] is [0 + r]
+            raise ValueError("shifts must be distinct residues mod k")
+        for a in (self.shifts, self.values, self.rows):
+            a.setflags(write=False)
+
+    def matvec(self, x) -> np.ndarray:
+        """A x for a length-k^n vector x."""
+        x = np.asarray(x)
+        out = np.zeros(self.spec.dim, dtype=complex)
+        for rows, values in zip(self.rows, self.values):
+            out[rows] += values * x  # rows is a permutation: no repeated index
+        return out
+
+    def rmatvec(self, y) -> np.ndarray:
+        """A* y (the conjugate transpose) for a length-k^n vector y."""
+        return (self.values.conj() * np.asarray(y)[self.rows]).sum(axis=0)
+
+    def dense(self) -> QuantumOperator:
+        """The dense matrix: a scatter of the diagonals (below the dense cap)."""
+        _check_dense(self.spec)
+        dim = self.spec.dim
+        A = np.zeros((dim, dim), dtype=complex)
+        A.reshape(-1)[(self.rows * dim + np.arange(dim)).ravel()] = self.values.ravel()
+        return QuantumOperator(self.spec, A)
+
+
+def toeplitz_diagonals(f: TrigPoly, spec: HilbertSpec) -> DiagonalOperator:
+    """Wrapped diagonals of the Toeplitz operator of f at level spec.k.
+
+    Term (p, q, c) sends column m' to row [m' + p] with entry
+    c e^{2 pi i hbar phase}, phase = q.m' (POSITION) or q.(m' + p)
+    (MOMENTUM).  Terms are taken in key order, in blocks of
+    B = max(1, TERM_BLOCK_ENTRIES // k^n), and ``np.add.at`` adds each
+    block onto the diagonal of its residue p mod k, so the temporaries
+    stay O(TERM_BLOCK_ENTRIES + R k^n) and every entry is the key-order sum
+    of its terms.
     """
     if f.n != spec.n:
         raise ValueError(f"symbol has n={f.n}, space has n={spec.n}")
-    n, k = spec.n, spec.k
-    grid = _residue_grid(n, k)  # rows are column residues m'
-    block = max(1, TERM_BLOCK_ENTRIES // spec.dim)
+    n, k, dim = spec.n, spec.k, spec.dim
+    shifts, which = _distinct_residues(f.keys[:, :n], k)
+    values = np.zeros((len(shifts), dim), dtype=complex)
+    flat, cols = values.reshape(-1), np.arange(dim)
+    grid_t = _residue_grid(n, k).T  # columns are the column residues m'
+    block = max(1, TERM_BLOCK_ENTRIES // dim)
     for start in range(0, len(f.values), block):
         p, q = np.hsplit(f.keys[start:start + block], 2)
-        rows = np.ravel_multi_index(np.moveaxis((grid + p[:, None, :]) % k, -1, 0), (k,) * n)
-        phase = q @ grid.T
+        phase = q @ grid_t
         if spec.polarization is Polarization.MOMENTUM:
             # at m/k, unreduced is fine: profiles are 1-periodic
             phase += (p * q).sum(axis=1)[:, None]
-        yield rows, f.values[start:start + block, None] * np.exp(2j * np.pi * spec.hbar * phase)
+        terms = f.values[start:start + block, None] * np.exp(2j * np.pi * spec.hbar * phase)
+        np.add.at(flat, (which[start:start + block, None] * dim + cols).ravel(), terms.ravel())
+    return DiagonalOperator(spec, shifts, values)
 
 
 def assemble_toeplitz(f: TrigPoly, spec: HilbertSpec) -> QuantumOperator:
     """Dense Toeplitz matrix of the symbol f at level spec.k."""
-    _check_dense(spec)
-    A = np.zeros((spec.dim, spec.dim), dtype=complex)
-    flat, cols = A.reshape(-1), np.arange(spec.dim)
-    for rows, values in _toeplitz_terms(f, spec):
-        np.add.at(flat, (rows * spec.dim + cols).ravel(), values.ravel())
-    return QuantumOperator(spec, A)
-
-
-def apply_toeplitz(f: TrigPoly, state: QuantumState) -> QuantumState:
-    """Matrix-free action of the Toeplitz operator of f on a state.
-
-    Builds the same wrapped diagonals as assembly but not the dense matrix,
-    so it works above the dense cap.
-    """
-    out = np.zeros(state.spec.dim, dtype=complex)
-    for rows, values in _toeplitz_terms(f, state.spec):
-        np.add.at(out, rows.ravel(), (values * state.amplitudes).ravel())
-    return QuantumState(state.spec, out)
+    return toeplitz_diagonals(f, spec).dense()
 
 
 def intertwine(op: QuantumOperator) -> QuantumOperator:

@@ -42,6 +42,12 @@ PRODUCT_CFG = {
 }
 
 
+def _star_table(data, **fields):
+    """Turn PRODUCT_CFG into a star_table config, then set ``fields``."""
+    del data["k_min"], data["k_max"]
+    data.update(experiment="star_table", **fields)
+
+
 def write_cfg(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -98,6 +104,10 @@ def test_parse_linear_rule():
             pytest.param(lambda d, kind=kind: d.update(experiment=kind, order=3), "order", id=f"order-on-{kind}")
             for kind in ("trace", "riemann", "norm_bound", "torus_relations")
         ],
+        # the star subcommand reads neither a basis nor levels
+        pytest.param(lambda d: _star_table(d, polarization="momentum"), "polarization", id="star-polarization"),
+        pytest.param(lambda d: _star_table(d, k_rule="linear", k_step=3), "k_rule", id="star-k_rule"),
+        pytest.param(lambda d: _star_table(d, k_step=3), "k_step", id="star-k_step"),
     ],
 )
 def test_parse_errors_name_the_field(mutate, path):
@@ -295,6 +305,20 @@ def test_cli_run_rejects_level_above_dense_cap(tmp_path, capsys):
     code = main(["assemble", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error: k_min:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields, path",
+    [({"polarization": "momentum"}, "polarization"), ({"k_rule": "linear", "k_step": 3}, "k_rule")],
+)
+def test_cli_star_refuses_fields_it_would_ignore(tmp_path, capsys, fields, path):
+    # they used to be ignored: a byte-identical table under a new hash stem
+    data = json.loads((Path(__file__).parents[1] / "configs" / "star_table.json").read_text(encoding="utf-8"))
+    data.update(fields)
+    code = main(["star", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: {path}: not used by the star_table experiment" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_star_refuses_frequencies_past_the_bound(tmp_path, capsys):

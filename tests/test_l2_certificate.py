@@ -1,0 +1,173 @@
+"""Certified Lanczos l2 norms of wrapped-diagonal operators against LAPACK."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from torusquant.analysis import (
+    L2_CERT_DELTA,
+    L2Reading,
+    NormKind,
+    _certify,
+    _gram,
+    _interleaving,
+    norm_bound_sweep,
+    operator_norm,
+    product_sweep,
+    spectral_norm,
+)
+from torusquant.quantize import HilbertSpec, toeplitz_diagonals
+from torusquant.starprod import HbarValue, berezin_exact, berezin_truncated, star_exact, star_truncated
+from torusquant.trigpoly import TrigPoly, random_trig_poly
+
+
+def _symbol(seed: int, n: int, bandwidth: int, kind: str, k: int) -> TrigPoly:
+    """A random symbol, or the product or Berezin remainder the sweeps take
+    norms of, at level k."""
+    rng = np.random.default_rng(seed)
+    f = random_trig_poly(rng, n, bandwidth)
+    if kind == "random":
+        return f
+    if kind == "product":
+        g = random_trig_poly(rng, n, bandwidth)
+        return star_exact(f, g, HbarValue(k)) - star_truncated(f, g, 1).evaluate(1.0 / k)
+    return berezin_exact(f, HbarValue(k)) - berezin_truncated(f, 1).evaluate(1.0 / k)
+
+
+def _diagonals(seed, n, bandwidth, kind, k, polarization="position"):
+    return toeplitz_diagonals(_symbol(seed, n, bandwidth, kind, k), HilbertSpec(n, k, polarization))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2]),
+    bandwidth=st.integers(1, 3),
+    kind=st.sampled_from(["random", "product", "berezin"]),
+    k=st.integers(2, 96),
+    polarization=st.sampled_from(["position", "momentum"]),
+)
+@example(seed=1, n=1, bandwidth=2, kind="product", k=64, polarization="position")
+@example(seed=2, n=1, bandwidth=3, kind="random", k=6, polarization="momentum")  # k <= 2 * bandwidth
+@example(seed=3, n=2, bandwidth=1, kind="random", k=16, polarization="momentum")
+@example(seed=4, n=2, bandwidth=1, kind="berezin", k=13, polarization="position")
+def test_certified_l2_brackets_the_lapack_norm(seed, n, bandwidth, kind, k, polarization):
+    if n == 2:
+        bandwidth, k = 1, min(k, 20)  # dimension at most 400
+    op = _diagonals(seed, n, bandwidth, kind, k, polarization)
+    reading = operator_norm(op, NormKind.L2)
+    lapack = spectral_norm(op.dense().entries)
+    assert isinstance(reading, L2Reading)
+    assert lapack * (1.0 - L2_CERT_DELTA) <= reading <= lapack * (1.0 + 1e-14)
+    assert reading.upper >= lapack * (1.0 - 1e-14)
+    if reading.method == "lanczos_certified":
+        assert reading.upper == pytest.approx(float(reading) * np.sqrt(1.0 + L2_CERT_DELTA), rel=1e-15)
+    else:
+        assert reading.method == "lapack_svd" and reading.upper == float(reading) == lapack
+
+
+@pytest.mark.parametrize(
+    "seed, n, bandwidth, kind, k",
+    [(5, 1, 2, "product", 64), (6, 1, 3, "random", 128), (7, 2, 1, "random", 16), (8, 2, 1, "berezin", 12)],
+)
+def test_lanczos_answers_once_the_band_has_three_blocks(seed, n, bandwidth, kind, k):
+    op = _diagonals(seed, n, bandwidth, kind, k)
+    assert _interleaving(op) is not None
+    reading = operator_norm(op, NormKind.L2)
+    assert reading.method == "lanczos_certified" and 0 < reading.steps <= op.spec.dim
+    assert reading.describe() == {"method": "lanczos_certified", "steps": reading.steps}
+    # fewer than three blocks: nothing to skip, LAPACK answers
+    small = _diagonals(seed, n, bandwidth, kind, 4)
+    assert _interleaving(small) is None
+    assert operator_norm(small, NormKind.L2).describe() == {"method": "lapack_svd"}
+
+
+@pytest.mark.parametrize(
+    "seed, n, bandwidth, kind, k, polarization",
+    [
+        (11, 1, 2, "random", 24, "position"),
+        (12, 1, 2, "product", 33, "momentum"),  # odd k, remainder of bandwidth 4
+        (13, 1, 1, "random", 13, "position"),  # a short last block
+        (14, 2, 1, "random", 10, "momentum"),
+        (15, 2, 1, "product", 18, "position"),
+    ],
+)
+def test_interleaved_gram_matrix_is_block_tridiagonal(seed, n, bandwidth, kind, k, polarization):
+    op = _diagonals(seed, n, bandwidth, kind, k, polarization)
+    a = op.dense().entries
+    gram = a.conj().T @ a
+    # the band holds every entry of A*A, and nothing else
+    band = _gram(op)
+    assert np.abs(band.dense().entries - gram).max() <= 1e-13 * np.abs(gram).max()
+    # in the interleaved order nothing lies outside the tridiagonal blocks
+    perm, block = _interleaving(op)
+    assert sorted(perm.tolist()) == list(range(op.spec.dim))
+    blocks = np.arange(op.spec.dim) // block
+    outside = np.abs(blocks[:, None] - blocks[None, :]) > 1
+    assert outside.any()
+    assert not gram[np.ix_(perm, perm)][outside].any()
+
+
+@pytest.mark.parametrize(
+    "seed, n, bandwidth, kind, k",
+    [(21, 1, 2, "product", 64), (22, 1, 3, "random", 40), (23, 2, 1, "random", 16), (24, 1, 2, "berezin", 50)],
+)
+def test_certificate_refuses_a_value_below_the_norm(seed, n, bandwidth, kind, k):
+    op = _diagonals(seed, n, bandwidth, kind, k)
+    gram = _gram(op)
+    sigma2 = spectral_norm(op.dense().entries) ** 2
+    assert not _certify(gram, sigma2 * (1.0 - 1e-9), _interleaving(op))
+    assert _certify(gram, sigma2 * (1.0 + L2_CERT_DELTA), _interleaving(op))
+
+
+def test_lanczos_l2_needs_no_dense_array():
+    rng = np.random.default_rng(31)
+    f, g = random_trig_poly(rng, 1, 2, decay=8.0), random_trig_poly(rng, 1, 2, decay=8.0)
+    k = 512
+    remainder = star_exact(f, g, HbarValue(k)) - star_truncated(f, g, 1).evaluate(1.0 / k)
+    op = toeplitz_diagonals(remainder, HilbertSpec(1, k))
+    dense = 16 * op.spec.dim**2
+    tracemalloc.start()
+    try:
+        reading = operator_norm(op, NormKind.L2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reading.method == "lanczos_certified"
+    assert peak < dense / 2
+
+
+def test_sweep_details_name_the_l2_route_per_level():
+    rng = np.random.default_rng(41)
+    f, g = random_trig_poly(rng, 1, 2, decay=8.0), random_trig_poly(rng, 1, 2, decay=8.0)
+    ks = (8, 16, 32, 64, 128)
+    report = product_sweep(f, g, 1, ks)
+    methods = report.details["l2_methods"]
+    assert [m["k"] for m in methods] == list(ks)
+    # the remainder has bandwidth 4: three blocks of 16 residues from k = 48 on
+    assert [m["method"] for m in methods] == ["lapack_svd"] * 3 + ["lanczos_certified"] * 2
+    assert all(m["steps"] > 0 for m in methods[3:])
+    assert report.details["l2_cert_delta"] == L2_CERT_DELTA
+    assert report.to_dict() == product_sweep(f, g, 1, ks).to_dict()
+
+
+def test_norm_bound_is_judged_on_the_certified_upper_value():
+    # the shift e^{2 pi i x} is unitary: its norm equals its coefficient bound
+    f = TrigPoly.harmonic(1, (1,), (0,))
+    report = norm_bound_sweep(f, (2, 64))
+    assert report.passed
+    assert [m["method"] for m in report.details["l2_methods"]] == ["lapack_svd", "lanczos_certified"]
+    assert report.details["max_upper"] == pytest.approx(np.sqrt(1.0 + L2_CERT_DELTA), rel=1e-15)
+    assert max(row.error for row in report.rows) == pytest.approx(1.0, rel=1e-15)
+    assert report.details["max_upper"] > report.details["max_norm"]
+
+
+def test_zero_operator_reads_zero():
+    op = toeplitz_diagonals(TrigPoly(1, {}), HilbertSpec(1, 16))
+    assert op.values.shape == (0, 16)
+    assert operator_norm(op, NormKind.L1) == operator_norm(op, NormKind.LINF) == 0.0
+    reading = operator_norm(op, NormKind.L2)
+    assert reading == 0.0 and reading.upper == 0.0 and reading.method == "lapack_svd"

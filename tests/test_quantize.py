@@ -9,17 +9,16 @@ import pytest
 from torusquant.quantize import (
     DENSE_DIM_CAP,
     TERM_BLOCK_ENTRIES,
+    DiagonalOperator,
     HilbertSpec,
     Polarization,
     PolarizationError,
     QuantumOperator,
-    QuantumState,
-    apply_toeplitz,
     assemble_toeplitz,
-    basis_index,
     intertwine,
     operator_to_csv,
     quantum_torus_generators,
+    toeplitz_diagonals,
     write_operator_csv,
 )
 from torusquant.starprod import HbarValue, star_exact, star_truncated
@@ -43,15 +42,6 @@ def test_spec_polarization_coercion():
         HilbertSpec(1, 4, "sideways")
     with pytest.raises(TypeError):
         HilbertSpec(1, 4, 17)
-
-
-def test_basis_index_row_major_with_wrap():
-    spec = HilbertSpec(2, 3)
-    assert basis_index(spec, (0, 0)) == 0
-    assert basis_index(spec, (1, 2)) == 5
-    assert basis_index(spec, (-1, 0)) == 6
-    with pytest.raises(ValueError):
-        basis_index(spec, (1,))
 
 
 def test_constant_assembles_to_identity():
@@ -127,24 +117,28 @@ def test_exact_product_identity_small():
 
 
 def test_apply_matches_dense():
+    # the diagonal form's matvec and rmatvec against the dense matrix and its
+    # conjugate transpose
     rng = np.random.default_rng(7)
     cases = (
         (1, 9, Polarization.POSITION, 2),
         (1, 9, Polarization.MOMENTUM, 2),
         (1, 3, Polarization.MOMENTUM, 2),  # k <= 2 * bandwidth: terms alias
+        (1, 4, Polarization.POSITION, 2),
         (2, 4, Polarization.POSITION, 2),
         (2, 4, Polarization.MOMENTUM, 2),
+        (2, 3, Polarization.POSITION, 1),
         (2, 32, Polarization.MOMENTUM, 4),  # 6561 terms > dim 1024: many blocks
     )
     for n, k, pol, bandwidth in cases:
         spec = HilbertSpec(n, k, pol)
         f = random_trig_poly(rng, n, bandwidth)
-        op = assemble_toeplitz(f, spec)
+        diagonals = toeplitz_diagonals(f, spec)
+        assert len(diagonals.shifts) <= min(spec.dim, (2 * bandwidth + 1) ** n)
+        dense = assemble_toeplitz(f, spec).entries
         vec = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
-        state = QuantumState(spec, vec)
-        direct = op.apply(state).amplitudes
-        free = apply_toeplitz(f, state).amplitudes
-        assert np.abs(direct - free).max() < 1e-12
+        assert np.abs(dense @ vec - diagonals.matvec(vec)).max() < 1e-12
+        assert np.abs(dense.conj().T @ vec - diagonals.rmatvec(vec)).max() < 1e-12
 
 
 def _assemble_term_by_term(f, spec):
@@ -189,7 +183,7 @@ def test_kernel_temporaries_stay_bounded_with_more_terms_than_the_dimension():
     # hold about 0.5 GB of temporaries next to a 16 MiB matrix
     f = random_trig_poly(np.random.default_rng(3), 2, 4)
     spec = HilbertSpec(2, 32)
-    state = QuantumState(spec, np.ones(spec.dim))
+    state = np.ones(spec.dim, dtype=complex)
     dense = 16 * spec.dim**2
     budget = 128 * TERM_BLOCK_ENTRIES  # bytes; a block holds about 72 per entry
     tracemalloc.start()
@@ -197,7 +191,7 @@ def test_kernel_temporaries_stay_bounded_with_more_terms_than_the_dimension():
         op = assemble_toeplitz(f, spec)
         _, assemble_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        apply_toeplitz(f, state)
+        toeplitz_diagonals(f, spec).matvec(state)
         _, apply_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -206,16 +200,44 @@ def test_kernel_temporaries_stay_bounded_with_more_terms_than_the_dimension():
     assert op.entries.shape == (spec.dim, spec.dim)
 
 
+def _apply_term_by_term(f, spec, x):
+    """A x summed over the symbol terms one by one, an oracle that needs no matrix."""
+    n, k = spec.n, spec.k
+    grid = np.indices((k,) * n).reshape(n, -1).T
+    out = np.zeros(spec.dim, dtype=complex)
+    for p, q, c in zip(f.keys[:, :n], f.keys[:, n:], f.values):
+        rows = np.ravel_multi_index(((grid + p) % k).T, (k,) * n)
+        at = grid if spec.polarization is Polarization.POSITION else grid + p
+        np.add.at(out, rows, c * np.exp(2j * np.pi * spec.hbar * (at @ q)) * x)
+    return out
+
+
 def test_apply_works_above_dense_cap():
     spec = HilbertSpec(1, DENSE_DIM_CAP + 1)
-    state = QuantumState.basis_state(spec, (0,))
-    out = apply_toeplitz(TrigPoly.harmonic(1, (1,), (0,)), state)
-    assert abs(out.amplitudes[1] - 1.0) < 1e-15
-    assert out.norm() == pytest.approx(1.0)
+    shift = toeplitz_diagonals(TrigPoly.harmonic(1, (1,), (0,)), spec)
+    state = np.zeros(spec.dim, dtype=complex)
+    state[0] = 1.0
+    out = shift.matvec(state)
+    assert abs(out[1] - 1.0) < 1e-15
+    assert np.linalg.norm(out) == pytest.approx(1.0)
+    assert np.abs(shift.rmatvec(out) - state).max() < 1e-15
+    # n = 2 above the cap, both polarizations, against the per-term sum
+    rng = np.random.default_rng(11)
+    f = random_trig_poly(rng, 2, 2)
+    for pol in Polarization:
+        spec = HilbertSpec(2, 65, pol)
+        diagonals = toeplitz_diagonals(f, spec)
+        x = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        assert np.abs(diagonals.matvec(x) - _apply_term_by_term(f, spec, x)).max() < 1e-12
+        # <A x, y> = <x, A* y>
+        y = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        assert abs(np.vdot(y, diagonals.matvec(x)) - np.vdot(diagonals.rmatvec(y), x)) < 1e-10
+        with pytest.raises(ValueError, match="dense cap"):
+            diagonals.dense()
 
 
 def test_dense_cap_enforced():
-    with pytest.raises(ValueError, match="dense cap"):
+    with pytest.raises(ValueError, match="dense cap .*; use toeplitz_diagonals"):
         assemble_toeplitz(TrigPoly.constant(1, 1.0), HilbertSpec(1, DENSE_DIM_CAP + 1))
     with pytest.raises(ValueError, match="dense cap"):
         assemble_toeplitz(TrigPoly.constant(2, 1.0), HilbertSpec(2, 65))
@@ -260,23 +282,35 @@ def test_operator_arithmetic_and_space_checks():
     other = assemble_toeplitz(TrigPoly.constant(1, 1.0), HilbertSpec(1, 4))
     with pytest.raises(ValueError):
         u @ other
-    with pytest.raises(ValueError):
-        u.apply(QuantumState.basis_state(HilbertSpec(1, 4), (0,)))
 
 
 def test_state_and_operator_are_frozen():
+    # matvec and rmatvec leave the state they act on alone, and neither
+    # operator form can be changed through its arrays
     spec = HilbertSpec(1, 3)
-    src = np.ones(3, dtype=complex)
-    state = QuantumState(spec, src)
-    src[0] = 99.0
-    assert state.amplitudes[0] == 1.0
+    f = random_trig_poly(np.random.default_rng(2), 1, 1)
+    diagonals = toeplitz_diagonals(f, spec)
+    state = np.array([1.0, 2.0j, -1.0])
+    for act in (diagonals.matvec, diagonals.rmatvec):
+        out = act(state)
+        out[0] = 99.0
+        assert np.array_equal(state, [1.0, 2.0j, -1.0])
+    for array in (diagonals.shifts, diagonals.values, diagonals.rows):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    src = diagonals.values.copy()
+    copy = DiagonalOperator(spec, diagonals.shifts, src)
+    src[0, 0] = 5.0
+    assert copy.values[0, 0] == diagonals.values[0, 0]
     with pytest.raises(ValueError):
-        state.amplitudes[1] = 0.0
+        DiagonalOperator(spec, diagonals.shifts, np.ones((len(diagonals.shifts), 4)))
+    with pytest.raises(ValueError, match="distinct"):
+        DiagonalOperator(spec, [[0], [3]], np.ones((2, 3)))
     op = assemble_toeplitz(TrigPoly.constant(1, 1.0), spec)
     with pytest.raises(ValueError):
         op.entries[0, 0] = 5.0
     with pytest.raises(ValueError):
-        QuantumState(spec, np.ones(4))
+        QuantumOperator(spec, np.ones((4, 4)))
 
 
 def test_csv_golden(tmp_path):
