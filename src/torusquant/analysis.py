@@ -6,14 +6,19 @@ log-log slope fits turn them into empirical convergence orders, with an
 error floor below which values count as exact zeros so rounding noise never
 produces garbage slopes.
 
-Sweeps take their norms from the wrapped-diagonal form of each operator
-(``quantize.DiagonalOperator``).  l1 and linf are exact column and row sums.
-l2 is the square root of the top Ritz value theta of a Lanczos run on A*A,
-certified by a Cholesky factorization of theta (1 + L2_CERT_DELTA) I - A*A;
-where the band is too short to pay, the run does not converge or the
-certificate fails, it is the LAPACK 2-norm instead.  A certified value sits
-below the true norm by less than L2_CERT_DELTA / 2 relative and never above
-it beyond rounding; ``L2Reading`` says which route answered.
+Sweeps and the acceptance checks take their operators, defects and norms
+from the wrapped-diagonal form of each operator (``quantize.DiagonalOperator``
+and its operator algebra), with no dense product or assembly; only the
+LAPACK l2 route below scatters a matrix.  l1 and linf are exact column and
+row sums.  l2 is the LAPACK 2-norm up to dimension
+LAPACK_L2_MAX_DIM, where it is the cheaper route.  Above it, l2 is the
+square root of the top Ritz value theta of a Lanczos run on A*A, certified
+by a Cholesky factorization of theta (1 + L2_CERT_DELTA) I - A*A; where the
+band is too short to pay, the run does not converge or the certificate
+fails, it is the LAPACK 2-norm again, and above the dense cap an
+``L2RouteError``.  A certified value sits below the true norm by less than
+L2_CERT_DELTA / 2 relative and never above it beyond rounding;
+``L2Reading`` says which route answered.
 """
 
 from __future__ import annotations
@@ -27,15 +32,14 @@ import numpy as np
 from . import funcexpr
 from .config import SWEEP_KINDS, ConfigError, ExperimentConfig, check_riemann_profile, expression_means
 from .quantize import (
+    DENSE_DIM_CAP,
     DiagonalOperator,
     HilbertSpec,
     Polarization,
     QuantumOperator,
-    assemble_toeplitz,
     intertwine,
-    _distinct_residues,
-    quantum_torus_generators,
     toeplitz_diagonals,
+    torus_generator_diagonals,
 )
 from .starprod import HbarValue, berezin_exact, berezin_truncated, star_exact, star_truncated
 from .trigpoly import TrigPoly
@@ -56,6 +60,11 @@ L2_CERT_DELTA = 1e-10
 # for convergence every LANCZOS_CHECK steps.
 LANCZOS_BUDGET = 96
 LANCZOS_CHECK = 8
+# Up to this dimension the LAPACK 2-norm answers l2: it is cheaper there than
+# certified Lanczos (per call, 0.14-0.19 against 1.1-1.7 ms at dim 32,
+# 0.46-1.5 against 1.3-17 ms at dim 64); at dim 128 Lanczos is the cheaper
+# (1.8-4.1 against 4.6-5.1 ms).  See the README's table for the set-up.
+LAPACK_L2_MAX_DIM = 64
 
 # O(hbar^infinity) statements are operationalized as "error * k^RATE_EXPONENT
 # keeps decreasing over the sweep"; reports flag this as a chosen rendering.
@@ -96,30 +105,16 @@ def _entries(op) -> np.ndarray:
     return op.entries if isinstance(op, QuantumOperator) else np.asarray(op, dtype=complex)
 
 
-def certified_l2_norm(op, tol: float) -> float:
-    """l2 norm for comparisons against a tolerance.
-
-    Returns the interpolation bound sqrt(l1 * linf) when it already sits at
-    or below ``tol``: the bound dominates the l2 norm, so it certifies the
-    check without an SVD.  Otherwise returns the exact LAPACK 2-norm.
-    """
-    a = _entries(op)
-    if a.size == 0:
-        return 0.0
-    bound = float(np.sqrt(np.abs(a).sum(axis=0).max() * np.abs(a).sum(axis=1).max()))
-    if bound <= tol:
-        return bound
-    return spectral_norm(a)
-
-
 class L2Reading(float):
     """An l2 norm that says how it was obtained.
 
     The float is the reported value.  ``method`` is ``"lapack_svd"`` (exact
-    to rounding; ``upper`` is the value itself) or ``"lanczos_certified"``:
-    the value sqrt(theta) is at most the norm and below it by less than
-    L2_CERT_DELTA / 2 relative, and ``upper`` = sqrt(theta (1 + L2_CERT_DELTA))
-    is certified to be at least the norm.  ``steps`` counts Lanczos steps.
+    to rounding; ``upper`` is the value itself), ``"interp_bound"`` (the
+    bound sqrt(l1 * linf), at least the norm; ``upper`` is the value itself)
+    or ``"lanczos_certified"``: the value sqrt(theta) is at most the norm
+    and below it by less than L2_CERT_DELTA / 2 relative, and ``upper`` =
+    sqrt(theta (1 + L2_CERT_DELTA)) is certified to be at least the norm.
+    ``steps`` counts Lanczos steps.
     """
 
     def __new__(cls, value: float, method: str, upper: float, steps: int = 0):
@@ -128,26 +123,30 @@ class L2Reading(float):
         return out
 
     def describe(self) -> dict:
-        if self.method == "lapack_svd":
+        if self.method != "lanczos_certified":
             return {"method": self.method}
         return {"method": self.method, "steps": self.steps}
 
 
-def _gram(op: DiagonalOperator) -> DiagonalOperator:
-    """A*A in wrapped-diagonal form, one diagonal per distinct shift d = s - r
-    of a pair of diagonals of A:
+class L2RouteError(ValueError):
+    """Certified Lanczos did not answer an l2 norm above the dense cap, where
+    no LAPACK fallback exists."""
 
-        G[j + d, j] = sum over s - r = d of conj(D_r[j + d]) D_s[j].
+
+def certified_l2_norm(op, tol: float) -> L2Reading:
+    """l2 norm for comparisons against a tolerance.
+
+    Returns the interpolation bound sqrt(l1 * linf), method
+    ``interp_bound``, when it already sits at or below ``tol``: the bound
+    dominates the l2 norm, so it certifies the check without an SVD.  For a
+    DiagonalOperator l1 and linf are exact sums over its diagonals.
+    Otherwise returns the reading of the l2 route (``operator_norm``).
     """
-    diffs = op.shifts[None, :, :] - op.shifts[:, None, :]  # [r, s] -> s - r
-    shifts, which = _distinct_residues(diffs.reshape(-1, op.spec.n), op.spec.k)
-    by_row = np.zeros_like(op.values)  # by_row[r, m] = D_r[m - r], the entry of A in row m
-    np.put_along_axis(by_row, op.rows, op.values, axis=1)
-    band = np.zeros((len(shifts), op.spec.dim), dtype=complex)
-    for r, d in enumerate(which.reshape(len(op.shifts), len(op.shifts))):
-        # every s at once, the shifts s - r being distinct: D_r[j + s - r] is by_row[r] at row j + s
-        band[d] += by_row[r].conj()[op.rows] * op.values
-    return DiagonalOperator(op.spec, shifts, band)
+    bound = float(np.sqrt(operator_norm(op, NormKind.L1) * operator_norm(op, NormKind.LINF)))
+    if bound <= tol:
+        return L2Reading(bound, "interp_bound", bound)
+    value = operator_norm(op, NormKind.L2)
+    return value if isinstance(value, L2Reading) else L2Reading(value, "lapack_svd", value)
 
 
 def _interleaving(op: DiagonalOperator) -> tuple[np.ndarray, int] | None:
@@ -246,14 +245,26 @@ def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
 
 
 def _l2_diagonal(op: DiagonalOperator) -> L2Reading:
-    interleaving = _interleaving(op)
-    if interleaving is not None:
-        gram = _gram(op)
-        theta, steps = _lanczos_top(gram)
-        if theta is not None:
-            mu = theta * (1.0 + L2_CERT_DELTA)
-            if _certify(gram, mu, interleaving):
-                return L2Reading(np.sqrt(theta), "lanczos_certified", np.sqrt(mu), steps)
+    if op.spec.dim > LAPACK_L2_MAX_DIM:
+        steps, interleaving = 0, _interleaving(op)
+        if interleaving is None:
+            failed = "the band of A*A leaves fewer than three blocks"
+        else:
+            gram = op.adjoint() @ op
+            theta, steps = _lanczos_top(gram)
+            if theta is None:
+                failed = "the convergence test of the top Ritz pair failed"
+            else:
+                mu = theta * (1.0 + L2_CERT_DELTA)
+                if _certify(gram, mu, interleaving):
+                    return L2Reading(np.sqrt(theta), "lanczos_certified", np.sqrt(mu), steps)
+                failed = "the certificate refused theta (1 + L2_CERT_DELTA)"
+        if op.spec.dim > DENSE_DIM_CAP:
+            raise L2RouteError(
+                f"no l2 norm at dimension {op.spec.dim}: {failed} after {steps} Lanczos steps "
+                f"(LANCZOS_BUDGET = {LANCZOS_BUDGET}), and the LAPACK fallback needs a dense "
+                f"matrix, capped at dimension {DENSE_DIM_CAP}"
+            )
     value = spectral_norm(op.dense().entries)
     return L2Reading(value, "lapack_svd", value)
 
@@ -265,8 +276,8 @@ def operator_norm(op, kind: NormKind | str) -> float:
     sum, exact to rounding; for a DiagonalOperator they are sums of |D| over
     its diagonals.  ``l2`` is the largest singular value: the LAPACK 2-norm
     of a matrix (see spectral_norm), and an ``L2Reading`` for a
-    DiagonalOperator, certified Lanczos or LAPACK as the module docstring
-    describes.
+    DiagonalOperator, LAPACK up to LAPACK_L2_MAX_DIM and certified Lanczos
+    above it, as the module docstring describes.
     """
     kind = NormKind(kind) if not isinstance(kind, NormKind) else kind
     if isinstance(op, DiagonalOperator):
@@ -338,17 +349,23 @@ def error_intertwine(f: TrigPoly, order: int | None, k: int) -> QuantumOperator:
     """
     if order is not None:
         return _berezin_remainder(f, order)(k).dense()
-    dual = HilbertSpec(f.n, k, Polarization.MOMENTUM)
-    primary = HilbertSpec(f.n, k, Polarization.POSITION)
-    return intertwine(assemble_toeplitz(f, dual)) - assemble_toeplitz(berezin_exact(f, HbarValue(k)), primary)
+    return _exact_transform_defect(f, k).dense()
+
+
+def _exact_transform_defect(f: TrigPoly, k: int) -> DiagonalOperator:
+    """intertwine(Q^dual_f) - Q_{berezin_exact f} in wrapped-diagonal form."""
+    dual = toeplitz_diagonals(f, HilbertSpec(f.n, k, Polarization.MOMENTUM))
+    exact = toeplitz_diagonals(berezin_exact(f, HbarValue(k)), HilbertSpec(f.n, k, Polarization.POSITION))
+    return intertwine(dual) - exact
 
 
 def trace_error(f: TrigPoly, k: int, reference: complex | None = None) -> float:
-    """|hbar^n tr Q_f - reference|; reference defaults to the mean of f."""
+    """|hbar^n tr Q_f - reference|; reference defaults to the mean of f.
+    The trace is the sum of the shift-0 wrapped diagonal of Q_f."""
     spec = HilbertSpec(f.n, k, Polarization.POSITION)
     if reference is None:
         reference = f.mean
-    scaled = assemble_toeplitz(f, spec).trace() / float(k) ** f.n
+    scaled = toeplitz_diagonals(f, spec).trace() / float(k) ** f.n
     return abs(scaled - complex(reference))
 
 
@@ -621,8 +638,9 @@ def intertwine_sweep(f: TrigPoly, order: int, ks: Sequence[int]) -> ConvergenceR
     """Norms of the order-``order`` intertwining error per level, slope-fitted
     per norm, plus the exact-transform identity checked to 1e-10 in l2."""
     exact_tol = 1e-10
-    exact_errors = [[k, certified_l2_norm(error_intertwine(f, None, k), exact_tol)] for k in ks]
-    exact_max = max(e for _k, e in exact_errors)
+    readings = [certified_l2_norm(_exact_transform_defect(f, k), exact_tol) for k in ks]
+    exact_errors = [{"k": k, "error": float(e), **e.describe()} for k, e in zip(ks, readings)]
+    exact_max = float(max(readings))
     exact = SeriesSummary(
         name="exact_transform",
         norm_kind=NormKind.L2.value,
@@ -708,56 +726,72 @@ def norm_bound_sweep(f: TrigPoly, ks: Sequence[int]) -> ConvergenceReport:
     )
 
 
-def torus_relation_defects(n: int, k: int, tol: float = 1e-12) -> tuple[float, int | None]:
+def _power(op: DiagonalOperator, exponent: int) -> DiagonalOperator:
+    """op^exponent by repeated squaring, exponent >= 1."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = op if result is None else result @ op
+        exponent >>= 1
+        if not exponent:
+            return result
+        op = op @ op
+
+
+def torus_relation_defects(n: int, k: int, tol: float = 1e-12) -> tuple[L2Reading, int | None]:
     """(max relation defect, measured commutation sign) at one level.
 
     Checks unitarity, k-th powers, same-axis commutation with the measured
     sign, and cross-axis commutation, all in the operator 2-norm (via
-    certified_l2_norm against ``tol``).  The sign is None at k = 2 where
-    e^{2 pi i hbar} is real and both signs coincide.
+    certified_l2_norm against ``tol``), on the one-diagonal generators and
+    their products in wrapped-diagonal form.  The defect is the
+    ``L2Reading`` of the worst relation, or inf (method
+    ``"sign_inconsistent"``) when the axes disagree on the sign.  The sign
+    is None at k = 2 where e^{2 pi i hbar} is real and both signs coincide.
     """
     spec = HilbertSpec(n, k, Polarization.POSITION)
     hbar = spec.hbar
-    eye = np.eye(spec.dim, dtype=complex)
-    gens = [quantum_torus_generators(spec, axis) for axis in range(1, n + 1)]
-    defect = 0.0
+    eye = DiagonalOperator.identity(spec)
+    gens = [torus_generator_diagonals(spec, axis) for axis in range(1, n + 1)]
+    defects = []
     sign: int | None = None
     for u, v in gens:
         for w in (u, v):
-            defect = max(defect, certified_l2_norm(w.entries.conj().T @ w.entries - eye, tol))
-            defect = max(defect, certified_l2_norm(np.linalg.matrix_power(w.entries, k) - eye, tol))
-        uv = u.entries @ v.entries
-        vu = v.entries @ u.entries
-        idx = int(np.argmax(np.abs(vu)))
-        ratio = uv.flat[idx] / vu.flat[idx]
+            defects.append(certified_l2_norm(w.adjoint() @ w - eye, tol))
+            defects.append(certified_l2_norm(_power(w, k) - eye, tol))
+        uv = u @ v
+        vu = v @ u  # one diagonal, at the same shift as uv
+        idx = int(np.argmax(np.abs(vu.values)))
+        ratio = uv.values.flat[idx] / vu.values.flat[idx]
         minus = complex(np.exp(-2j * np.pi * hbar))
         plus = complex(np.exp(2j * np.pi * hbar))
         if abs(minus - plus) > 1e-9:
             axis_sign = -1 if abs(ratio - minus) <= abs(ratio - plus) else 1
             if sign is not None and axis_sign != sign:
                 # inconsistent within one level; surface as a huge defect
-                return float("inf"), None
+                return L2Reading(float("inf"), "sign_inconsistent", float("inf")), None
             sign = axis_sign
         phase = minus if (sign or -1) == -1 else plus
-        defect = max(defect, certified_l2_norm(uv - phase * vu, tol))
+        defects.append(certified_l2_norm(uv - vu.scale(phase), tol))
     for i in range(n):
         for j in range(i + 1, n):
             ui, vi = gens[i]
             uj, vj = gens[j]
             for a, b in ((ui, uj), (vi, vj), (ui, vj), (vi, uj)):
-                defect = max(defect, certified_l2_norm(a.entries @ b.entries - b.entries @ a.entries, tol))
-    return defect, sign
+                defects.append(certified_l2_norm(a @ b - b @ a, tol))
+    return max(defects), sign
 
 
 def torus_relations_sweep(n: int, ks: Sequence[int]) -> ConvergenceReport:
     """Generator relation defects per level (tolerance 1e-12) and one
-    commutation sign across all levels where it is observable."""
+    commutation sign across all levels where it is observable; the details
+    name the l2 route of each level's worst defect."""
     tol = 1e-12
     cells = [torus_relation_defects(n, k, tol) for k in ks]
-    rows = [SweepPoint(k, 1.0 / k, d, "l2") for k, (d, _s) in zip(ks, cells)]
+    rows = [SweepPoint(k, 1.0 / k, float(d), "l2") for k, (d, _s) in zip(ks, cells)]
     signs = {k: s for k, (_d, s) in zip(ks, cells) if s is not None}
     distinct = sorted(set(signs.values()))
-    max_defect = max(d for d, _s in cells)
+    max_defect = float(max(d for d, _s in cells))
     ok = len(distinct) <= 1 and max_defect <= tol
     series = [
         SeriesSummary(
@@ -778,6 +812,7 @@ def torus_relations_sweep(n: int, ks: Sequence[int]) -> ConvergenceReport:
             "max_defect": max_defect,
             "tolerance": tol,
             "note": "sign is unobservable at k=2 where the phase is real",
+            **_l2_details(ks, [d for d, _s in cells]),
         },
     )
 

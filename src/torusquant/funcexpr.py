@@ -256,43 +256,6 @@ def max_variable_index(ast: ExprAst) -> int:
     return max((v.index for v in variables(ast)), default=0)
 
 
-# -- printing ----------------------------------------------------------------
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def to_source(ast: ExprAst) -> str:
-    """Render an AST back to grammar text; parse(to_source(a)) == a."""
-    return _render(ast, 0)
-
-
-def _render(ast: ExprAst, parent_prec: int) -> str:
-    if isinstance(ast, Number):
-        v = ast.value
-        return repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
-    if isinstance(ast, PiConstant):
-        return "pi"
-    if isinstance(ast, Variable):
-        return f"{ast.axis}{ast.index}"
-    if isinstance(ast, Unary):
-        if ast.op == "neg":
-            inner = _render(ast.operand, _PRECEDENCE["neg"])
-            text = f"-{inner}"
-            return f"({text})" if parent_prec > _PRECEDENCE["neg"] else text
-        return f"{ast.op}({_render(ast.operand, 0)})"
-    if isinstance(ast, Binary):
-        prec = _PRECEDENCE[ast.op]
-        if ast.op == "^":
-            left = _render(ast.left, prec + 1)
-            return f"{left}^{_render(ast.right, 0)}"
-        left = _render(ast.left, prec)
-        # - and / do not associate on the right
-        right = _render(ast.right, prec + (1 if ast.op in "-/" else 0))
-        text = f"{left} {ast.op} {right}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(f"not an expression node: {ast!r}")
-
-
 # -- evaluation --------------------------------------------------------------
 
 

@@ -22,9 +22,13 @@ residue p mod k: ``toeplitz_diagonals`` builds them in O(#terms(f) * k^n)
 time, in key-order blocks of terms whose temporaries stay
 O(TERM_BLOCK_ENTRIES + R k^n), and ``np.add.at`` sums each block in key order
 on 1-D flat indices, its fast path.  The diagonal form acts matrix-free
-(``matvec``, ``rmatvec``) at any dimension and is what the sweeps take their
-norms from (see ``analysis.operator_norm``); ``assemble_toeplitz`` scatters
-it into a dense matrix below ``DENSE_DIM_CAP``.
+(``matvec``, ``rmatvec``) at any dimension and has an operator algebra
+closed on diagonals (``@``, ``+``, ``-``, ``scale``, ``adjoint``,
+``trace``): a product of R_A and R_B diagonals has at most R_A R_B, found in
+O(R_A R_B k^n) time, so the sweeps and the acceptance checks take their
+operators, defects and norms from it (see ``analysis.operator_norm``) with
+no dense product.  ``dense()`` and ``assemble_toeplitz`` scatter it into a
+dense matrix below ``DENSE_DIM_CAP``.
 """
 
 from __future__ import annotations
@@ -155,6 +159,13 @@ def _distinct_residues(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     return np.stack(np.unravel_index(codes, shape), axis=-1), which.reshape(-1)
 
 
+def _add_rows(out: np.ndarray, which: np.ndarray, rows: np.ndarray) -> None:
+    """out[which[i]] += rows[i] for every i, repeated targets summed in the
+    order of i, by one ``np.add.at`` on flat indices."""
+    width = out.shape[1]
+    np.add.at(out.reshape(-1), (which[:, None] * width + np.arange(width)).ravel(), rows.ravel())
+
+
 class DiagonalOperator:
     """Level-k operator stored as its R nonzero wrapped diagonals.
 
@@ -191,6 +202,58 @@ class DiagonalOperator:
         """A* y (the conjugate transpose) for a length-k^n vector y."""
         return (self.values.conj() * np.asarray(y)[self.rows]).sum(axis=0)
 
+    @classmethod
+    def identity(cls, spec: HilbertSpec) -> "DiagonalOperator":
+        return cls(spec, np.zeros((1, spec.n), dtype=np.int64), np.ones((1, spec.dim)))
+
+    def _check_compatible(self, other: "DiagonalOperator") -> None:
+        if self.spec != other.spec:
+            raise ValueError(f"operators on different spaces: {self.spec} vs {other.spec}")
+
+    def __matmul__(self, other: "DiagonalOperator") -> "DiagonalOperator":
+        """Diagonal r of self after diagonal s of other lands on shift r + s
+        with values self.values[r][other.rows[s]] * other.values[s]; the
+        rows of self go in blocks of at most TERM_BLOCK_ENTRIES entries."""
+        self._check_compatible(other)
+        sums = self.shifts[:, None, :] + other.shifts[None, :, :]
+        shifts, which = _distinct_residues(sums.reshape(-1, self.spec.n), self.spec.k)
+        which = which.reshape(sums.shape[:2])
+        out = np.zeros((len(shifts), self.spec.dim), dtype=complex)
+        block = max(1, TERM_BLOCK_ENTRIES // max(other.values.size, 1))
+        for start in range(0, len(self.shifts), block):
+            part = slice(start, start + block)
+            _add_rows(out, which[part].ravel(), self.values[part][:, other.rows] * other.values)
+        return DiagonalOperator(self.spec, shifts, out)
+
+    def __add__(self, other: "DiagonalOperator") -> "DiagonalOperator":
+        return self._plus(other, other.values)
+
+    def __sub__(self, other: "DiagonalOperator") -> "DiagonalOperator":
+        return self._plus(other, -other.values)
+
+    def _plus(self, other: "DiagonalOperator", values: np.ndarray) -> "DiagonalOperator":
+        """self plus the diagonals ``values`` at the shifts of other, the
+        diagonals of equal residues summed, self's first."""
+        self._check_compatible(other)
+        shifts, which = _distinct_residues(np.concatenate([self.shifts, other.shifts]), self.spec.k)
+        out = np.zeros((len(shifts), self.spec.dim), dtype=complex)
+        _add_rows(out, which, np.concatenate([self.values, values]))
+        return DiagonalOperator(self.spec, shifts, out)
+
+    def scale(self, value: complex) -> "DiagonalOperator":
+        return DiagonalOperator(self.spec, self.shifts, self.values * complex(value))
+
+    def adjoint(self) -> "DiagonalOperator":
+        """The conjugate transpose: diagonal r becomes diagonal -r, entry
+        values[r, m'] moving to column [m' + r]."""
+        values = np.zeros_like(self.values)
+        np.put_along_axis(values, self.rows, self.values.conj(), axis=1)
+        return DiagonalOperator(self.spec, -self.shifts, values)
+
+    def trace(self) -> complex:
+        """The sum of the shift-0 diagonal."""
+        return complex(self.values[~self.shifts.any(axis=1)].sum())
+
     def dense(self) -> QuantumOperator:
         """The dense matrix: a scatter of the diagonals (below the dense cap)."""
         _check_dense(self.spec)
@@ -216,7 +279,6 @@ def toeplitz_diagonals(f: TrigPoly, spec: HilbertSpec) -> DiagonalOperator:
     n, k, dim = spec.n, spec.k, spec.dim
     shifts, which = _distinct_residues(f.keys[:, :n], k)
     values = np.zeros((len(shifts), dim), dtype=complex)
-    flat, cols = values.reshape(-1), np.arange(dim)
     grid_t = _residue_grid(n, k).T  # columns are the column residues m'
     block = max(1, TERM_BLOCK_ENTRIES // dim)
     for start in range(0, len(f.values), block):
@@ -226,7 +288,7 @@ def toeplitz_diagonals(f: TrigPoly, spec: HilbertSpec) -> DiagonalOperator:
             # at m/k, unreduced is fine: profiles are 1-periodic
             phase += (p * q).sum(axis=1)[:, None]
         terms = f.values[start:start + block, None] * np.exp(2j * np.pi * spec.hbar * phase)
-        np.add.at(flat, (which[start:start + block, None] * dim + cols).ravel(), terms.ravel())
+        _add_rows(values, which[start:start + block], terms)
     return DiagonalOperator(spec, shifts, values)
 
 
@@ -235,21 +297,25 @@ def assemble_toeplitz(f: TrigPoly, spec: HilbertSpec) -> QuantumOperator:
     return toeplitz_diagonals(f, spec).dense()
 
 
-def intertwine(op: QuantumOperator) -> QuantumOperator:
+def intertwine(op):
     """Re-express a MOMENTUM-basis operator on the POSITION-basis space.
 
     The pairing between the two bases matches the mth dual vector with the
-    mth primary vector, so the matrix entries are unchanged; only the tag
-    flips.  Applying it to a POSITION operator is an error.
+    mth primary vector, so the matrix entries (or the diagonals of a
+    DiagonalOperator) are unchanged; only the tag flips.  Applying it to a
+    POSITION operator is an error.
     """
     if op.spec.polarization is not Polarization.MOMENTUM:
         raise PolarizationError("intertwine expects a MOMENTUM-basis operator")
     target = HilbertSpec(op.spec.n, op.spec.k, Polarization.POSITION)
+    if isinstance(op, DiagonalOperator):
+        return DiagonalOperator(target, op.shifts, op.values)
     return QuantumOperator(target, op.entries)
 
 
-def quantum_torus_generators(spec: HilbertSpec, axis: int) -> tuple[QuantumOperator, QuantumOperator]:
-    """Quantized unit harmonics (U_i, V_i) for 1-based axis i.
+def torus_generator_diagonals(spec: HilbertSpec, axis: int) -> tuple[DiagonalOperator, DiagonalOperator]:
+    """Quantized unit harmonics (U_i, V_i) for 1-based axis i, one wrapped
+    diagonal each.
 
     U_i quantizes e^{2 pi i x_i} (a cyclic shift), V_i quantizes
     e^{2 pi i y_i} (a clock diagonal); they satisfy
@@ -259,9 +325,15 @@ def quantum_torus_generators(spec: HilbertSpec, axis: int) -> tuple[QuantumOpera
         raise ValueError(f"axis must be in 1..{spec.n}, got {axis}")
     e = tuple(1 if j == axis - 1 else 0 for j in range(spec.n))
     zero = (0,) * spec.n
-    u = assemble_toeplitz(TrigPoly.harmonic(spec.n, e, zero), spec)
-    v = assemble_toeplitz(TrigPoly.harmonic(spec.n, zero, e), spec)
+    u = toeplitz_diagonals(TrigPoly.harmonic(spec.n, e, zero), spec)
+    v = toeplitz_diagonals(TrigPoly.harmonic(spec.n, zero, e), spec)
     return u, v
+
+
+def quantum_torus_generators(spec: HilbertSpec, axis: int) -> tuple[QuantumOperator, QuantumOperator]:
+    """The dense matrices of ``torus_generator_diagonals(spec, axis)``."""
+    u, v = torus_generator_diagonals(spec, axis)
+    return u.dense(), v.dense()
 
 
 def operator_to_csv(op: QuantumOperator) -> str:

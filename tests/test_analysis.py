@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,8 +14,10 @@ from scipy.special import iv
 from torusquant.analysis import (
     ERROR_FLOOR,
     ConvergenceReport,
+    L2Reading,
     NormKind,
     TooFewPointsError,
+    _exact_transform_defect,
     certified_l2_norm,
     error_intertwine,
     error_product,
@@ -29,8 +32,16 @@ from torusquant.analysis import (
     trace_error,
 )
 from torusquant.config import ConfigError, ExperimentConfig, FunctionSpec
-from torusquant.quantize import HilbertSpec, Polarization, QuantumOperator, assemble_toeplitz, intertwine
-from torusquant.starprod import berezin_truncated, star_truncated
+from torusquant.quantize import (
+    DENSE_DIM_CAP,
+    HilbertSpec,
+    Polarization,
+    QuantumOperator,
+    assemble_toeplitz,
+    intertwine,
+    toeplitz_diagonals,
+)
+from torusquant.starprod import HbarValue, berezin_truncated, star_exact, star_truncated
 from torusquant.trigpoly import TrigPoly, random_trig_poly
 
 X = TrigPoly.harmonic(1, (1,), (0,))
@@ -280,6 +291,45 @@ def test_torus_relation_defects_values():
     defect2, sign2 = torus_relation_defects(1, 2)
     assert defect2 < 1e-12
     assert sign2 is None  # phase is real at k = 2
+
+
+def test_certified_norm_names_its_route():
+    rng = np.random.default_rng(35)
+    tiny = toeplitz_diagonals(TrigPoly.constant(1, 1e-15), HilbertSpec(1, 8))
+    reading = certified_l2_norm(tiny, 1e-10)
+    assert isinstance(reading, L2Reading) and reading.describe() == {"method": "interp_bound"}
+    assert reading == reading.upper == pytest.approx(1e-15, rel=1e-12)
+    op = toeplitz_diagonals(random_trig_poly(rng, 1, 2), HilbertSpec(1, 8))
+    reading = certified_l2_norm(op, 1e-10)
+    assert reading.method == "lapack_svd"
+    assert reading == spectral_norm(op.dense().entries)
+
+
+def test_checks_run_matrix_free_above_the_dense_cap():
+    # n = 2, k = 65: dimension 4225, above the dense cap
+    k = 65
+    spec = HilbertSpec(2, k)
+    assert spec.dim > DENSE_DIM_CAP
+    rng = np.random.default_rng(36)
+    f, g = random_trig_poly(rng, 2, 1), random_trig_poly(rng, 2, 1)
+    tracemalloc.start()
+    try:
+        # criterion 1: the operator product against the exact star product
+        product = toeplitz_diagonals(f, spec) @ toeplitz_diagonals(g, spec)
+        tol = 1e-10 * (1.0 + f.l1_norm() * g.l1_norm())  # ||Q_f|| <= ||f||_l1
+        defect = certified_l2_norm(product - toeplitz_diagonals(star_exact(f, g, HbarValue(k)), spec), tol)
+        assert defect <= tol
+        # criterion 3: the basis change against the exact transform
+        assert certified_l2_norm(_exact_transform_defect(f, k), 1e-10) <= 1e-10
+        # criterion 4: band-limited traces are exact
+        assert trace_error(f, k) <= 1e-10 * abs(f.mean) + 1e-12
+        # criterion 5: the generator relations
+        relations, sign = torus_relation_defects(2, k)
+        assert relations <= 1e-12 and sign == -1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * spec.dim**2 / 2
 
 
 RANDOM_F = FunctionSpec(random_bandwidth=2, random_decay=8.0)

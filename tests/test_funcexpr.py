@@ -10,18 +10,50 @@ from scipy.special import iv
 from torusquant import funcexpr
 from torusquant.funcexpr import (
     ArityError,
+    Binary,
     EvaluationError,
     ExpressionError,
     ExprSyntaxError,
+    Number,
+    PiConstant,
     ProjectionSpec,
+    Unary,
     UnknownIdentifierError,
+    Variable,
     default_grid,
     evaluate,
     parse,
     project,
     sample_grid,
-    to_source,
 )
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def to_source(ast, parent_prec: int = 0) -> str:
+    """Render an AST back to grammar text, parenthesizing by precedence: the
+    oracle of the parse round trip, parse(to_source(a)) == a."""
+    if isinstance(ast, Number):
+        v = ast.value
+        return repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
+    if isinstance(ast, PiConstant):
+        return "pi"
+    if isinstance(ast, Variable):
+        return f"{ast.axis}{ast.index}"
+    if isinstance(ast, Unary):
+        if ast.op == "neg":
+            text = f"-{to_source(ast.operand, _PRECEDENCE['neg'])}"
+            return f"({text})" if parent_prec > _PRECEDENCE["neg"] else text
+        return f"{ast.op}({to_source(ast.operand)})"
+    if isinstance(ast, Binary):
+        prec = _PRECEDENCE[ast.op]
+        if ast.op == "^":
+            return f"{to_source(ast.left, prec + 1)}^{to_source(ast.right)}"
+        # - and / do not associate on the right
+        right = to_source(ast.right, prec + (1 if ast.op in "-/" else 0))
+        text = f"{to_source(ast.left, prec)} {ast.op} {right}"
+        return f"({text})" if parent_prec > prec else text
+    raise TypeError(f"not an expression node: {ast!r}")
 
 
 def test_parse_precedence():

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from torusquant.analysis import (
     L2_CERT_DELTA,
+    LAPACK_L2_MAX_DIM,
     L2Reading,
+    L2RouteError,
     NormKind,
     _certify,
-    _gram,
     _interleaving,
     norm_bound_sweep,
     operator_norm,
@@ -71,7 +72,7 @@ def test_certified_l2_brackets_the_lapack_norm(seed, n, bandwidth, kind, k, pola
 
 @pytest.mark.parametrize(
     "seed, n, bandwidth, kind, k",
-    [(5, 1, 2, "product", 64), (6, 1, 3, "random", 128), (7, 2, 1, "random", 16), (8, 2, 1, "berezin", 12)],
+    [(5, 1, 2, "product", 256), (6, 1, 3, "random", 128), (7, 2, 1, "random", 16), (8, 2, 1, "berezin", 12)],
 )
 def test_lanczos_answers_once_the_band_has_three_blocks(seed, n, bandwidth, kind, k):
     op = _diagonals(seed, n, bandwidth, kind, k)
@@ -100,7 +101,7 @@ def test_interleaved_gram_matrix_is_block_tridiagonal(seed, n, bandwidth, kind, 
     a = op.dense().entries
     gram = a.conj().T @ a
     # the band holds every entry of A*A, and nothing else
-    band = _gram(op)
+    band = op.adjoint() @ op
     assert np.abs(band.dense().entries - gram).max() <= 1e-13 * np.abs(gram).max()
     # in the interleaved order nothing lies outside the tridiagonal blocks
     perm, block = _interleaving(op)
@@ -117,7 +118,7 @@ def test_interleaved_gram_matrix_is_block_tridiagonal(seed, n, bandwidth, kind, 
 )
 def test_certificate_refuses_a_value_below_the_norm(seed, n, bandwidth, kind, k):
     op = _diagonals(seed, n, bandwidth, kind, k)
-    gram = _gram(op)
+    gram = op.adjoint() @ op
     sigma2 = spectral_norm(op.dense().entries) ** 2
     assert not _certify(gram, sigma2 * (1.0 - 1e-9), _interleaving(op))
     assert _certify(gram, sigma2 * (1.0 + L2_CERT_DELTA), _interleaving(op))
@@ -143,13 +144,14 @@ def test_lanczos_l2_needs_no_dense_array():
 def test_sweep_details_name_the_l2_route_per_level():
     rng = np.random.default_rng(41)
     f, g = random_trig_poly(rng, 1, 2, decay=8.0), random_trig_poly(rng, 1, 2, decay=8.0)
-    ks = (8, 16, 32, 64, 128)
+    ks = (8, 16, 32, 64, 128, 256)
     report = product_sweep(f, g, 1, ks)
     methods = report.details["l2_methods"]
     assert [m["k"] for m in methods] == list(ks)
-    # the remainder has bandwidth 4: three blocks of 16 residues from k = 48 on
-    assert [m["method"] for m in methods] == ["lapack_svd"] * 3 + ["lanczos_certified"] * 2
-    assert all(m["steps"] > 0 for m in methods[3:])
+    # LAPACK answers up to dimension 64; above it the remainder, of bandwidth
+    # 4, leaves at least three blocks of 16 residues for Lanczos
+    assert [m["method"] for m in methods] == ["lapack_svd"] * 4 + ["lanczos_certified"] * 2
+    assert all(m["steps"] > 0 for m in methods[4:])
     assert report.details["l2_cert_delta"] == L2_CERT_DELTA
     assert report.to_dict() == product_sweep(f, g, 1, ks).to_dict()
 
@@ -157,7 +159,7 @@ def test_sweep_details_name_the_l2_route_per_level():
 def test_norm_bound_is_judged_on_the_certified_upper_value():
     # the shift e^{2 pi i x} is unitary: its norm equals its coefficient bound
     f = TrigPoly.harmonic(1, (1,), (0,))
-    report = norm_bound_sweep(f, (2, 64))
+    report = norm_bound_sweep(f, (2, 128))
     assert report.passed
     assert [m["method"] for m in report.details["l2_methods"]] == ["lapack_svd", "lanczos_certified"]
     assert report.details["max_upper"] == pytest.approx(np.sqrt(1.0 + L2_CERT_DELTA), rel=1e-15)
@@ -171,3 +173,25 @@ def test_zero_operator_reads_zero():
     assert operator_norm(op, NormKind.L1) == operator_norm(op, NormKind.LINF) == 0.0
     reading = operator_norm(op, NormKind.L2)
     assert reading == 0.0 and reading.upper == 0.0 and reading.method == "lapack_svd"
+
+
+def test_lapack_answers_up_to_dimension_64_and_lanczos_above():
+    assert LAPACK_L2_MAX_DIM == 64
+    for n, k, method in ((1, 64, "lapack_svd"), (1, 128, "lanczos_certified")):
+        op = _diagonals(51, n, 1, "random", k)
+        assert _interleaving(op) is not None  # the band alone would let Lanczos answer
+        reading = operator_norm(op, NormKind.L2)
+        assert reading.method == method
+        assert reading == pytest.approx(spectral_norm(op.dense().entries), rel=L2_CERT_DELTA)
+
+
+def test_lanczos_out_of_budget_above_the_dense_cap_names_what_failed(monkeypatch):
+    monkeypatch.setattr("torusquant.analysis.LANCZOS_BUDGET", 8)
+    op = _diagonals(61, 1, 2, "random", 4097)
+    with pytest.raises(L2RouteError) as err:
+        operator_norm(op, NormKind.L2)
+    message = str(err.value)
+    assert "dimension 4097" in message
+    assert "after 8 Lanczos steps" in message and "LANCZOS_BUDGET = 8" in message
+    assert "convergence test" in message
+    assert isinstance(err.value, ValueError)

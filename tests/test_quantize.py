@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusquant.quantize import (
     DENSE_DIM_CAP,
@@ -19,6 +21,7 @@ from torusquant.quantize import (
     operator_to_csv,
     quantum_torus_generators,
     toeplitz_diagonals,
+    torus_generator_diagonals,
     write_operator_csv,
 )
 from torusquant.starprod import HbarValue, star_exact, star_truncated
@@ -282,6 +285,64 @@ def test_operator_arithmetic_and_space_checks():
     other = assemble_toeplitz(TrigPoly.constant(1, 1.0), HilbertSpec(1, 4))
     with pytest.raises(ValueError):
         u @ other
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2]),
+    bandwidths=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    k=st.integers(1, 9),
+    polarization=st.sampled_from(["position", "momentum"]),
+)
+@example(seed=1, n=1, bandwidths=(3, 2), k=3, polarization="position")  # shift sums collide mod k
+@example(seed=2, n=2, bandwidths=(2, 2), k=4, polarization="momentum")  # k <= 2 * bandwidth
+@example(seed=3, n=1, bandwidths=(2, 3), k=9, polarization="momentum")
+def test_diagonal_algebra_matches_the_dense_algebra(seed, n, bandwidths, k, polarization):
+    rng = np.random.default_rng(seed)
+    spec = HilbertSpec(n, k, polarization)
+    da, db = (toeplitz_diagonals(random_trig_poly(rng, n, b), spec) for b in bandwidths)
+    a, b = da.dense().entries, db.dense().entries
+    c = complex(*rng.standard_normal(2))
+    # the bound on every entry of the dense product a b
+    entry_bound = np.abs(a).sum(axis=1).max() * np.abs(b).sum(axis=0).max()
+    for got, want, scale in (
+        (da @ db, a @ b, entry_bound),
+        (da + db, a + b, np.abs(a).max() + np.abs(b).max()),
+        (da - db, a - b, np.abs(a).max() + np.abs(b).max()),
+        (da.scale(c), a * c, np.abs(a).max() * abs(c)),
+        (da.adjoint(), a.conj().T, np.abs(a).max()),
+        (da.adjoint() @ da, a.conj().T @ a, np.abs(a).sum(axis=0).max() ** 2),
+    ):
+        assert got.spec == spec
+        assert np.abs(got.dense().entries - want).max() <= 1e-13 * scale
+    assert abs(da.trace() - np.trace(a)) <= 1e-13 * np.abs(a).max() * spec.dim
+    assert np.array_equal(DiagonalOperator.identity(spec).dense().entries, np.eye(spec.dim))
+
+
+def test_diagonal_product_merges_colliding_shifts():
+    # bandwidth 3 at k = 3: seven x-frequencies alias onto three residues,
+    # and the 3 x 3 shift sums of a product onto three again
+    spec = HilbertSpec(1, 3)
+    rng = np.random.default_rng(4)
+    da, db = (toeplitz_diagonals(random_trig_poly(rng, 1, 3), spec) for _ in range(2))
+    product = da @ db
+    assert len(da.shifts) == len(db.shifts) == len(product.shifts) == 3
+    a, b = da.dense().entries, db.dense().entries
+    entry_bound = np.abs(a).sum(axis=1).max() * np.abs(b).sum(axis=0).max()
+    assert np.abs(product.dense().entries - a @ b).max() <= 1e-13 * entry_bound
+    with pytest.raises(ValueError):
+        da @ toeplitz_diagonals(TrigPoly.constant(1, 1.0), HilbertSpec(1, 4))
+    with pytest.raises(ValueError):
+        da + toeplitz_diagonals(TrigPoly.constant(1, 1.0), HilbertSpec(1, 3, "momentum"))
+
+
+def test_dense_generators_scatter_the_diagonal_ones():
+    spec = HilbertSpec(2, 3)
+    for axis in (1, 2):
+        for dense, diagonal in zip(quantum_torus_generators(spec, axis), torus_generator_diagonals(spec, axis)):
+            assert len(diagonal.shifts) == 1
+            assert np.array_equal(dense.entries, diagonal.dense().entries)
 
 
 def test_state_and_operator_are_frozen():
