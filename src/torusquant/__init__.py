@@ -48,15 +48,12 @@ from .starprod import (
     berezin_truncated,
     bidifferential,
     equivalence_map,
-    mixed_laplacian,
     star_exact,
-    star_formal,
     star_trace,
     star_truncated,
 )
 from .trigpoly import (
     DimensionMismatchError,
-    FibrewiseCoefficient,
     TrigPoly,
     poisson_bracket,
     random_trig_poly,
@@ -71,7 +68,6 @@ __all__ = [
     "DimensionMismatchError",
     "ExperimentConfig",
     "ExpressionError",
-    "FibrewiseCoefficient",
     "FunctionSpec",
     "HbarSeries",
     "HbarValue",
@@ -100,7 +96,6 @@ __all__ = [
     "error_product",
     "fit_slope",
     "intertwine",
-    "mixed_laplacian",
     "operator_norm",
     "parse",
     "parse_config",
@@ -112,7 +107,6 @@ __all__ = [
     "run_experiment",
     "spectral_norm",
     "star_exact",
-    "star_formal",
     "star_trace",
     "star_truncated",
     "superpoly_decay_ok",

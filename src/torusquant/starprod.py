@@ -1,29 +1,31 @@
-"""Star products on the torus: truncated, exact, and their transforms.
+"""Star products, the Berezin transform and equivalence maps on the torus.
 
-Three product orientations are supported, all deformations of the pointwise
-product with the same Poisson bracket at first order:
+Every map here is one engine: a quadratic phase per frequency term.  On
+exponentials each map multiplies an amplitude by e^{psi hbar} and moves it
+to a known key, so the exact map at hbar = 1/k is that exponential and its
+order-j term is the Taylor coefficient psi^j / j!.  ``_phase_series`` reads
+orders 0..N off one key sort; ``star_exact`` and ``berezin_exact`` take the
+exponential instead.
 
-* ``STAR``: separation-of-variables product whose order-k term is
+* Products (``star_truncated``, ``bidifferential``, ``star_exact``): the
+  pair of f-term (p, a) and g-term (q, b) lands on (p+q, a+b) with
+  psi = i theta, theta = 2 pi a.q (``STAR``, the separation-of-variables
+  product), -2 pi p.b (``CHECK``, its opposite-separation partner) or
+  pi (a.q - p.b) (``MOYAL``, the symmetric Weyl-type product).  All three
+  deform the pointwise product with the same Poisson bracket.
+* Berezin transform (``berezin_truncated``, ``berezin_exact``): the term
+  (p, a) keeps its key with psi = 2 pi i p.a.  This is e^{-hbar Delta},
+  Delta = (i / 2 pi) sum_i d^2 / dx_i dy_i: the Fourier-type transform that
+  switching the two real polarizations induces on the symbols.
+* Equivalence maps (``equivalence_map``): e^{(hbar/2) d_gamma} with
+  d_gamma = sum_ij gamma_ij d^2 / du_i du_j gives the term of key u the phase
+  psi = -2 pi^2 u^T gamma u.  With gamma = T_STAR - T_CHECK, the difference
+  of the orientation tensors (2n x 2n, entry (n+i, i) of T_STAR is
+  1 / (2 pi i) and entry (i, n+i) of T_CHECK is i / (2 pi)), psi is the
+  Berezin phase, so the Berezin series is the equivalence map of that gamma.
 
-      (1/(2 pi i)^k) sum_{|I|=k} (1/I!) (d^k f / dy^I) (d^k g / dx^I)
-
-* ``CHECK``: the opposite-separation partner, with x and y derivatives
-  swapped and the conjugate constant (i/(2 pi))^k;
-
-* ``MOYAL``: the symmetric Weyl-type product, order-k term
-
-      (i/(4 pi))^k sum_{j=0..k} (-1)^{k-j} sum_{|I|=j, |J|=k-j}
-          (1/(I! J!)) (d_x^I d_y^J f) (d_y^I d_x^J g).
-
-On a pair of exponentials e^{2 pi i (p.x + a.y)}, e^{2 pi i (q.x + b.y)} all
-three sum to a closed-form phase e^{i theta hbar} on the product exponential,
-with theta = 2 pi a.q (STAR), -2 pi p.b (CHECK) or pi (a.q - p.b) (MOYAL), and
-the order-j term is its j-th Taylor coefficient (i theta)^j / j!.  So
-``star_exact`` and ``star_truncated`` are the same vectorized pass over the
-term pairs (an outer sum of keys, then one sort and segmented sum), with
-``exp`` or its truncated series.  The Berezin transform is likewise a phase
-per term.  The derivative formulas above are not used at run time: the tests
-keep them as the independent oracle for the pass.
+The multi-index derivative formulas of these maps are not used at run time:
+``tests/test_array_oracles.py`` keeps them as the independent oracle.
 """
 
 from __future__ import annotations
@@ -97,28 +99,6 @@ class HbarSeries:
             scale *= hbar
         return _collect(self.n, np.concatenate(keys), np.concatenate(values))
 
-    def __add__(self, other: "HbarSeries") -> "HbarSeries":
-        if self.n != other.n:
-            raise ValueError("mixing series on different tori")
-        size = max(len(self.coefficients), len(other.coefficients))
-        return HbarSeries(
-            self.n,
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(size)),
-        )
-
-    def __sub__(self, other: "HbarSeries") -> "HbarSeries":
-        if self.n != other.n:
-            raise ValueError("mixing series on different tori")
-        size = max(len(self.coefficients), len(other.coefficients))
-        return HbarSeries(
-            self.n,
-            tuple(self.coefficient(i) - other.coefficient(i) for i in range(size)),
-        )
-
-    def l1_distance(self, other: "HbarSeries") -> float:
-        diff = self - other
-        return sum(c.l1_norm() for c in diff.coefficients)
-
 
 def _check_order(order: int) -> int:
     if int(order) != order or order < 0:
@@ -148,21 +128,26 @@ def _pair_angles(f: TrigPoly, g: TrigPoly, orientation: Orientation) -> tuple[fl
     raise TypeError(f"unknown orientation {orientation!r}")
 
 
-def _taylor_terms(f: TrigPoly, g: TrigPoly, orientation: Orientation, last: int) -> list[TrigPoly]:
-    """Order-j terms of the product for j = 0..last, from one sort.
+def _phase_series(n: int, keys: np.ndarray, amps: np.ndarray, psi: np.ndarray, last: int) -> list[TrigPoly]:
+    """Orders j = 0..last of sum_m amps[m] psi[m]^j / j! e^{2 pi i keys[m]}.
 
-    Each pair contributes its amplitude times (i theta)^j / j!, the j-th
-    Taylor coefficient of its exact phase e^{i theta hbar}.
+    One ``_group_keys`` sort serves every order; order j is the j-th Taylor
+    coefficient of the per-term phase e^{psi hbar}.
     """
+    groups = _group_keys(keys)
+    terms = [_sum_groups(n, groups, amps)]
+    for j in range(1, last + 1):
+        amps = amps * psi / j
+        terms.append(_sum_groups(n, groups, amps))
+    return terms
+
+
+def _taylor_terms(f: TrigPoly, g: TrigPoly, orientation: Orientation, last: int) -> list[TrigPoly]:
+    """Order-j terms of the product for j = 0..last: each pair contributes
+    its amplitude times (i theta)^j / j!."""
     const, m = _pair_angles(f, g, orientation)
     keys, weights = _pair_terms(f, g)
-    groups = _group_keys(keys)
-    itheta = 1j * (const * m)
-    terms = [_sum_groups(f.n, groups, weights)]
-    for j in range(1, last + 1):
-        weights = weights * itheta / j
-        terms.append(_sum_groups(f.n, groups, weights))
-    return terms
+    return _phase_series(f.n, keys, weights, 1j * (const * m), last)
 
 
 def bidifferential(order: int, f: TrigPoly, g: TrigPoly, orientation: Orientation) -> TrigPoly:
@@ -187,26 +172,6 @@ def star_truncated(f: TrigPoly, g: TrigPoly, order: int, orientation: Orientatio
     return HbarSeries(f.n, (f.multiply(g), *terms[1:]))
 
 
-def star_formal(a: HbarSeries, b: HbarSeries, order: int, orientation: Orientation = Orientation.STAR) -> HbarSeries:
-    """Product of two series, truncated at hbar^order."""
-    order = _check_order(order)
-    if a.n != b.n:
-        raise ValueError("mixing series on different tori")
-    coeffs = []
-    for total in range(order + 1):
-        acc = TrigPoly.zero(a.n)
-        for m in range(total + 1):
-            for i in range(total - m + 1):
-                j = total - m - i
-                fi = a.coefficient(i)
-                gj = b.coefficient(j)
-                if len(fi) == 0 or len(gj) == 0:
-                    continue
-                acc = acc + bidifferential(m, fi, gj, orientation)
-        coeffs.append(acc)
-    return HbarSeries(a.n, tuple(coeffs))
-
-
 def star_exact(f: TrigPoly, g: TrigPoly, h: HbarValue, orientation: Orientation = Orientation.STAR) -> TrigPoly:
     """Convergent product at hbar = 1/k via closed-form phases.
 
@@ -222,31 +187,19 @@ def star_exact(f: TrigPoly, g: TrigPoly, h: HbarValue, orientation: Orientation 
     return _collect(f.n, keys, amps * np.exp(1j * (const * h.hbar * m)))
 
 
-# -- Berezin transform -------------------------------------------------------
+# -- Berezin transform and equivalence maps ------------------------------------
 
 
-def mixed_laplacian(f: TrigPoly) -> TrigPoly:
-    """(i / 2 pi) sum_i d^2 f / dx_i dy_i.
-
-    On e^{2 pi i (p.x + a.y)} this multiplies by -2 pi i (p.a).
-    """
-    n = f.n
-    out = TrigPoly.zero(n)
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        out = out + f.differentiate(e, e)
-    return out.scale(1j / (2.0 * math.pi))
+def _mixed_dot(f: TrigPoly) -> np.ndarray:
+    """p.a for every term (p, a) of f."""
+    return np.einsum("ij,ij->i", f.keys[:, : f.n], f.keys[:, f.n :])
 
 
 def berezin_truncated(f: TrigPoly, order: int) -> HbarSeries:
-    """Series form of the Berezin transform: hbar^i term is (-Delta)^i f / i!."""
-    order = _check_order(order)
-    coeffs = [f]
-    current = f
-    for i in range(1, order + 1):
-        current = mixed_laplacian(current).scale(-1.0)
-        coeffs.append(current.scale(1.0 / math.factorial(i)))
-    return HbarSeries(f.n, tuple(coeffs))
+    """Series form e^{-hbar Delta} f of the Berezin transform: the hbar^j
+    term multiplies the (p, a) amplitude by (2 pi i p.a)^j / j!."""
+    psi = 2j * math.pi * _mixed_dot(f)
+    return HbarSeries(f.n, tuple(_phase_series(f.n, f.keys, f.values, psi, _check_order(order))))
 
 
 def berezin_exact(f: TrigPoly, h: HbarValue) -> TrigPoly:
@@ -256,54 +209,7 @@ def berezin_exact(f: TrigPoly, h: HbarValue) -> TrigPoly:
     for which re-expressing dual-basis matrices in the primary basis agrees
     with quantizing the transformed function exactly.
     """
-    n = f.n
-    pa = np.einsum("ij,ij->i", f.keys[:, :n], f.keys[:, n:])
-    return TrigPoly._from_arrays(n, f.keys, f.values * np.exp(1j * (2.0 * math.pi * h.hbar * pa)))
-
-
-# -- equivalence maps --------------------------------------------------------
-
-
-def orientation_tensor(orientation: Orientation, n: int) -> np.ndarray:
-    """2n x 2n matrix T with product = Mult o e^{hbar dT} on exponentials.
-
-    Coordinates are ordered (x_1..x_n, y_1..y_n); entry T[i, j] weights the
-    second-order operator acting as d/du_i on the left factor and d/du_j on
-    the right factor.
-    """
-    T = np.zeros((2 * n, 2 * n), dtype=complex)
-    if orientation is Orientation.STAR:
-        for i in range(n):
-            T[n + i, i] = 1.0 / (2j * math.pi)
-    elif orientation is Orientation.CHECK:
-        for i in range(n):
-            T[i, n + i] = 1j / (2.0 * math.pi)
-    elif orientation is Orientation.MOYAL:
-        for i in range(n):
-            T[i, n + i] = 1j / (4.0 * math.pi)
-            T[n + i, i] = -1j / (4.0 * math.pi)
-    else:
-        raise TypeError(f"unknown orientation {orientation!r}")
-    return T
-
-
-def _second_order_operator(gamma: np.ndarray, f: TrigPoly) -> TrigPoly:
-    n = f.n
-    out = TrigPoly.zero(n)
-    for i in range(2 * n):
-        for j in range(2 * n):
-            w = gamma[i, j]
-            if w == 0:
-                continue
-            xo = [0] * n
-            yo = [0] * n
-            for idx in (i, j):
-                if idx < n:
-                    xo[idx] += 1
-                else:
-                    yo[idx - n] += 1
-            out = out + f.differentiate(tuple(xo), tuple(yo)).scale(w)
-    return out
+    return TrigPoly._from_arrays(f.n, f.keys, f.values * np.exp(1j * (2.0 * math.pi * h.hbar * _mixed_dot(f))))
 
 
 def equivalence_map(gamma, order: int, f: TrigPoly) -> HbarSeries:
@@ -321,25 +227,9 @@ def equivalence_map(gamma, order: int, f: TrigPoly) -> HbarSeries:
         raise ValueError(f"gamma must be {2 * n}x{2 * n}, got {gamma.shape}")
     if not np.allclose(gamma, gamma.T, rtol=1e-12, atol=1e-15):
         raise ValueError("gamma must be symmetric")
-    coeffs = [f]
-    current = f
-    for i in range(1, order + 1):
-        current = _second_order_operator(gamma, current)
-        coeffs.append(current.scale(0.5 ** i / math.factorial(i)))
-    return HbarSeries(f.n, tuple(coeffs))
-
-
-def equivalence_map_series(gamma, order: int, series: HbarSeries) -> HbarSeries:
-    """Apply the formal map to a series, truncating at hbar^order."""
-    order = _check_order(order)
-    coeffs = [TrigPoly.zero(series.n) for _ in range(order + 1)]
-    for i, base in enumerate(series.coefficients[: order + 1]):
-        if len(base) == 0:
-            continue
-        mapped = equivalence_map(gamma, order - i, base)
-        for j, c in enumerate(mapped.coefficients):
-            coeffs[i + j] = coeffs[i + j] + c
-    return HbarSeries(series.n, tuple(coeffs))
+    # u^T gamma u from the exact integer products u_i u_j of each key u
+    quad = (f.keys[:, :, None] * f.keys[:, None, :]).reshape(len(f), 4 * n * n) @ gamma.reshape(-1)
+    return HbarSeries(n, tuple(_phase_series(n, f.keys, f.values, -2.0 * math.pi**2 * quad, order)))
 
 
 # -- trace -------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -62,34 +61,6 @@ def _as_point(v, n: int, what: str) -> tuple[float, ...]:
     if arr.shape != (n,):
         raise DimensionMismatchError(f"{what} has shape {arr.shape}, expected ({n},)")
     return tuple(arr)
-
-
-@dataclass(frozen=True)
-class FibrewiseCoefficient:
-    """One x-frequency slice of a trig polynomial.
-
-    For fixed m in Z^n this is the function of the fibre variable
-
-        y -> sum_q c_{m,q} e^{2 pi i q.y},
-
-    1-periodic in each y_i by construction.
-    """
-
-    m: FreqVector
-    profile: Mapping[FreqVector, complex]
-
-    def evaluate(self, y) -> complex:
-        n = len(self.m)
-        yy = _as_point(y, n, "y")
-        total = 0.0 + 0.0j
-        for q, c in self.profile.items():
-            total += c * cmath.exp(2j * math.pi * sum(qi * yi for qi, yi in zip(q, yy)))
-        return total
-
-    def as_trig_poly(self) -> "TrigPoly":
-        n = len(self.m)
-        zero = (0,) * n
-        return TrigPoly(n, {(zero, q): c for q, c in self.profile.items()})
 
 
 class TrigPoly:
@@ -189,9 +160,6 @@ class TrigPoly:
     def l1_norm(self) -> float:
         return float(np.abs(self.values).sum())
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max(initial=0.0))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrigPoly):
             return NotImplemented
@@ -205,9 +173,6 @@ class TrigPoly:
 
     def l1_distance(self, other: "TrigPoly") -> float:
         return (self - other).l1_norm()
-
-    def isclose(self, other: "TrigPoly", tol: float = 1e-10) -> bool:
-        return self.l1_distance(other) <= tol
 
     def truncate(self, tol: float) -> "TrigPoly":
         """Drop every amplitude below ``tol`` times the largest one."""
@@ -276,17 +241,7 @@ class TrigPoly:
                 factor *= (2j * math.pi * self.keys[:, column]) ** order
         return TrigPoly._from_arrays(n, self.keys, self.values * factor)
 
-    # -- structure ---------------------------------------------------------
-
-    def fibrewise_coefficient(self, m: Sequence[int]) -> FibrewiseCoefficient:
-        """Profile of the x-frequency m: y -> sum_q c_{m,q} e^{2 pi i q.y}."""
-        mm = _as_freq(m, self.n, "x-frequency")
-        rows = np.flatnonzero((self.keys[:, : self.n] == mm).all(axis=1))
-        profile = {tuple(self.keys[i, self.n :].tolist()): complex(self.values[i]) for i in rows}
-        return FibrewiseCoefficient(mm, profile)
-
-    def x_frequencies(self) -> list[FreqVector]:
-        return sorted({p for (p, _q), _c in self.terms()})
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, x, y) -> complex:
         xx = _as_point(x, self.n, "x")

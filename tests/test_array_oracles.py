@@ -1,13 +1,17 @@
 """Array routes of the symbol algebra against dict-of-tuples references.
 
 ``TrigPoly`` keeps sorted key and value arrays and reduces outer sums with one
-sort; the star products read each order off the Taylor series of a closed-form
-phase.  The references here are the plain loops over ``{(p, q): c}`` dicts
-that those routes replaced, and for the truncated products the multi-index
-derivative formula of each orientation (see ``torusquant.starprod``), built
-from dict derivatives and dict products only.  Every comparison allows 1e-12
-relative to the l1 size of the operands: the sum of |c_f c_g| times the size
-of the pair's factor, which is what rounding can move.
+sort; the star products, the Berezin series and the equivalence maps read
+each order off the Taylor series of a per-term phase.  The references here
+are the plain loops over ``{(p, q): c}`` dicts that those routes replaced,
+and for the series the derivative formulas they stand for (see
+``torusquant.starprod``): the multi-index formula of each product, powers of
+the mixed Laplacian, and powers of the second-order operator d_gamma, built
+from dict derivatives and dict products only (the multi-index sum of each
+product is summed in exact integers, so a cancelling sum is exactly zero and
+not a rounding remainder).  Every comparison allows 1e-12
+relative to the l1 size of the operands: the sum of |c_f c_g| (or |c_f|)
+times the size of the term's factor, which is what rounding can move.
 """
 
 import cmath
@@ -23,11 +27,13 @@ from torusquant.starprod import (
     HbarValue,
     Orientation,
     berezin_exact,
+    berezin_truncated,
     bidifferential,
+    equivalence_map,
     star_exact,
     star_truncated,
 )
-from torusquant.trigpoly import MAX_FREQ, TrigPoly
+from torusquant.trigpoly import MAX_FREQ, TrigPoly, random_trig_poly
 
 REL_TOL = 1e-12
 ORIENTATIONS = tuple(Orientation)
@@ -103,31 +109,108 @@ def _factorial_of(index) -> int:
     return math.prod(math.factorial(v) for v in index)
 
 
+def _monomial(freqs, orders) -> int:
+    """prod_i freqs_i^orders_i: d^orders e^{2 pi i freqs.u} over (2 pi i)^|orders| e^{2 pi i freqs.u}."""
+    return math.prod(v**o for v, o in zip(freqs, orders))
+
+
 def ref_bidifferential(order: int, f: dict, g: dict, n: int, orientation: Orientation) -> dict:
-    """The multi-index derivative formula of each orientation, on dicts."""
+    """The multi-index derivative formula of each orientation, on dicts.
+
+    Each summand pairs orders (x, y) on f with orders (x', y') on g.  On a
+    pair of exponentials the derivatives are (2 pi i)^(2 order) times integer
+    monomials in the frequencies, so the multi-index sum is taken exactly in
+    integers (scaled by order!) and its cancellations leave no rounding; the
+    constant and the amplitudes multiply it once per pair.
+    """
     zero = (0,) * n
-    acc: dict = {}
-
-    def add_term(left: dict, right: dict, weight: complex) -> None:
-        for key, c in ref_multiply(left, right).items():
-            _add(acc, key, c * weight)
-
+    # summands as (orders on (x, y) of f, orders on (x, y) of g, sign)
     if orientation is Orientation.STAR:
-        for I in multi_indices(order, n):
-            weight = (1.0 / (2j * math.pi)) ** order / _factorial_of(I)
-            add_term(ref_differentiate(f, zero, I), ref_differentiate(g, I, zero), weight)
+        const = (1.0 / (2j * math.pi)) ** order
+        summands = [(zero + I, I + zero, 1) for I in multi_indices(order, n)]
     elif orientation is Orientation.CHECK:
-        for I in multi_indices(order, n):
-            weight = (1j / (2.0 * math.pi)) ** order / _factorial_of(I)
-            add_term(ref_differentiate(f, I, zero), ref_differentiate(g, zero, I), weight)
+        const = (1j / (2.0 * math.pi)) ** order
+        summands = [(I + zero, zero + I, 1) for I in multi_indices(order, n)]
     else:
-        for j in range(order + 1):
-            for I in multi_indices(j, n):
-                for J in multi_indices(order - j, n):
-                    weight = (1j / (4.0 * math.pi)) ** order * (-1.0) ** (order - j)
-                    weight /= _factorial_of(I) * _factorial_of(J)
-                    add_term(ref_differentiate(f, I, J), ref_differentiate(g, J, I), weight)
+        const = (1j / (4.0 * math.pi)) ** order
+        summands = [
+            (I + J, J + I, (-1) ** (order - j))
+            for j in range(order + 1)
+            for I in multi_indices(j, n)
+            for J in multi_indices(order - j, n)
+        ]
+    const *= (2j * math.pi) ** (2 * order) / math.factorial(order)
+    # the weight 1 / (I! J!) of a summand times order! is a multinomial coefficient
+    weighted = [(fo, go, sign * math.factorial(order) // _factorial_of(fo)) for fo, go, sign in summands]
+    acc: dict = {}
+    for (p, a), cf in f.items():
+        for (q, b), cg in g.items():
+            total = sum(w * _monomial(p + a, fo) * _monomial(q + b, go) for fo, go, w in weighted)
+            if total:
+                _add(acc, (_vec_sum(p, q), _vec_sum(a, b)), cf * cg * const * total)
     return acc
+
+
+def ref_mixed_laplacian(f: dict, n: int) -> dict:
+    """Delta f = (i / 2 pi) sum_i d^2 f / dx_i dy_i."""
+    acc: dict = {}
+    for i in range(n):
+        e = tuple(int(j == i) for j in range(n))
+        for key, c in ref_differentiate(f, e, e).items():
+            _add(acc, key, c * (1j / (2.0 * math.pi)))
+    return acc
+
+
+def ref_second_order(gamma: np.ndarray, f: dict, n: int) -> dict:
+    """d_gamma f = sum_ij gamma[i, j] d^2 f / du_i du_j, u = (x_1..x_n, y_1..y_n)."""
+    acc: dict = {}
+    for i in range(2 * n):
+        for j in range(2 * n):
+            if gamma[i, j] == 0:
+                continue
+            orders = [0] * (2 * n)
+            orders[i] += 1
+            orders[j] += 1
+            for key, c in ref_differentiate(f, orders[:n], orders[n:]).items():
+                _add(acc, key, c * gamma[i, j])
+    return acc
+
+
+def ref_operator_series(step, f: dict, order: int, scale: complex) -> list:
+    """[f, step(f) s / 1!, step(step(f)) s^2 / 2!, ...]: the terms of e^{s hbar step} f."""
+    terms, current = [f], f
+    for j in range(1, order + 1):
+        current = step(current)
+        terms.append({key: c * scale**j / math.factorial(j) for key, c in current.items()})
+    return terms
+
+
+def orientation_tensor(orientation: Orientation, n: int) -> np.ndarray:
+    """2n x 2n matrix T with product = Mult o e^{hbar d_T} on exponentials.
+
+    Coordinates are ordered (x_1..x_n, y_1..y_n); entry T[i, j] weights the
+    second-order operator acting as d/du_i on the left factor and d/du_j on
+    the right factor.
+    """
+    T = np.zeros((2 * n, 2 * n), dtype=complex)
+    for i in range(n):
+        if orientation is Orientation.STAR:
+            T[n + i, i] = 1.0 / (2j * math.pi)
+        elif orientation is Orientation.CHECK:
+            T[i, n + i] = 1j / (2.0 * math.pi)
+        else:
+            T[i, n + i] = 1j / (4.0 * math.pi)
+            T[n + i, i] = -1j / (4.0 * math.pi)
+    return T
+
+
+def ref_map_size(f: dict, weights: np.ndarray, order: int) -> float:
+    """Sum over terms u of |c| (2 pi^2 sum_ij |weights_ij u_i u_j|)^order / order!."""
+    total = 0.0
+    for (p, a), c in f.items():
+        u = np.array(p + a, dtype=float)
+        total += abs(c) * (2.0 * math.pi**2 * (np.abs(weights) * np.abs(np.outer(u, u))).sum()) ** order
+    return total / math.factorial(order)
 
 
 def ref_size(f: dict, g: dict, order: int = 0, orientation: Orientation = Orientation.STAR) -> float:
@@ -288,3 +371,85 @@ def make_box(rng, n: int, bandwidth: int) -> TrigPoly:
     keys = np.array(np.meshgrid(*[side] * (2 * n), indexing="ij")).reshape(2 * n, -1).T
     values = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
     return TrigPoly(n, [((tuple(k[:n]), tuple(k[n:])), c) for k, c in zip(keys.tolist(), values)])
+
+
+# -- Berezin series and equivalence maps --------------------------------------------
+
+GAMMA_BEREZIN = {n: orientation_tensor(Orientation.STAR, n) - orientation_tensor(Orientation.CHECK, n) for n in (1, 2)}
+GAMMA_MOYAL_STAR = {
+    n: orientation_tensor(Orientation.MOYAL, n) - orientation_tensor(Orientation.STAR, n) for n in (1, 2)
+}
+
+
+def test_mixed_laplacian_oracle_on_monomials():
+    # Delta e^{2 pi i (p.x + a.y)} = -2 pi i (p.a) e^{2 pi i (p.x + a.y)}, and
+    # the order-1 Berezin term is -Delta
+    for (p, a), want in ((((1,), (1,)), -2j * math.pi), (((1,), (0,)), 0.0), (((2, -1), (3, 5)), -2j * math.pi)):
+        got = ref_mixed_laplacian({(p, a): 1.0}, len(p))
+        assert abs(got.get((p, a), 0.0) - want) < 1e-12
+        series = berezin_truncated(TrigPoly(len(p), {(p, a): 1.0}), 1)
+        assert abs(series.coefficient(1).coeff(p, a) + want) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairs, st.integers(0, 4))
+def test_berezin_truncated_matches_the_laplacian_powers(pair, order):
+    f, _g = pair
+    fd, n = as_dict(f), f.n
+    series = berezin_truncated(f, order)
+    assert series.order == order
+    refs = ref_operator_series(lambda u: ref_mixed_laplacian(u, n), fd, order, -1.0)
+    # |2 pi p.a| <= 2 pi^2 sum_ij |gamma_ij u_i u_j| with gamma = T_STAR - T_CHECK
+    for j, ref in enumerate(refs):
+        assert_matches(series.coefficient(j), ref, ref_map_size(fd, GAMMA_BEREZIN[n], j))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairs, st.integers(0, 4))
+def test_berezin_series_is_the_equivalence_map_of_star_minus_check(pair, order):
+    f, _g = pair
+    fd = as_dict(f)
+    gamma = GAMMA_BEREZIN[f.n]
+    mapped = equivalence_map(gamma, order, f)
+    series = berezin_truncated(f, order)
+    assert mapped.order == order
+    for j in range(order + 1):
+        assert_matches(mapped.coefficient(j), as_dict(series.coefficient(j)), ref_map_size(fd, gamma, j))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairs, st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_equivalence_map_matches_the_second_order_powers(pair, order, seed):
+    f, _g = pair
+    fd, n = as_dict(f), f.n
+    # a random symmetric complex tensor, about half of its entries zero
+    rng = np.random.default_rng(seed)
+    entries = (rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))) / (2.0 * math.pi)
+    entries *= rng.integers(0, 2, size=(2 * n, 2 * n))
+    gamma = entries + entries.T
+    mapped = equivalence_map(gamma, order, f)
+    refs = ref_operator_series(lambda u: ref_second_order(gamma, u, n), fd, order, 0.5)
+    for j, ref in enumerate(refs):
+        assert_matches(mapped.coefficient(j), ref, ref_map_size(fd, gamma, j))
+
+
+def moyal_gauge(f: TrigPoly, k: int) -> TrigPoly:
+    """G(f) at hbar = 1/k: the (p, a) amplitude times e^{-i pi hbar p.a}."""
+    return TrigPoly(f.n, {(p, a): c * cmath.exp(-1j * math.pi * _dot(p, a) / k) for (p, a), c in f.terms()})
+
+
+def test_equivalence_map_connects_moyal_to_star_exactly():
+    # G = e^{(hbar/2) d_gamma} with gamma = T_MOYAL - T_STAR satisfies
+    # G(f) moyal G(g) = G(f star g) at every hbar = 1/k, and its truncations
+    # converge to G
+    rng = np.random.default_rng(17)
+    for n, bandwidth in ((1, 2), (2, 1)):
+        f, g = random_trig_poly(rng, n, bandwidth), random_trig_poly(rng, n, bandwidth)
+        fd, gd = as_dict(f), as_dict(g)
+        for k in (1, 3, 8, 64):
+            h = HbarValue(k)
+            left = star_exact(moyal_gauge(f, k), moyal_gauge(g, k), h, Orientation.MOYAL)
+            right = moyal_gauge(star_exact(f, g, h, Orientation.STAR), k)
+            assert distance(left, as_dict(right)) <= REL_TOL * ref_size(fd, gd)
+        truncated = equivalence_map(GAMMA_MOYAL_STAR[n], 12, f).evaluate(1.0 / 64)
+        assert distance(truncated, as_dict(moyal_gauge(f, 64))) <= REL_TOL * f.l1_norm()

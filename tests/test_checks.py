@@ -2,8 +2,14 @@
 
 import dataclasses
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from torusquant import checks
 from torusquant.analysis import norm_bound_sweep
+from torusquant.quantize import HilbertSpec, Polarization, toeplitz_diagonals
+from torusquant.trigpoly import random_trig_poly
 
 
 def test_norm_bound_criterion_refuses_what_the_sweep_tolerates(monkeypatch):
@@ -21,3 +27,25 @@ def test_norm_bound_criterion_refuses_what_the_sweep_tolerates(monkeypatch):
     assert checks.check_norm_bound().passed
     monkeypatch.setattr(checks, "norm_bound_sweep", sweep_just_above_the_bound)
     assert not checks.check_norm_bound().passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from((1, 2)),
+    bandwidth=st.integers(0, 3),
+    k=st.integers(1, 9),
+    polarization=st.sampled_from(tuple(Polarization)),
+)
+def test_criterion1_tolerance_scale_is_a_lower_bound_on_the_two_norm(seed, n, bandwidth, k, polarization):
+    # the largest column 2-norm of the wrapped diagonals can only tighten the
+    # tolerance it scales: it never exceeds the LAPACK 2-norm, on a symbol's
+    # operator or on a product of two, shifts colliding mod k included
+    rng = np.random.default_rng(seed)
+    spec = HilbertSpec(n, k, polarization)
+    f, g = (toeplitz_diagonals(random_trig_poly(rng, n, bandwidth), spec) for _ in range(2))
+    for op in (f, g, f @ g):
+        dense = op.dense().entries
+        scale = checks._largest_column_norm(op)
+        assert np.isclose(scale, np.linalg.norm(dense, axis=0).max(), rtol=1e-13, atol=0.0)
+        assert scale <= np.linalg.norm(dense, 2) * (1.0 + 1e-12)

@@ -15,11 +15,7 @@ from torusquant.starprod import (
     berezin_truncated,
     bidifferential,
     equivalence_map,
-    equivalence_map_series,
-    mixed_laplacian,
-    orientation_tensor,
     star_exact,
-    star_formal,
     star_trace,
     star_truncated,
 )
@@ -142,25 +138,6 @@ def test_star_exact_associative():
         assert left.l1_distance(right) < 1e-10 * max(scale, 1.0)
 
 
-def test_star_formal_multiplies_series():
-    f = random_trig_poly(np.random.default_rng(11), 1, 1)
-    g = random_trig_poly(np.random.default_rng(12), 1, 1)
-    sf = HbarSeries(1, (f,))
-    sg = HbarSeries(1, (g,))
-    prod = star_formal(sf, sg, 2)
-    direct = star_truncated(f, g, 2)
-    for i in range(3):
-        assert prod.coefficient(i).l1_distance(direct.coefficient(i)) < 1e-12
-
-
-def test_mixed_laplacian_monomial():
-    # (i/2pi) d^2/dxdy on e^{2 pi i (px + ay)} multiplies by -2 pi i p a
-    d = mixed_laplacian(XY)
-    assert abs(d.coeff((1,), (1,)) - (-2j * math.pi)) < 1e-12
-    assert mixed_laplacian(X).l1_norm() == 0.0
-    assert mixed_laplacian(Y).l1_norm() == 0.0
-
-
 def test_berezin_exact_phase_sign():
     # the transform multiplies the (p, a) amplitude by e^{+2 pi i hbar p.a}
     k = 8
@@ -174,9 +151,13 @@ def test_berezin_exact_phase_sign():
 def test_berezin_truncated_is_exp_of_minus_laplacian():
     f = random_trig_poly(np.random.default_rng(13), 1, 2)
     series = berezin_truncated(f, 3)
+
+    def minus_laplacian(u):  # -(i/2pi) d^2/dxdy
+        return u.differentiate((1,), (1,)).scale(-1j / (2 * math.pi))
+
     expect0 = f
-    expect1 = mixed_laplacian(f).scale(-1.0)
-    expect2 = mixed_laplacian(mixed_laplacian(f)).scale(0.5)
+    expect1 = minus_laplacian(f)
+    expect2 = minus_laplacian(minus_laplacian(f)).scale(0.5)
     assert series.coefficient(0).l1_distance(expect0) < 1e-13
     assert series.coefficient(1).l1_distance(expect1) < 1e-12
     assert series.coefficient(2).l1_distance(expect2) < 1e-12
@@ -204,42 +185,11 @@ def test_berezin_intertwines_opposite_products():
     assert wrong.l1_distance(right) > 1e-3
 
 
-def test_orientation_tensor_shapes():
-    for o in Orientation:
-        t = orientation_tensor(o, 2)
-        assert t.shape == (4, 4)
-    ts = orientation_tensor(Orientation.STAR, 1)
-    assert ts[1, 0] == 1.0 / (2j * math.pi)
-    assert ts[0, 1] == 0.0
-    tm = orientation_tensor(Orientation.MOYAL, 1)
-    assert tm[0, 1] == 1j / (4 * math.pi)
-    assert tm[1, 0] == -1j / (4 * math.pi)
-
-
 def test_equivalence_map_rejects_asymmetric_tensor():
     gamma = np.zeros((2, 2), dtype=complex)
     gamma[0, 1] = 1.0
     with pytest.raises(ValueError):
         equivalence_map(gamma, 1, XY)
-
-
-def test_equivalence_map_connects_moyal_to_primary():
-    # gamma = T_moyal - T_star is symmetric and the map G = e^{(hbar/2) d_gamma}
-    # satisfies G(f) moyal G(g) = G(f star g) order by order
-    t_star = orientation_tensor(Orientation.STAR, 1)
-    t_moyal = orientation_tensor(Orientation.MOYAL, 1)
-    gamma = t_moyal - t_star
-    assert np.allclose(gamma, gamma.T)
-    f = random_trig_poly(np.random.default_rng(17), 1, 1)
-    g = random_trig_poly(np.random.default_rng(18), 1, 1)
-    order = 3
-    gf = equivalence_map(gamma, order, f)
-    gg = equivalence_map(gamma, order, g)
-    left = star_formal(gf, gg, order, Orientation.MOYAL)
-    right = equivalence_map_series(gamma, order, star_truncated(f, g, order))
-    scale = max(f.l1_norm() * g.l1_norm(), 1.0)
-    for i in range(order + 1):
-        assert left.coefficient(i).l1_distance(right.coefficient(i)) < 1e-9 * scale
 
 
 def test_star_trace_examples():
@@ -273,10 +223,10 @@ def test_hbar_series_arithmetic():
     f = random_trig_poly(np.random.default_rng(23), 1, 1)
     g = random_trig_poly(np.random.default_rng(24), 1, 1)
     s = HbarSeries(1, (f, g))
-    t = s + s
-    assert t.coefficient(1).l1_distance(g.scale(2.0)) < 1e-14
-    assert (s - s).l1_distance(HbarSeries(1, (TrigPoly.zero(1),))) < 1e-14
+    assert s.order == 1
+    assert s.coefficient(1) == g
+    assert s.coefficient(2) == TrigPoly.zero(1)
     val = s.evaluate(0.5)
     assert val.l1_distance(f + g.scale(0.5)) < 1e-13
     with pytest.raises(ValueError):
-        s + HbarSeries(2, (TrigPoly.zero(2),))
+        HbarSeries(1, (f, TrigPoly.zero(2)))

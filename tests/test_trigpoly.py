@@ -1,6 +1,5 @@
 """Trig polynomial algebra against grid-evaluation and finite-difference oracles."""
 
-import cmath
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from torusquant.trigpoly import (
     DimensionMismatchError,
-    FibrewiseCoefficient,
     TrigPoly,
     poisson_bracket,
     random_trig_poly,
@@ -154,11 +152,8 @@ def test_second_derivative_order():
 def test_norms_and_distance():
     f = TrigPoly(1, {((1,), (0,)): 3.0, ((0,), (1,)): -4.0})
     assert f.l1_norm() == 7.0
-    assert f.max_abs() == 4.0
     g = TrigPoly(1, {((1,), (0,)): 3.0})
     assert f.l1_distance(g) == 4.0
-    assert f.isclose(f)
-    assert not f.isclose(g)
 
 
 def test_bandwidths():
@@ -171,18 +166,6 @@ def test_bandwidths():
 def test_mean_is_constant_coefficient():
     f = TrigPoly(1, {((0,), (0,)): 2.5 + 1j, ((1,), (1,)): 9.0})
     assert f.mean == 2.5 + 1j
-
-
-def test_fibrewise_coefficient():
-    # f = e^{2 pi i x} (2 + e^{2 pi i y}) has profile 2 + e^{2 pi i y} at m=1
-    f = TrigPoly(1, {((1,), (0,)): 2.0, ((1,), (1,)): 1.0})
-    fib = f.fibrewise_coefficient((1,))
-    assert isinstance(fib, FibrewiseCoefficient)
-    y = (0.3,)
-    expected = 2.0 + cmath.exp(2j * math.pi * 0.3)
-    assert abs(fib.evaluate(y) - expected) < 1e-13
-    assert f.fibrewise_coefficient((5,)).evaluate(y) == 0.0
-    assert f.x_frequencies() == [(1,)]
 
 
 def test_records_round_trip():
