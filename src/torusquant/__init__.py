@@ -19,6 +19,7 @@ from .analysis import (
     error_intertwine,
     error_product,
     fit_slope,
+    lattice_mean,
     operator_norm,
     riemann_sum_error,
     run_experiment,
@@ -96,6 +97,7 @@ __all__ = [
     "error_product",
     "fit_slope",
     "intertwine",
+    "lattice_mean",
     "operator_norm",
     "parse",
     "parse_config",

@@ -6,17 +6,23 @@ log-log slope fits turn them into empirical convergence orders, with an
 error floor below which values count as exact zeros so rounding noise never
 produces garbage slopes.
 
-Sweeps and the acceptance checks take their operators, defects and norms
-from the wrapped-diagonal form of each operator (``quantize.DiagonalOperator``
-and its operator algebra), with no dense product or assembly; only the
-LAPACK l2 route below scatters a matrix.  l1 and linf are exact column and
-row sums.  l2 is the LAPACK 2-norm up to dimension
-LAPACK_L2_MAX_DIM, where it is the cheaper route.  Above it, l2 is the
-square root of the top Ritz value theta of a Lanczos run on A*A, certified
-by a Cholesky factorization of theta (1 + L2_CERT_DELTA) I - A*A; where the
-band is too short to pay, the run does not converge or the certificate
-fails, it is the LAPACK 2-norm again, and above the dense cap an
-``L2RouteError``.  A certified value sits below the true norm by less than
+Traces and Riemann sums build no operator: hbar^n tr Q_f and the level-k
+Riemann sum of an x-free symbol are both ``lattice_mean``, the sum of the
+amplitudes on kZ^{2n}, so their errors are exact zeros beyond the
+bandwidth; an expression profile is sampled once per level
+(``funcexpr.sample_lattice``).
+
+The other sweeps and the acceptance checks take their operators, defects
+and norms from the wrapped-diagonal form of each operator
+(``quantize.DiagonalOperator`` and its operator algebra), with no dense
+product or assembly; only the LAPACK l2 route below scatters a matrix.  l1
+and linf are exact column and row sums.  l2 is the LAPACK 2-norm up to
+dimension LAPACK_L2_MAX_DIM, where it is the cheaper route.  Above it, l2
+is the square root of the top Ritz value theta of a Lanczos run on A*A,
+certified by a Cholesky factorization of theta (1 + L2_CERT_DELTA) I - A*A;
+where the band is too short to pay, the run does not converge or the
+certificate fails, it is the LAPACK 2-norm again, and above the dense cap
+an ``L2RouteError``.  A certified value sits below the true norm by less than
 L2_CERT_DELTA / 2 relative and never above it beyond rounding;
 ``L2Reading`` says which route answered.
 """
@@ -359,14 +365,19 @@ def _exact_transform_defect(f: TrigPoly, k: int) -> DiagonalOperator:
     return intertwine(dual) - exact
 
 
+def lattice_mean(f: TrigPoly, k: int) -> complex:
+    """The sum, in key order, of the amplitudes of f whose frequencies lie in
+    kZ^{2n}: hbar^n tr Q_f at level k in either polarization, and the
+    level-k Riemann sum k^{-n} sum_m f(m/k) of an x-independent f."""
+    return complex(f.values[~(f.keys % k).any(axis=1)].sum())
+
+
 def trace_error(f: TrigPoly, k: int, reference: complex | None = None) -> float:
     """|hbar^n tr Q_f - reference|; reference defaults to the mean of f.
-    The trace is the sum of the shift-0 wrapped diagonal of Q_f."""
-    spec = HilbertSpec(f.n, k, Polarization.POSITION)
+    The scaled trace is lattice_mean(f, k), with no operator."""
     if reference is None:
         reference = f.mean
-    scaled = toeplitz_diagonals(f, spec).trace() / float(k) ** f.n
-    return abs(scaled - complex(reference))
+    return abs(lattice_mean(f, k) - complex(reference))
 
 
 def riemann_sum_error(
@@ -377,27 +388,20 @@ def riemann_sum_error(
 ) -> float:
     """|mean - k^{-n} sum over the lattice (m/k)| for a profile in y.
 
-    ``profile`` is either an x-independent TrigPoly (mean defaults to its
-    coefficient average) or a callable taking a length-n y-vector, in which
-    case ``mean`` must be supplied by the caller.
+    ``profile`` is an x-independent TrigPoly, whose sum is its lattice_mean
+    and whose mean defaults to its coefficient average, or the AST of an
+    expression in y, sampled once on the level-k lattice of dimension ``n``
+    (default 1), whose ``mean`` the caller supplies.
     """
     if isinstance(profile, TrigPoly):
         if profile.x_bandwidth() != 0:
             raise ValueError("profile must not depend on x")
-        n = profile.n
-        if mean is None:
-            mean = profile.mean
-        fn = lambda y: profile.evaluate((0.0,) * n, y)
-    else:
-        if n is None:
-            n = 1
-        if mean is None:
-            raise ValueError("mean is required for callable profiles")
-        fn = profile
-    total = 0.0 + 0.0j
-    for m in np.ndindex(*((k,) * n)):
-        total += fn(tuple(v / k for v in m))
-    return abs(total / float(k) ** n - complex(mean))
+        return abs(lattice_mean(profile, k) - complex(profile.mean if mean is None else mean))
+    if any(v.axis == "x" for v in funcexpr.variables(profile)):
+        raise ValueError("profile must not depend on x")
+    if mean is None:
+        raise ValueError("mean is required for expression profiles")
+    return abs(funcexpr.sample_lattice(profile, n or 1, k).mean() - complex(mean))
 
 
 # -- slope fitting -------------------------------------------------------------
@@ -681,9 +685,8 @@ def riemann_sweep(profile, ks: Sequence[int], n: int, mean: complex | None = Non
     """|mean - k^{-n} sum over the lattice| per level for a profile in y.
 
     An x-independent TrigPoly profile (mean defaults to its coefficient
-    average) must be exact to 1e-12 beyond its y-bandwidth.  A callable
-    profile of a length-n y-vector needs ``mean`` and must decay faster than
-    any power.
+    average) must be exact to 1e-12 beyond its y-bandwidth.  The AST of an
+    expression in y needs ``mean`` and must decay faster than any power.
     """
     band_limited = isinstance(profile, TrigPoly)
     if band_limited and mean is None:
@@ -865,10 +868,9 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
         if not from_expr:
             return riemann_sweep(cfg.f.realize(cfg.n, rng), ks, cfg.n)
         re_ast, _im_ast = cfg.f.asts()
-        x = (0.0,) * cfg.n
         mean = _expression_mean(cfg.f, cfg.n, max(ks))
         try:
-            return riemann_sweep(lambda y: funcexpr.evaluate(re_ast, x, y), ks, cfg.n, mean)
+            return riemann_sweep(re_ast, ks, cfg.n, mean)
         except funcexpr.EvaluationError as exc:
             raise ConfigError("f.expr", f"{exc} on the level-k lattice") from exc
     f = cfg.f.realize(cfg.n, rng)

@@ -174,7 +174,7 @@ def check_trace_identities() -> CheckResult:
     # (b) smooth symbol, band-limited to B=12 on a 64-point grid
     ast = funcexpr.parse("exp(cos(2*pi*x1)) * cos(2*pi*y1)")
     proj = funcexpr.project(ast, funcexpr.ProjectionSpec(12, 64), 1)
-    reference = complex(funcexpr.sample_grid(ast, 1, 1024).mean())
+    reference = complex(funcexpr.sample_lattice(ast, 1, 1024).mean())
     smooth = trace_sweep(proj, (16, 32, 64, 128, 256), reference=reference)
     exact_b = smooth.series[0].outcome == "exact_identity"
     return CheckResult(
@@ -266,13 +266,8 @@ def check_norm_interpolation() -> CheckResult:
 def check_riemann_sums() -> CheckResult:
     """Lattice averages of smooth profiles converge faster than any power."""
     ast = funcexpr.parse("exp(cos(2*pi*y1))")
-    fine = np.arange(4096) / 4096.0
-    mean = float(np.exp(np.cos(2.0 * np.pi * fine)).mean())
-
-    def profile(y):
-        return funcexpr.evaluate(ast, (0.0,), y)
-
-    smooth = riemann_sweep(profile, (8, 16, 32, 64, 128), 1, mean=mean)
+    mean = float(funcexpr.sample_lattice(ast, 1, 4096).mean())
+    smooth = riemann_sweep(ast, (8, 16, 32, 64, 128), 1, mean=mean)
     errs = [[r.k, r.error] for r in smooth.rows]
 
     g = TrigPoly(

@@ -40,8 +40,9 @@ SWEEP_KINDS = tuple(k for k in EXPERIMENT_KINDS if k != "star_table")
 PAIR_KINDS = ("product", "star_table")
 # kinds that need any function at all
 FUNCTION_KINDS = ("product", "intertwine", "trace", "riemann", "norm_bound", "star_table")
-# kinds that assemble dense k^n x k^n operators at every level
-OPERATOR_KINDS = ("product", "intertwine", "trace", "norm_bound", "torus_relations")
+# kinds that build a k^n-dimensional operator at every level, held to the
+# dense cap at the largest one
+OPERATOR_KINDS = ("product", "intertwine", "norm_bound", "torus_relations")
 # kinds that read the truncation order N
 ORDER_KINDS = ("product", "intertwine", "star_table")
 
@@ -220,7 +221,7 @@ def expression_means(spec: FunctionSpec, n: int, grid: int, path: str) -> list[c
         if ast is None:
             continue
         try:
-            means.append(complex(funcexpr.sample_grid(ast, n, grid).mean()))
+            means.append(complex(funcexpr.sample_lattice(ast, n, grid).mean()))
         except funcexpr.EvaluationError as exc:
             raise ConfigError(f"{path}.{label}", str(exc)) from exc
     return means

@@ -14,9 +14,12 @@ so precedence is ^ above unary minus above * and / above + and -.
 Exponents must be integer literals.  Parse errors carry a 1-based character
 position.
 
-``project`` turns an expression into a :class:`~torusquant.trigpoly.TrigPoly`
-by sampling on a uniform grid and taking the discrete Fourier transform,
-keeping frequencies inside the requested band.
+``sample_lattice`` evaluates an expression on a uniform lattice in one
+vectorized pass over the axes it reads; lattice means (reference means,
+Riemann sums) are its mean.  ``project`` turns an expression into a
+:class:`~torusquant.trigpoly.TrigPoly` by sampling on a uniform grid and
+taking the discrete Fourier transform, keeping frequencies inside the
+requested band.  The scalar ``evaluate`` is the pointwise reference.
 """
 
 from __future__ import annotations
@@ -297,25 +300,20 @@ def _eval(ast: ExprAst, xs, ys, scalar: bool):
         if ast.op == "*":
             return a * b
         if ast.op == "/":
-            if scalar:
-                if b == 0:
-                    raise EvaluationError("division by zero")
-                return a / b
-            if np.any(b == 0):
-                raise EvaluationError("division by zero on the sample grid")
+            if np.any(np.asarray(b) == 0):
+                raise EvaluationError("division by zero")
             return a / b
         if ast.op == "^":
             e = int(ast.right.value)
-            if e < 0:
-                if np.any(np.asarray(a) == 0):
-                    raise EvaluationError("zero raised to a negative exponent")
+            if e < 0 and np.any(np.asarray(a) == 0):
+                raise EvaluationError("zero raised to a negative exponent")
             return a ** e if scalar else np.power(a, e)
     raise TypeError(f"not an expression node: {ast!r}")
 
 
 def _check_finite(values, where: str) -> None:
     if not np.all(np.isfinite(values)):
-        raise EvaluationError(f"non-finite value produced by {where} on the sample grid")
+        raise EvaluationError(f"non-finite value produced by {where}")
 
 
 # -- projection --------------------------------------------------------------
@@ -349,23 +347,28 @@ class ProjectionSpec:
         object.__setattr__(self, "grid", grid)
 
 
-def sample_grid(ast: ExprAst, n: int, grid: int) -> np.ndarray:
-    """Evaluate on the uniform lattice (j_1..j_n, l_1..l_n)/grid.
+def sample_lattice(ast: ExprAst, n: int, grid: int) -> np.ndarray:
+    """Evaluate on the uniform lattice (j_1..j_n, l_1..l_n)/grid, sparsely.
 
-    Returns a real array of shape (grid,)*2n indexed x-axes first.
+    The result broadcasts to shape (grid,)*2n, x-axes first, with length 1
+    along every axis the expression does not read, so its mean is the
+    lattice mean at the cost of the axes read.  A division by zero, a zero
+    raised to a negative power or a non-finite value is an EvaluationError.
     """
     coords = np.arange(grid, dtype=float) / grid
     axes = np.meshgrid(*([coords] * (2 * n)), indexing="ij", sparse=True)
-    xs = tuple(axes[:n])
-    ys = tuple(axes[n:])
     # overflow surfaces as EvaluationError via the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _eval(ast, xs, ys, scalar=False)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid,) * (2 * n):  # a fresh full-size result needs no copy
-        values = np.broadcast_to(values, (grid,) * (2 * n)).copy()
+        values = np.asarray(_eval(ast, tuple(axes[:n]), tuple(axes[n:]), scalar=False), dtype=float)
     _check_finite(values, "the expression")
     return values
+
+
+def sample_grid(ast: ExprAst, n: int, grid: int) -> np.ndarray:
+    """sample_lattice spread to the full real array of shape (grid,)*2n."""
+    values = sample_lattice(ast, n, grid)
+    full = (grid,) * (2 * n)
+    return values if values.shape == full else np.broadcast_to(values, full).copy()
 
 
 def project(ast: ExprAst, spec: ProjectionSpec, n: int | None = None) -> TrigPoly:

@@ -23,12 +23,13 @@ time, in key-order blocks of terms whose temporaries stay
 O(TERM_BLOCK_ENTRIES + R k^n), and ``np.add.at`` sums each block in key order
 on 1-D flat indices, its fast path.  The diagonal form acts matrix-free
 (``matvec``, ``rmatvec``) at any dimension and has an operator algebra
-closed on diagonals (``@``, ``+``, ``-``, ``scale``, ``adjoint``,
-``trace``): a product of R_A and R_B diagonals has at most R_A R_B, found in
+closed on diagonals (``@``, ``+``, ``-``, ``scale``, ``adjoint``): a
+product of R_A and R_B diagonals has at most R_A R_B, found in
 O(R_A R_B k^n) time, so the sweeps and the acceptance checks take their
 operators, defects and norms from it (see ``analysis.operator_norm``) with
 no dense product.  ``dense()`` and ``assemble_toeplitz`` scatter it into a
-dense matrix below ``DENSE_DIM_CAP``.
+dense matrix below ``DENSE_DIM_CAP``.  Traces need no operator at all:
+hbar^n tr Q_f is ``analysis.lattice_mean(f, k)``.
 """
 
 from __future__ import annotations
@@ -125,9 +126,6 @@ class QuantumOperator:
 
     def scale(self, value: complex) -> "QuantumOperator":
         return QuantumOperator(self.spec, self.entries * complex(value))
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
 
     def __repr__(self) -> str:
         return f"QuantumOperator(n={self.spec.n}, k={self.spec.k}, {self.spec.polarization.value})"
@@ -249,10 +247,6 @@ class DiagonalOperator:
         values = np.zeros_like(self.values)
         np.put_along_axis(values, self.rows, self.values.conj(), axis=1)
         return DiagonalOperator(self.spec, -self.shifts, values)
-
-    def trace(self) -> complex:
-        """The sum of the shift-0 diagonal."""
-        return complex(self.values[~self.shifts.any(axis=1)].sum())
 
     def dense(self) -> QuantumOperator:
         """The dense matrix: a scatter of the diagonals (below the dense cap)."""

@@ -22,6 +22,7 @@ from torusquant.analysis import (
     error_intertwine,
     error_product,
     fit_slope,
+    lattice_mean,
     operator_norm,
     riemann_sum_error,
     run_experiment,
@@ -32,6 +33,7 @@ from torusquant.analysis import (
     trace_error,
 )
 from torusquant.config import ConfigError, ExperimentConfig, FunctionSpec
+from torusquant.funcexpr import evaluate, parse
 from torusquant.quantize import (
     DENSE_DIM_CAP,
     HilbertSpec,
@@ -227,19 +229,58 @@ def test_riemann_error_band_limited():
     assert riemann_sum_error(g, 2) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         riemann_sum_error(X, 4)
+    # an expression profile needs its mean and must not read x
     with pytest.raises(ValueError):
-        riemann_sum_error(lambda y: 1.0, 4)
+        riemann_sum_error(parse("1"), 4)
+    with pytest.raises(ValueError):
+        riemann_sum_error(parse("cos(2*pi*x1)"), 4, mean=0.0)
 
 
 def test_riemann_error_bessel_oracle():
     # profile exp(cos(2 pi y)): Fourier coefficients are modified Bessel
     # values iv(m, 1), so the k-point error is 2 * sum_{j>=1} iv(j*k, 1)
-    profile = lambda y: math.exp(math.cos(2.0 * math.pi * y[0]))
+    profile = parse("exp(cos(2*pi*y1))")
     mean = float(iv(0, 1.0))
     for k in (4, 8):
         want = 2.0 * float(iv(k, 1.0) + iv(2 * k, 1.0))
         got = riemann_sum_error(profile, k, n=1, mean=mean)
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def _riemann_sum_pointwise(profile, n: int, k: int) -> complex:
+    """k^{-n} sum over the level-k lattice, one scalar evaluation per point."""
+    total = 0.0 + 0.0j
+    for m in np.ndindex(*((k,) * n)):
+        y = tuple(v / k for v in m)
+        if isinstance(profile, TrigPoly):
+            total += profile.evaluate((0.0,) * n, y)
+        else:
+            total += evaluate(profile, (0.0,) * n, y)
+    return total / float(k) ** n
+
+
+@pytest.mark.parametrize(
+    "source, n",
+    [
+        ("exp(cos(2*pi*y1))", 1),
+        ("1/(2 + sin(2*pi*y1)) - y1^3", 1),
+        ("exp(sin(2*pi*y1)) * cos(2*pi*y2)^2 + y2", 2),
+        ("1/(3 + cos(2*pi*y2))", 2),  # reads y2 only: y1 is never spread
+    ],
+)
+def test_riemann_sums_of_expressions_match_the_pointwise_sum(source, n):
+    ast = parse(source)
+    for k in (1, 3, 8, 13):
+        want = _riemann_sum_pointwise(ast, n, k)
+        assert riemann_sum_error(ast, k, n=n, mean=0.0) == pytest.approx(abs(want), rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lattice_mean_is_the_pointwise_riemann_sum(n):
+    f = random_trig_poly(np.random.default_rng(50 + n), n, 3)
+    profile = TrigPoly(n, {((0,) * n, q): c for (p, q), c in f if not any(p)})
+    for k in (1, 2, 3, 5, 7):  # aliasing levels included
+        assert abs(lattice_mean(profile, k) - _riemann_sum_pointwise(profile, n, k)) <= 1e-13
 
 
 def test_fit_slope_synthetic():

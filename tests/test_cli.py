@@ -372,8 +372,14 @@ def test_cli_run_rejects_riemann_profile_that_is_not_real_in_y(tmp_path, capsys,
         pytest.param(
             {"experiment": "riemann", "n": 1, "k_min": 3, "k_max": 8, "k_rule": "linear",
              "f": {"expr": "1/(3*y1 - 1)", "bandwidth": 2}},
-            "f.expr: division by zero",
+            "f.expr: division by zero on the level-k lattice",
             id="riemann-expr-singular-at-a-lattice-point",
+        ),
+        pytest.param(
+            {"experiment": "riemann", "n": 1, "k_min": 3, "k_max": 5, "k_rule": "linear",
+             "f": {"expr": "exp(1/((3*y1 - 1)^2*1000000 + 0.0000000001))", "bandwidth": 2}},
+            "f.expr: non-finite value produced by exp on the level-k lattice",
+            id="riemann-expr-overflowing-at-a-lattice-point",
         ),
         # parsing accepts it for assemble; run would ignore it
         pytest.param(dict(PRODUCT_CFG, polarization="momentum"), "polarization: ", id="polarization"),
@@ -384,6 +390,33 @@ def test_cli_run_refuses_configs_past_parsing(tmp_path, capsys, data, message):
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_trace_needs_no_dense_cap(tmp_path):
+    # traces are lattice sums of coefficients: no operator at any level, so
+    # n = 2 runs to k = 1024 (dimension 2^20)
+    data = {"experiment": "trace", "n": 2, "k_min": 4, "k_max": 1024,
+            "f": {"expr": "exp(cos(2*pi*x1)) * cos(2*pi*y2) + sin(2*pi*x2)^2", "bandwidth": 6}}
+    code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 0
+    (csv,) = (tmp_path / "out").glob("*.csv")
+    assert csv.read_text(encoding="utf-8").splitlines()[-1].startswith("1024,")
+
+
+def test_every_shipped_config_runs_in_the_readme_and_both_ci_jobs():
+    # CI checks byte identity on exactly the README commands, one loop per
+    # job; a config missing from any of the three would ship unchecked
+    root = Path(__file__).resolve().parents[1]
+    shipped = {path.stem for path in (root / "configs").glob("*.json")}
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Ready-made configs live in `configs/`:\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    assert shipped <= set(re.findall(r"configs/(\w+)\.json", block))
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    steps = re.findall(r"- name: Run the README commands.*?\n(?=      - name|\n  \S|\Z)", workflow, re.S)
+    assert len(steps) == 2
+    for step in steps:
+        looped = re.search(r"for config in ([^;]*);", step).group(1).replace("\\", " ").split()
+        assert shipped <= set(looped) | set(re.findall(r"configs/(\w+)\.json", step))
 
 
 def test_cli_threads_flag_is_a_usage_error(tmp_path):

@@ -25,6 +25,7 @@ from torusquant.funcexpr import (
     parse,
     project,
     sample_grid,
+    sample_lattice,
 )
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -144,6 +145,22 @@ def test_sample_grid_matches_scalar_evaluate():
         for j in (1, 4, 7):
             want = evaluate(ast, (i / m,), (j / m,))
             assert abs(grid[i, j] - want) < 1e-13
+
+
+def test_sample_lattice_keeps_unread_axes_unspread():
+    m = 8
+    ast = parse("exp(sin(2*pi*y2)) + y2")
+    sparse = sample_lattice(ast, 2, m)
+    assert sparse.shape == (1, 1, 1, m)
+    full = sample_grid(ast, 2, m)
+    assert full.shape == (m,) * 4
+    assert np.array_equal(full, np.broadcast_to(sparse, full.shape))
+    for l in range(m):
+        assert sparse[0, 0, 0, l] == pytest.approx(evaluate(ast, (0.5, 0.25), (0.0, l / m)), rel=1e-14)
+    assert sample_lattice(parse("2^3"), 1, m).shape == ()
+    # the scalar route raises OverflowError here; the lattice names it
+    with pytest.raises(EvaluationError, match="non-finite value produced by exp"):
+        sample_lattice(parse("exp(1/((3*y1 - 1)^2*1000000 + 0.0000000001))"), 1, 3)
 
 
 def test_default_grid_rule():

@@ -230,3 +230,10 @@ def test_hbar_series_arithmetic():
     assert val.l1_distance(f + g.scale(0.5)) < 1e-13
     with pytest.raises(ValueError):
         HbarSeries(1, (f, TrigPoly.zero(2)))
+    # a higher order may carry a key that cancels at order 0: f g has no
+    # ((1,), (1,)) term, C_1(f, g) does, and evaluate keeps it
+    f = TrigPoly(1, {((0,), (0,)): 1, ((0,), (1,)): 1})
+    g = TrigPoly(1, {((1,), (1,)): 1, ((1,), (0,)): -1})
+    series = star_truncated(f, g, 1)
+    assert series.coefficient(0).coeff((1,), (1,)) == 0
+    assert series.evaluate(0.25).coeff((1,), (1,)) == -1.5707963267948966j
