@@ -18,7 +18,8 @@ and norms from the wrapped-diagonal form of each operator
 product or assembly; only the LAPACK l2 route below scatters a matrix.  l1
 and linf are exact column and row sums.  l2 is the LAPACK 2-norm up to
 dimension LAPACK_L2_MAX_DIM, where it is the cheaper route.  Above it, l2
-is the square root of the top Ritz value theta of a Lanczos run on A*A,
+is the square root of the top Ritz value theta of a three-term Lanczos
+recurrence on A*A, which holds two vectors whatever its step budget,
 certified by a Cholesky factorization of theta (1 + L2_CERT_DELTA) I - A*A;
 where the band is too short to pay, the run does not converge or the
 certificate fails, it is the LAPACK 2-norm again, and above the dense cap
@@ -62,14 +63,18 @@ SLOPE_ABOVE = 1.2
 # Relative margin of the l2 certificate: a Lanczos value sqrt(theta) counts
 # once theta (1 + L2_CERT_DELTA) I - A*A is shown positive definite.
 L2_CERT_DELTA = 1e-10
-# Krylov dimension of one Lanczos run on A*A; the top Ritz pair is tested
-# for convergence every LANCZOS_CHECK steps.
-LANCZOS_BUDGET = 96
+# Most steps of one Lanczos run on A*A; the top Ritz pair is tested for
+# convergence every LANCZOS_CHECK steps.  Memory does not grow with the
+# budget.  n = 1 norm_bound symbols (bandwidth 2 to 4, decay 8) took up to
+# 136 steps at k = 1024, 184 at 2048 and 264 at 4096, the dense cap; a run
+# that uses all 512 spends about 0.55 s in its 64 eigh checks (26-31 ms at
+# 512 x 512), against more than a minute for one LAPACK SVD at dimension 4096.
+LANCZOS_BUDGET = 512
 LANCZOS_CHECK = 8
 # Up to this dimension the LAPACK 2-norm answers l2: it is cheaper there than
-# certified Lanczos (per call, 0.14-0.19 against 1.1-1.7 ms at dim 32,
-# 0.46-1.5 against 1.3-17 ms at dim 64); at dim 128 Lanczos is the cheaper
-# (1.8-4.1 against 4.6-5.1 ms).  See the README's table for the set-up.
+# certified three-term Lanczos (per call, 0.11-0.18 against 0.75-1.2 ms at
+# dim 32, 0.38-0.71 against 0.80-16 ms at dim 64); at dim 128 Lanczos is the
+# cheaper (1.2-3.6 against 8.0-8.7 ms).  See the README's table for the set-up.
 LAPACK_L2_MAX_DIM = 64
 
 # O(hbar^infinity) statements are operationalized as "error * k^RATE_EXPONENT
@@ -195,14 +200,14 @@ def _certify(gram: DiagonalOperator, mu: float, interleaving: tuple[np.ndarray, 
     rows, cols, values = rows[order], cols[order], values[order]
     blocks = -(-dim // bs)
     starts = np.searchsorted(rows // bs, np.arange(blocks + 1))
-    factor = None
+    factor, shift = None, mu * np.eye(bs)
     try:
         for i in range(blocks):
             # block row i: columns of blocks i - 1 and i; the padding of the last block is mu I
             panel = np.zeros((bs, 2 * bs), dtype=complex)
             part = slice(starts[i], starts[i + 1])
             panel[rows[part] - i * bs, cols[part] - (i - 1) * bs] = -values[part]
-            diag = panel[:, bs:] + mu * np.eye(bs)
+            diag = panel[:, bs:] + shift
             if factor is not None:
                 x = np.linalg.solve(factor, panel[:, :bs].conj().T)
                 diag -= x.conj().T @ x
@@ -213,27 +218,28 @@ def _certify(gram: DiagonalOperator, mu: float, interleaving: tuple[np.ndarray, 
 
 
 def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
-    """(top Ritz value, steps) of Lanczos on the Hermitian ``gram``, with
-    full reorthogonalization and a seeded start; the value is None when the
-    Ritz pair has not converged within LANCZOS_BUDGET steps.
+    """(top Ritz value, steps) of Lanczos on the Hermitian ``gram`` from a
+    seeded start; the value is None when the Ritz pair has not converged
+    within LANCZOS_BUDGET steps.
 
-    Converged means the residual rho of the top Ritz pair satisfies
-    min(rho, rho^2 / gap) <= theta L2_CERT_DELTA / 4, gap being the distance
-    to the next Ritz value; the certificate, not this test, decides.
+    The plain three-term recurrence keeps two vectors, O(S k^n) memory for
+    S diagonals whatever the budget.  Its lost orthogonality only shows once
+    a Ritz value has converged (Paige), so the top one converges as it does
+    with reorthogonalization.  Converged means the residual rho of the top
+    Ritz pair satisfies min(rho, rho^2 / gap) <= theta L2_CERT_DELTA / 4,
+    gap being the distance to the next Ritz value; the certificate, not this
+    test, decides.
     """
     dim = gram.spec.dim
     budget = min(LANCZOS_BUDGET, dim)
     rng = np.random.default_rng(0)
-    basis = np.empty((budget, dim), dtype=complex)
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    basis[0] = start / np.linalg.norm(start)
+    v, previous = start / np.linalg.norm(start), np.zeros(dim, dtype=complex)
     alpha, beta = np.zeros(budget), np.zeros(budget)
     for j in range(budget):
-        w = gram.rmatvec(basis[j])  # G* = G
-        for _ in range(2):  # full reorthogonalization, twice
-            h = (basis[: j + 1] @ w.conj()).conj()
-            w -= h @ basis[: j + 1]
-            alpha[j] += h[j].real
+        w = gram.rmatvec(v) - beta[j - 1] * previous  # G* = G
+        alpha[j] = np.vdot(v, w).real
+        w -= alpha[j] * v
         beta[j] = np.linalg.norm(w)
         steps = j + 1
         if steps % LANCZOS_CHECK == 0 or steps == budget or beta[j] == 0:
@@ -245,8 +251,7 @@ def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
                 return float(theta), steps
             if beta[j] == 0:
                 break
-        if steps < budget:
-            basis[steps] = w / beta[j]
+        previous, v = v, w / beta[j]
     return None, steps
 
 

@@ -263,10 +263,17 @@ def max_variable_index(ast: ExprAst) -> int:
 
 
 def evaluate(ast: ExprAst, x: Sequence[float], y: Sequence[float]) -> float:
-    """Evaluate at a single point; x and y are length-n coordinate vectors."""
+    """Evaluate at a single point; x and y are length-n coordinate vectors.
+
+    As in ``sample_lattice``, a division by zero, a zero raised to a
+    negative power or a non-finite value, an overflow included, is an
+    EvaluationError.
+    """
     xs = tuple(float(v) for v in np.atleast_1d(x))
     ys = tuple(float(v) for v in np.atleast_1d(y))
-    return _eval(ast, xs, ys, scalar=True)
+    value = _eval(ast, xs, ys, scalar=True)
+    _check_finite(value, "the expression")
+    return value
 
 
 def _eval(ast: ExprAst, xs, ys, scalar: bool):
@@ -285,10 +292,11 @@ def _eval(ast: ExprAst, xs, ys, scalar: bool):
         v = _eval(ast.operand, xs, ys, scalar)
         if ast.op == "neg":
             return -v
-        fn = getattr(math if scalar else np, ast.op)
-        out = fn(v)
-        if not scalar:
-            _check_finite(out, ast.op)
+        try:
+            out = getattr(math if scalar else np, ast.op)(v)
+        except (OverflowError, ValueError):  # math's range and domain errors; numpy gives inf or nan
+            out = math.nan
+        _check_finite(out, ast.op)
         return out
     if isinstance(ast, Binary):
         a = _eval(ast.left, xs, ys, scalar)
@@ -307,7 +315,12 @@ def _eval(ast: ExprAst, xs, ys, scalar: bool):
             e = int(ast.right.value)
             if e < 0 and np.any(np.asarray(a) == 0):
                 raise EvaluationError("zero raised to a negative exponent")
-            return a ** e if scalar else np.power(a, e)
+            if not scalar:
+                return np.power(a, e)
+            try:
+                return a ** e
+            except OverflowError:  # np.power gives inf here, which the finiteness check refuses
+                return math.inf
     raise TypeError(f"not an expression node: {ast!r}")
 
 

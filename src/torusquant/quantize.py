@@ -153,8 +153,11 @@ def _distinct_residues(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     """(distinct residues mod k of the rows of ``vectors``, the index of
     each row's residue among them)."""
     shape = (k,) * vectors.shape[1]
-    codes, which = np.unique(np.ravel_multi_index((vectors % k).T, shape), return_inverse=True)
-    return np.stack(np.unravel_index(codes, shape), axis=-1), which.reshape(-1)
+    codes = np.ravel_multi_index((vectors % k).T, shape)
+    present = np.zeros(k ** vectors.shape[1], dtype=bool)  # a mark per residue: no sort
+    present[codes] = True
+    rank = np.cumsum(present) - 1
+    return np.stack(np.unravel_index(np.flatnonzero(present), shape), axis=-1), rank[codes]
 
 
 def _add_rows(out: np.ndarray, which: np.ndarray, rows: np.ndarray) -> None:
@@ -174,7 +177,7 @@ class DiagonalOperator:
     most the number of x-frequencies of the symbol.
     """
 
-    __slots__ = ("spec", "shifts", "values", "rows")
+    __slots__ = ("spec", "shifts", "values", "rows", "_conj")
 
     def __init__(self, spec: HilbertSpec, shifts, values):
         shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, spec.n)
@@ -187,6 +190,7 @@ class DiagonalOperator:
             raise ValueError("shifts must be distinct residues mod k")
         for a in (self.shifts, self.values, self.rows):
             a.setflags(write=False)
+        self._conj = None  # values.conj(), made by the first rmatvec
 
     def matvec(self, x) -> np.ndarray:
         """A x for a length-k^n vector x."""
@@ -197,8 +201,12 @@ class DiagonalOperator:
         return out
 
     def rmatvec(self, y) -> np.ndarray:
-        """A* y (the conjugate transpose) for a length-k^n vector y."""
-        return (self.values.conj() * np.asarray(y)[self.rows]).sum(axis=0)
+        """A* y (the conjugate transpose) for a length-k^n vector y.  The
+        conjugated values are kept after the first call: the values are
+        read-only, and an iteration calls this once per step."""
+        if self._conj is None:
+            self._conj = self.values.conj()
+        return (self._conj * np.asarray(y)[self.rows]).sum(axis=0)
 
     @classmethod
     def identity(cls, spec: HilbertSpec) -> "DiagonalOperator":

@@ -349,10 +349,15 @@ def random_trig_poly(
     if bandwidth < 0:
         raise ValueError("bandwidth must be non-negative")
     keys = box_keys(n, bandwidth)
-    values = np.empty(len(keys), dtype=complex)
-    for i, key in enumerate(keys.tolist()):
-        r = math.sqrt(rng.uniform())
-        theta = rng.uniform(0.0, TWO_PI)
-        weight = (1.0 + sum(v * v for v in key)) ** (-decay / 2.0)
-        values[i] = r * weight * cmath.exp(1j * theta)
+    # one draw, per key a radius and then an angle, is the stream of the
+    # per-key scalar draws; weights and phases stay the scalar math and
+    # cmath calls, whose bits numpy's vectorized power and exp need not match
+    draws = rng.uniform(size=(len(keys), 2)).tolist()
+    values = np.array(
+        [
+            math.sqrt(u) * (1.0 + sum(v * v for v in key)) ** (-decay / 2.0) * cmath.exp(1j * (TWO_PI * w))
+            for key, (u, w) in zip(keys.tolist(), draws)
+        ],
+        dtype=complex,
+    )
     return TrigPoly._from_arrays(n, keys, values)

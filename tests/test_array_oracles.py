@@ -15,6 +15,7 @@ times the size of the term's factor, which is what rounding can move.
 """
 
 import cmath
+import itertools
 import math
 from functools import lru_cache
 
@@ -453,3 +454,28 @@ def test_equivalence_map_connects_moyal_to_star_exactly():
             assert distance(left, as_dict(right)) <= REL_TOL * ref_size(fd, gd)
         truncated = equivalence_map(GAMMA_MOYAL_STAR[n], 12, f).evaluate(1.0 / 64)
         assert distance(truncated, as_dict(moyal_gauge(f, 64))) <= REL_TOL * f.l1_norm()
+
+
+def ref_random_trig_poly(rng: np.random.Generator, n: int, bandwidth: int, decay: float) -> dict:
+    """The per-key scalar loop ``random_trig_poly`` replaced: keys in
+    lexicographic order, each drawing a radius and then an angle."""
+    out = {}
+    for key in itertools.product(range(-bandwidth, bandwidth + 1), repeat=2 * n):
+        r = math.sqrt(rng.uniform())
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        weight = (1.0 + sum(v * v for v in key)) ** (-decay / 2.0)
+        out[(key[:n], key[n:])] = r * weight * cmath.exp(1j * theta)
+    return out
+
+
+@pytest.mark.parametrize("n, bandwidths", [(1, (0, 1, 2, 3, 6)), (2, (0, 1, 2)), (3, (1,))])
+@pytest.mark.parametrize("decay", [0.0, 3.0, 8.0])
+def test_random_trig_poly_is_the_scalar_loop_bit_for_bit(n, bandwidths, decay):
+    for seed in range(20):
+        for bandwidth in bandwidths:
+            poly = random_trig_poly(np.random.default_rng(seed), n, bandwidth, decay)
+            ref = ref_random_trig_poly(np.random.default_rng(seed), n, bandwidth, decay)
+            assert list(as_dict(poly)) == list(ref)  # same keys, in the same order
+            got = np.array(list(as_dict(poly).values()))
+            want = np.array(list(ref.values()))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

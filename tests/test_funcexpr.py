@@ -130,6 +130,26 @@ def test_evaluate_division_by_zero():
         evaluate(parse("(x1 - x1) ^ -1"), (0.3,), (0.0,))
 
 
+@pytest.mark.parametrize(
+    "source", ["exp(1000)", "10^400", "exp(700)*exp(700)", "sin(exp(700)*exp(700))", "0.5^-2000"]
+)
+def test_overflow_is_an_evaluation_error_on_both_routes(source):
+    # math.exp and float ** int raise OverflowError, math.sin(inf) a domain
+    # ValueError and a product overflows to inf silently; numpy gives inf or
+    # nan in each case, so both routes refuse them the same way
+    ast = parse(source)
+    with pytest.raises(EvaluationError):
+        evaluate(ast, (0.3,), (0.0,))
+    with pytest.raises(EvaluationError):
+        sample_lattice(ast, 1, 4)
+
+
+def test_an_overflow_that_vanishes_again_is_finite_on_both_routes():
+    ast = parse("1 / (exp(700) * exp(700))")
+    assert evaluate(ast, (0.3,), (0.0,)) == 0.0
+    assert not sample_lattice(ast, 1, 4).any()
+
+
 def test_evaluate_known_values():
     assert abs(evaluate(parse("sin(pi/2)"), (), ()) - 1.0) < 1e-15
     assert abs(evaluate(parse("exp(1) * exp(-1)"), (), ()) - 1.0) < 1e-15

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from torusquant.analysis import (
     L2_CERT_DELTA,
+    LANCZOS_CHECK,
     LAPACK_L2_MAX_DIM,
     L2Reading,
     L2RouteError,
     NormKind,
     _certify,
     _interleaving,
+    _lanczos_top,
     norm_bound_sweep,
     operator_norm,
     product_sweep,
@@ -122,6 +124,46 @@ def test_certificate_refuses_a_value_below_the_norm(seed, n, bandwidth, kind, k)
     sigma2 = spectral_norm(op.dense().entries) ** 2
     assert not _certify(gram, sigma2 * (1.0 - 1e-9), _interleaving(op))
     assert _certify(gram, sigma2 * (1.0 + L2_CERT_DELTA), _interleaving(op))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n, k", [(1, 512), (2, 32)])
+def test_three_term_lanczos_reads_clustered_tops_within_half_delta(seed, n, k):
+    # norm_bound symbols (bandwidth 2 at n = 1, 1 at n = 2, decay 8): the top
+    # of the spectrum of Q_f* Q_f clusters as k grows, and the recurrence
+    # keeps no basis to reorthogonalize against
+    f = random_trig_poly(np.random.default_rng(seed), n, 3 - n, decay=8.0)
+    op = toeplitz_diagonals(f, HilbertSpec(n, k))
+    gram = op.adjoint() @ op
+    theta, steps = _lanczos_top(gram)
+    assert theta is not None and steps > 2 * LANCZOS_CHECK
+    lapack = spectral_norm(op.dense().entries)
+    assert lapack * (1.0 - L2_CERT_DELTA / 2) <= np.sqrt(theta) <= lapack * (1.0 + 1e-14)
+    assert _certify(gram, theta * (1.0 + L2_CERT_DELTA), _interleaving(op))
+    assert not _certify(gram, theta * (1.0 - 1e-9), _interleaving(op))
+
+
+def test_lanczos_memory_does_not_grow_with_the_budget(monkeypatch):
+    # an order-1 product remainder at the dense cap that converges in fewer
+    # than 96 steps, so both budgets run the same steps; a stored Krylov
+    # basis would add (512 - 96) vectors of 64 KiB each
+    rng = np.random.default_rng(31)
+    f, g = random_trig_poly(rng, 1, 2, decay=8.0), random_trig_poly(rng, 1, 2, decay=8.0)
+    k = 4096
+    remainder = star_exact(f, g, HbarValue(k)) - star_truncated(f, g, 1).evaluate(1.0 / k)
+    op = toeplitz_diagonals(remainder, HilbertSpec(1, k))
+    peaks, results = [], []
+    for budget in (96, 512):
+        monkeypatch.setattr("torusquant.analysis.LANCZOS_BUDGET", budget)
+        gram = op.adjoint() @ op  # fresh, so each run makes its own conjugated values
+        tracemalloc.start()
+        try:
+            results.append(_lanczos_top(gram))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert results[0] == results[1] and results[0][0] is not None and results[0][1] < 96
+    assert peaks[1] < peaks[0] + 16 * op.spec.dim  # at most the two coefficient arrays grow
 
 
 def test_lanczos_l2_needs_no_dense_array():
