@@ -6,11 +6,12 @@ log-log slope fits turn them into empirical convergence orders, with an
 error floor below which values count as exact zeros so rounding noise never
 produces garbage slopes.
 
-Traces and Riemann sums build no operator: hbar^n tr Q_f and the level-k
-Riemann sum of an x-free symbol are both ``lattice_mean``, the sum of the
-amplitudes on kZ^{2n}, so their errors are exact zeros beyond the
-bandwidth; an expression profile is sampled once per level
-(``funcexpr.sample_lattice``).
+Traces build no operator.  By Poisson summation hbar^n tr Q_f is
+``lattice_mean``, the mean of f on the lattice (Z/k)^{2n}: for a TrigPoly
+the sum of its amplitudes on kZ^{2n}, so its error is an exact zero beyond
+the bandwidth; for an expression the mean of its samples there
+(``funcexpr.lattice_mean``), with no projection.  A Riemann sum is the trace
+of an x-free symbol.
 
 The other sweeps and the acceptance checks take their operators, defects
 and norms from the wrapped-diagonal form of each operator
@@ -30,6 +31,7 @@ L2_CERT_DELTA / 2 relative and never above it beyond rounding;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -37,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import funcexpr
-from .config import SWEEP_KINDS, ConfigError, ExperimentConfig, check_riemann_profile, expression_means
+from .config import SWEEP_KINDS, ConfigError, ExperimentConfig, expression_mean
 from .quantize import (
     DENSE_DIM_CAP,
     DiagonalOperator,
@@ -370,19 +372,24 @@ def _exact_transform_defect(f: TrigPoly, k: int) -> DiagonalOperator:
     return intertwine(dual) - exact
 
 
-def lattice_mean(f: TrigPoly, k: int) -> complex:
-    """The sum, in key order, of the amplitudes of f whose frequencies lie in
-    kZ^{2n}: hbar^n tr Q_f at level k in either polarization, and the
-    level-k Riemann sum k^{-n} sum_m f(m/k) of an x-independent f."""
-    return complex(f.values[~(f.keys % k).any(axis=1)].sum())
+def lattice_mean(f, k: int, n: int | None = None) -> complex:
+    """hbar^n tr Q_f at level k in either polarization: by Poisson summation
+    the mean of f on the lattice (Z/k)^{2n}.  For a TrigPoly that is the sum,
+    in key order, of its amplitudes on kZ^{2n}; for an expression on the
+    torus of dimension 2n, the mean of its samples (funcexpr.lattice_mean)."""
+    if isinstance(f, TrigPoly):
+        return complex(f.values[~(f.keys % k).any(axis=1)].sum())
+    return funcexpr.lattice_mean(f, n, k)
 
 
-def trace_error(f: TrigPoly, k: int, reference: complex | None = None) -> float:
-    """|hbar^n tr Q_f - reference|; reference defaults to the mean of f.
-    The scaled trace is lattice_mean(f, k), with no operator."""
+def trace_error(f, k: int, reference: complex | None = None, n: int | None = None) -> float:
+    """|lattice_mean(f, k, n) - reference|; reference defaults to the mean of
+    a TrigPoly and is required for an expression."""
     if reference is None:
+        if not isinstance(f, TrigPoly):
+            raise ValueError("reference is required for expression symbols")
         reference = f.mean
-    return abs(lattice_mean(f, k) - complex(reference))
+    return abs(lattice_mean(f, k, n) - complex(reference))
 
 
 def riemann_sum_error(
@@ -391,22 +398,17 @@ def riemann_sum_error(
     n: int | None = None,
     mean: complex | None = None,
 ) -> float:
-    """|mean - k^{-n} sum over the lattice (m/k)| for a profile in y.
-
-    ``profile`` is an x-independent TrigPoly, whose sum is its lattice_mean
-    and whose mean defaults to its coefficient average, or the AST of an
-    expression in y, sampled once on the level-k lattice of dimension ``n``
-    (default 1), whose ``mean`` the caller supplies.
-    """
+    """|mean - k^{-n} sum over the lattice (m/k)|: the trace_error of an
+    x-free profile, a TrigPoly (mean defaults to its coefficient average) or
+    the AST of an expression in y on the torus of dimension 2n (n defaults
+    to 1), whose ``mean`` the caller supplies."""
     if isinstance(profile, TrigPoly):
-        if profile.x_bandwidth() != 0:
-            raise ValueError("profile must not depend on x")
-        return abs(lattice_mean(profile, k) - complex(profile.mean if mean is None else mean))
-    if any(v.axis == "x" for v in funcexpr.variables(profile)):
+        reads_x = profile.x_bandwidth() != 0
+    else:
+        reads_x = any(v.axis == "x" for v in funcexpr.variables(profile))
+    if reads_x:
         raise ValueError("profile must not depend on x")
-    if mean is None:
-        raise ValueError("mean is required for expression profiles")
-    return abs(funcexpr.sample_lattice(profile, n or 1, k).mean() - complex(mean))
+    return trace_error(profile, k, reference=mean, n=n or 1)
 
 
 # -- slope fitting -------------------------------------------------------------
@@ -604,33 +606,6 @@ def _norm_report(
     return ConvergenceReport(experiment, rows, series, all(s.passed for s in series), details)
 
 
-def _abs_report(
-    experiment: str, ks: Sequence[int], errors: list[float], band_limit: int | None, tol: float, details: dict
-) -> ConvergenceReport:
-    """Report of an ``abs`` error series.
-
-    With ``band_limit`` None the errors must decay faster than any power
-    (superpoly_decay_ok); otherwise every level above the band limit must be
-    exact to ``tol``.
-    """
-    rows = [SweepPoint(k, 1.0 / k, e, "abs") for k, e in zip(ks, errors)]
-    details["error_floor"] = ERROR_FLOOR
-    if band_limit is None:
-        ok, exact = superpoly_decay_ok(list(zip(ks, errors)))
-        name = f"{experiment}_decay"
-        outcome = "exact_identity" if exact else ("fit" if ok else "violation")
-        details["rate_exponent"] = RATE_EXPONENT
-    else:
-        judged = [(k, e) for k, e in zip(ks, errors) if k > band_limit]
-        ok = all(e <= tol for _k, e in judged) and bool(judged)
-        name = f"band_limited_{experiment}"
-        outcome = "exact_identity" if ok else "violation"
-        details["bandwidth"] = band_limit
-        details["levels_judged"] = [k for k, _ in judged]
-    series = [SeriesSummary(name=name, norm_kind="abs", outcome=outcome, passed=ok)]
-    return ConvergenceReport(experiment=experiment, rows=rows, series=series, passed=ok, details=details)
-
-
 # -- sweeps --------------------------------------------------------------------
 #
 # One sweep per experiment kind, over realized symbols and explicit levels.
@@ -665,40 +640,34 @@ def intertwine_sweep(f: TrigPoly, order: int, ks: Sequence[int]) -> ConvergenceR
     return _norm_report("intertwine", ks, _berezin_remainder(f, order), order, details, [exact])
 
 
-def trace_sweep(f: TrigPoly, ks: Sequence[int], reference: complex | None = None) -> ConvergenceReport:
-    """|hbar^n tr Q_f - reference| per level.
+def trace_sweep(f, ks: Sequence[int], reference: complex | None = None, n: int | None = None) -> ConvergenceReport:
+    """|hbar^n tr Q_f - reference| per level, one ``abs`` row each.
 
-    Without a reference, f counts as band-limited and its own mean is the
-    reference: traces must be exact (to 1e-10 relative) once k exceeds its
-    bandwidth.  A given reference, the mean of the function f was projected
-    from, asks for faster-than-any-power decay instead.
+    Without a reference, f is a TrigPoly, band-limited with its own mean as
+    the reference: traces must be exact to 1e-12 once k exceeds its
+    bandwidth.  A given reference, the mean of an expression f on the torus
+    of dimension 2n, asks for faster-than-any-power decay instead
+    (superpoly_decay_ok).
     """
-    band_limited = reference is None
-    if band_limited:
-        reference = f.mean
-    errors = [trace_error(f, k, reference=reference) for k in ks]
-    tol = 1e-10 * abs(reference) + 1e-12
-    details: dict = {"reference_re": reference.real, "reference_im": reference.imag}
-    if band_limited:
-        details["tolerance"] = tol
+    errors = [trace_error(f, k, reference=reference, n=n) for k in ks]
+    if reference is None:
+        reference, tol, bandwidth = f.mean, 1e-12, f.bandwidth()
+        judged = [(k, e) for k, e in zip(ks, errors) if k > bandwidth]
+        ok = bool(judged) and all(e <= tol for _k, e in judged)
+        name, outcome = "band_limited_trace", "exact_identity" if ok else "violation"
+        details = {"bandwidth": bandwidth, "levels_judged": [k for k, _e in judged], "tolerance": tol}
     else:
-        details["rate_rule"] = "error*k^4 strictly decreasing above the floor (chosen rendering of faster-than-any-power decay)"
-    return _abs_report("trace", ks, errors, f.bandwidth() if band_limited else None, tol, details)
-
-
-def riemann_sweep(profile, ks: Sequence[int], n: int, mean: complex | None = None) -> ConvergenceReport:
-    """|mean - k^{-n} sum over the lattice| per level for a profile in y.
-
-    An x-independent TrigPoly profile (mean defaults to its coefficient
-    average) must be exact to 1e-12 beyond its y-bandwidth.  The AST of an
-    expression in y needs ``mean`` and must decay faster than any power.
-    """
-    band_limited = isinstance(profile, TrigPoly)
-    if band_limited and mean is None:
-        mean = profile.mean
-    errors = [riemann_sum_error(profile, k, n=n, mean=mean) for k in ks]
-    details = {"mean_re": complex(mean).real, "mean_im": complex(mean).imag}
-    return _abs_report("riemann", ks, errors, profile.y_bandwidth() if band_limited else None, 1e-12, details)
+        ok, exact = superpoly_decay_ok(list(zip(ks, errors)))
+        name, outcome = "trace_decay", "exact_identity" if exact else ("fit" if ok else "violation")
+        details = {
+            "rate_exponent": RATE_EXPONENT,
+            "rate_rule": "error*k^4 strictly decreasing above the floor (chosen rendering of faster-than-any-power decay)",
+        }
+    reference = complex(reference)
+    details.update(error_floor=ERROR_FLOOR, reference_re=reference.real, reference_im=reference.imag)
+    rows = [SweepPoint(k, 1.0 / k, e, "abs") for k, e in zip(ks, errors)]
+    series = [SeriesSummary(name=name, norm_kind="abs", outcome=outcome, passed=ok)]
+    return ConvergenceReport("trace", rows, series, ok, details)
 
 
 def norm_bound_sweep(f: TrigPoly, ks: Sequence[int]) -> ConvergenceReport:
@@ -831,29 +800,23 @@ def torus_relations_sweep(n: int, ks: Sequence[int]) -> ConvergenceReport:
 def _expression_mean(spec_f, n: int, k_max: int) -> complex:
     """Reference mean of an expression on a fine grid.
 
-    Uses at least 4x the finest sweep resolution (and >= 1024 points per axis
-    for n = 1), capped so the total grid stays affordable; for analytic
-    integrands this trapezoid rule is exact to rounding.  An expression that
-    cannot be evaluated on this grid is a ConfigError on f.expr or f.expr_im.
+    Uses at least 4x the finest sweep resolution and 1024 points per axis,
+    capped so that the points sampled along the axes the expression reads
+    stay within funcexpr.SAMPLE_BUDGET; for analytic integrands this
+    trapezoid rule is exact to rounding.  An expression that cannot be
+    evaluated on this grid is a ConfigError on f.expr or f.expr_im.
     """
-    target = max(4 * k_max, 1024 if n == 1 else 64)
-    cap = int(2 ** (24 / (2 * n)))
-    m = min(target, cap)
-    if m % 2:
-        m += 1
-    mean, *im = expression_means(spec_f, n, m, "f")
-    if im:
-        mean += 1j * im[0]
-    return mean
+    axes = max(len(funcexpr.variables(ast)) for ast in spec_f.asts() if ast is not None)
+    m = min(max(4 * k_max, 1024), int(2 ** (math.log2(funcexpr.SAMPLE_BUDGET) / max(axes, 1))))
+    return expression_mean(spec_f, n, m + m % 2, "f")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     """Realize a config's inputs and run the sweep of its kind.
 
     Random symbols are drawn f first, then g, from one generator seeded with
-    cfg.seed.  Expression symbols of ``trace`` and ``riemann`` configs are
-    judged against their mean on a fine reference grid (_expression_mean),
-    and a riemann expression is read as a profile in y at x = 0.  A
+    cfg.seed.  An expression is traced as itself, not as its projection,
+    against its mean on a fine reference grid (_expression_mean).  A
     polarization other than position is refused, since sweeps fix their
     own bases.  The ``check`` criteria call the same sweeps on their own
     corpora; see the package README for the per-kind row and series layout.
@@ -866,23 +829,18 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     ks = cfg.k_values()
     if kind == "torus_relations":
         return torus_relations_sweep(cfg.n, ks)
-    from_expr = cfg.f.kind == "expr"
-    rng = np.random.default_rng(cfg.seed)
-    if kind == "riemann":
-        check_riemann_profile(cfg.f)
-        if not from_expr:
-            return riemann_sweep(cfg.f.realize(cfg.n, rng), ks, cfg.n)
-        re_ast, _im_ast = cfg.f.asts()
-        mean = _expression_mean(cfg.f, cfg.n, max(ks))
+    if kind == "trace" and cfg.f.kind == "expr":
+        reference = _expression_mean(cfg.f, cfg.n, max(ks))
         try:
-            return riemann_sweep(re_ast, ks, cfg.n, mean)
+            return trace_sweep(cfg.f.asts(), ks, reference, cfg.n)
         except funcexpr.EvaluationError as exc:
-            raise ConfigError("f.expr", f"{exc} on the level-k lattice") from exc
+            raise ConfigError(f"f.{exc.part}", f"{exc} on the level-k lattice") from exc
+    rng = np.random.default_rng(cfg.seed)
     f = cfg.f.realize(cfg.n, rng)
     if kind == "product":
         return product_sweep(f, cfg.g.realize(cfg.n, rng), cfg.order, ks)
     if kind == "intertwine":
         return intertwine_sweep(f, cfg.order, ks)
     if kind == "trace":
-        return trace_sweep(f, ks, _expression_mean(cfg.f, cfg.n, max(ks)) if from_expr else None)
+        return trace_sweep(f, ks)
     return norm_bound_sweep(f, ks)

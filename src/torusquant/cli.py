@@ -58,6 +58,8 @@ def _load_config(args, parser):
     if args.out is not None:
         overrides["out"] = args.out
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("seed", f"must be at least 0, got {args.seed}")
         overrides["seed"] = args.seed
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)

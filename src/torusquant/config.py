@@ -2,6 +2,8 @@
 
 Configs are JSON objects.  Parsing is strict: unknown keys are rejected, and
 every validation error names the offending field path (``"f.bandwidth"``).
+Inputs too large to run (more than MAX_LEVELS levels, or lattices of more than
+``funcexpr.SAMPLE_BUDGET`` samples) are refused the same way.
 The normalized form (defaults filled in) is what reports echo and hash, so a
 report can always be traced back to the exact configuration that produced it.
 """
@@ -25,7 +27,6 @@ EXPERIMENT_KINDS = (
     "product",
     "intertwine",
     "trace",
-    "riemann",
     "norm_bound",
     "torus_relations",
     "star_table",
@@ -39,12 +40,14 @@ SWEEP_KINDS = tuple(k for k in EXPERIMENT_KINDS if k != "star_table")
 # kinds that need a second function g
 PAIR_KINDS = ("product", "star_table")
 # kinds that need any function at all
-FUNCTION_KINDS = ("product", "intertwine", "trace", "riemann", "norm_bound", "star_table")
+FUNCTION_KINDS = ("product", "intertwine", "trace", "norm_bound", "star_table")
 # kinds that build a k^n-dimensional operator at every level, held to the
 # dense cap at the largest one
 OPERATOR_KINDS = ("product", "intertwine", "norm_bound", "torus_relations")
 # kinds that read the truncation order N
 ORDER_KINDS = ("product", "intertwine", "star_table")
+# most levels in one sweep
+MAX_LEVELS = 4096
 
 
 class ConfigError(ValueError):
@@ -79,7 +82,9 @@ def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """One test function: inline coefficients, an expression, or random."""
+    """One test function: inline coefficients, an expression, or random.
+    A trace reads an expression itself (``asts``), not its projection
+    (``realize``), so its bandwidth and grid only set the parse-time check."""
 
     coeffs: tuple | None = None
     expr: str | None = None
@@ -212,33 +217,15 @@ def _parse_function(data, path: str) -> FunctionSpec:
     return FunctionSpec(random_bandwidth=bw, random_decay=float(decay))
 
 
-def expression_means(spec: FunctionSpec, n: int, grid: int, path: str) -> list[complex]:
-    """Mean of the real expression, then of ``expr_im`` if given, on the
-    uniform grid; a division by zero, an overflow or a variable beyond n
-    there is a config error naming ``path.expr`` or ``path.expr_im``."""
-    means = []
-    for label, ast in zip(("expr", "expr_im"), spec.asts()):
-        if ast is None:
-            continue
-        try:
-            means.append(complex(funcexpr.sample_lattice(ast, n, grid).mean()))
-        except funcexpr.EvaluationError as exc:
-            raise ConfigError(f"{path}.{label}", str(exc)) from exc
-    return means
-
-
-def check_riemann_profile(spec: FunctionSpec) -> None:
-    """Refuse riemann inputs that are not a real profile in y alone: the
-    sweep reads the real expression at x = 0."""
-    if spec.expr_im is not None:
-        raise ConfigError("f.expr_im", "riemann profiles must be real expressions")
-    if spec.kind == "expr" and any(v.axis == "x" for v in funcexpr.variables(funcexpr.parse(spec.expr))):
-        raise ConfigError("f.expr", "riemann profiles must not depend on x")
-    if spec.kind == "random" and spec.random_bandwidth > 0:
-        raise ConfigError("f.random", "riemann profiles must not depend on x; a random symbol of bandwidth > 0 does")
-    for i, rec in enumerate(spec.coeffs or ()):
-        if any(rec["p"]):
-            raise ConfigError(f"f.coeffs[{i}].p", "riemann profiles must not depend on x")
+def expression_mean(spec: FunctionSpec, n: int, grid: int, path: str) -> complex:
+    """Mean of the expression, ``expr_im`` as its imaginary part, on the
+    uniform grid (``funcexpr.lattice_mean``); a division by zero, an overflow
+    or a variable beyond n there is a config error naming ``path.expr`` or
+    ``path.expr_im``."""
+    try:
+        return funcexpr.lattice_mean(spec.asts(), n, grid)
+    except funcexpr.EvaluationError as exc:
+        raise ConfigError(f"{path}.{exc.part}", str(exc)) from exc
 
 
 _TOP_LEVEL_KEYS = {
@@ -373,6 +360,8 @@ def parse_config(source) -> ExperimentConfig:
         k_max = _as_int(_require(data, "", "k_max"), "k_max", minimum=2)
         if k_max < k_min:
             raise ConfigError("k_max", f"must be at least k_min={k_min}, got {k_max}")
+        if k_rule == "linear" and (k_max - k_min) // k_step + 1 > MAX_LEVELS:
+            raise ConfigError("k_max", f"the linear rule gives more than {MAX_LEVELS} levels")
     else:
         for key in ("k_min", "k_max"):
             if key in data:
@@ -412,11 +401,23 @@ def parse_config(source) -> ExperimentConfig:
             raise ConfigError(
                 "k_max", f"level {top} needs dimension {top}^{n} = {top**n}, above the dense cap {DENSE_DIM_CAP}"
             )
-    if experiment == "riemann":
-        check_riemann_profile(f_spec)
     for name, spec in (("f", f_spec), ("g", g_spec)):
         if spec is not None and spec.kind == "expr":
-            expression_means(spec, n, spec.projection_spec().grid, name)
+            grid = spec.projection_spec().grid
+            # project() spreads the samples to the full grid; a trace projects nothing
+            if experiment != "trace" and grid ** (2 * n) > funcexpr.SAMPLE_BUDGET:
+                raise ConfigError(
+                    f"{name}.grid", f"projection grid {grid}^{2 * n} points, above {funcexpr.SAMPLE_BUDGET}"
+                )
+            expression_mean(spec, n, grid, name)
+    if experiment == "trace" and f_spec.kind == "expr":
+        top = max(cfg.k_values())
+        for label, ast in zip(("expr", "expr_im"), f_spec.asts()):
+            points = top ** len(funcexpr.variables(ast)) if ast is not None else 1
+            if points > funcexpr.SAMPLE_BUDGET:
+                raise ConfigError(
+                    "k_max", f"level {top} samples f.{label} at {points} points, above {funcexpr.SAMPLE_BUDGET}"
+                )
     return cfg
 
 

@@ -15,11 +15,11 @@ Exponents must be integer literals.  Parse errors carry a 1-based character
 position.
 
 ``sample_lattice`` evaluates an expression on a uniform lattice in one
-vectorized pass over the axes it reads; lattice means (reference means,
-Riemann sums) are its mean.  ``project`` turns an expression into a
-:class:`~torusquant.trigpoly.TrigPoly` by sampling on a uniform grid and
-taking the discrete Fourier transform, keeping frequencies inside the
-requested band.  The scalar ``evaluate`` is the pointwise reference.
+vectorized pass over the axes it reads; ``lattice_mean``, its mean for a
+real or a complex expression, gives traces and reference means.  ``project``
+turns an expression into a :class:`~torusquant.trigpoly.TrigPoly` by sampling
+on a uniform grid and taking the discrete Fourier transform, keeping
+frequencies inside the requested band.  The scalar ``evaluate`` is the pointwise reference.
 """
 
 from __future__ import annotations
@@ -57,7 +57,10 @@ class ArityError(ExpressionError):
 
 
 class EvaluationError(ValueError):
-    """Expression cannot be evaluated at the requested point or grid."""
+    """Expression cannot be evaluated at the requested point or grid;
+    ``lattice_mean`` sets ``part`` to "expr" or "expr_im"."""
+
+    part: str | None = None
 
 
 # -- AST ---------------------------------------------------------------------
@@ -329,7 +332,12 @@ def _check_finite(values, where: str) -> None:
         raise EvaluationError(f"non-finite value produced by {where}")
 
 
-# -- projection --------------------------------------------------------------
+# -- sampling and projection -------------------------------------------------
+
+# Most points one sampled lattice may hold (128 MiB of float64): the cap on
+# reference grids, and, checked at parse time, on projection grids and on the
+# levels of a trace config.
+SAMPLE_BUDGET = 2**24
 
 
 def default_grid(bandwidth: int) -> int:
@@ -375,6 +383,19 @@ def sample_lattice(ast: ExprAst, n: int, grid: int) -> np.ndarray:
         values = np.asarray(_eval(ast, tuple(axes[:n]), tuple(axes[n:]), scalar=False), dtype=float)
     _check_finite(values, "the expression")
     return values
+
+
+def lattice_mean(symbol, n: int, grid: int) -> complex:
+    """Mean on the uniform lattice of an expression: an AST, or a pair (real
+    AST, imaginary AST or None).  An EvaluationError names its ``part``."""
+    means = [0.0, 0.0]
+    for i, ast in enumerate(symbol if isinstance(symbol, tuple) else (symbol,)):
+        try:
+            means[i] = 0.0 if ast is None else sample_lattice(ast, n, grid).mean()
+        except EvaluationError as exc:
+            exc.part = ("expr", "expr_im")[i]
+            raise
+    return complex(*means)
 
 
 def sample_grid(ast: ExprAst, n: int, grid: int) -> np.ndarray:

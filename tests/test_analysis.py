@@ -1,6 +1,7 @@
 """Norm estimators, error operators and the sweep driver."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -31,9 +32,10 @@ from torusquant.analysis import (
     superpoly_decay_ok,
     torus_relation_defects,
     trace_error,
+    trace_sweep,
 )
 from torusquant.config import ConfigError, ExperimentConfig, FunctionSpec
-from torusquant.funcexpr import evaluate, parse
+from torusquant.funcexpr import ProjectionSpec, evaluate, parse, project, variables
 from torusquant.quantize import (
     DENSE_DIM_CAP,
     HilbertSpec,
@@ -247,16 +249,19 @@ def test_riemann_error_bessel_oracle():
         assert got == pytest.approx(want, rel=1e-9)
 
 
-def _riemann_sum_pointwise(profile, n: int, k: int) -> complex:
-    """k^{-n} sum over the level-k lattice, one scalar evaluation per point."""
-    total = 0.0 + 0.0j
-    for m in np.ndindex(*((k,) * n)):
-        y = tuple(v / k for v in m)
-        if isinstance(profile, TrigPoly):
-            total += profile.evaluate((0.0,) * n, y)
+def _riemann_sum_pointwise(symbol, n: int, k: int) -> complex:
+    """k^{-2n} sum over the level-k lattice (Z/k)^{2n}, one scalar evaluation
+    per point and an exactly rounded sum: hbar^n tr Q_f by Poisson
+    summation."""
+    values = []
+    for m in np.ndindex(*((k,) * (2 * n))):
+        point = np.array(m) / k
+        if isinstance(symbol, TrigPoly):  # sum_c c e^{2 pi i (p.x + q.y)} over the terms
+            values.append(complex(symbol.values @ np.exp(2j * np.pi * (symbol.keys @ point))))
         else:
-            total += evaluate(profile, (0.0,) * n, y)
-    return total / float(k) ** n
+            values.append(complex(evaluate(symbol, point[:n], point[n:])))
+    total = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    return total / float(k) ** (2 * n)
 
 
 @pytest.mark.parametrize(
@@ -266,13 +271,20 @@ def _riemann_sum_pointwise(profile, n: int, k: int) -> complex:
         ("1/(2 + sin(2*pi*y1)) - y1^3", 1),
         ("exp(sin(2*pi*y1)) * cos(2*pi*y2)^2 + y2", 2),
         ("1/(3 + cos(2*pi*y2))", 2),  # reads y2 only: y1 is never spread
+        ("exp(cos(2*pi*x1)) * (cos(2*pi*y1) / (1.1 - cos(2*pi*y1)))", 1),
+        ("x1^2 - sin(2*pi*(x1 + y1))", 1),
+        ("exp(sin(2*pi*x2)) / (2 + cos(2*pi*(x1 - y2))) + y1", 2),
     ],
 )
 def test_riemann_sums_of_expressions_match_the_pointwise_sum(source, n):
     ast = parse(source)
+    reads_x = any(v.axis == "x" for v in variables(ast))
     for k in (1, 3, 8, 13):
         want = _riemann_sum_pointwise(ast, n, k)
-        assert riemann_sum_error(ast, k, n=n, mean=0.0) == pytest.approx(abs(want), rel=1e-13, abs=1e-15)
+        assert lattice_mean(ast, k, n) == pytest.approx(want, rel=1e-13, abs=1e-15)
+        assert trace_error(ast, k, reference=0.0, n=n) == pytest.approx(abs(want), rel=1e-13, abs=1e-15)
+        if not reads_x:
+            assert riemann_sum_error(ast, k, n=n, mean=0.0) == trace_error(ast, k, reference=0.0, n=n)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -281,6 +293,47 @@ def test_lattice_mean_is_the_pointwise_riemann_sum(n):
     profile = TrigPoly(n, {((0,) * n, q): c for (p, q), c in f if not any(p)})
     for k in (1, 2, 3, 5, 7):  # aliasing levels included
         assert abs(lattice_mean(profile, k) - _riemann_sum_pointwise(profile, n, k)) <= 1e-13
+        assert abs(lattice_mean(f, k) - _riemann_sum_pointwise(f, n, k)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "source, n, bandwidth",
+    [
+        ("1.5 + cos(2*pi*(3*x1 - y1)) + sin(2*pi*2*y1) * cos(2*pi*x1)^2", 1, 3),
+        ("0.5 + cos(2*pi*(2*x1 + y2)) * sin(2*pi*(x2 - 2*y1)) + cos(2*pi*2*x2)^2", 2, 4),
+    ],
+)
+def test_trace_of_a_trig_polynomial_expression_is_the_matrix_trace(source, n, bandwidth):
+    # the expression is its own projection, so its lattice mean must be the
+    # trace of the assembled Toeplitz matrix, aliasing levels k <= bandwidth
+    # included
+    ast = parse(source)
+    poly = project(ast, ProjectionSpec(bandwidth), n)
+    for k in range(2, 2 * bandwidth + 2 if n == 1 else bandwidth + 3):
+        a = assemble_toeplitz(poly, HilbertSpec(n, k)).entries
+        assert abs(lattice_mean(ast, k, n) - np.trace(a) / k**n) <= 1e-13
+
+
+def test_trace_sweep_of_a_complex_expression():
+    re_ast = parse("exp(cos(2*pi*x1)) * (cos(2*pi*y1) / (1.1 - cos(2*pi*y1)))")
+    im_ast = parse("sin(2*pi*y1)^2 * exp(sin(2*pi*x1))")
+    for k in (2, 5, 16):
+        want = lattice_mean(re_ast, k, 1) + 1j * lattice_mean(im_ast, k, 1)
+        assert lattice_mean((re_ast, im_ast), k, 1) == want
+    cfg = ExperimentConfig(
+        experiment="trace", n=1, k_min=16, k_max=256, seed=0,
+        f=FunctionSpec(expr="exp(cos(2*pi*x1)) * (cos(2*pi*y1) / (1.1 - cos(2*pi*y1)))",
+                       expr_im="sin(2*pi*y1)^2 * exp(sin(2*pi*x1))", bandwidth=12),
+    )
+    report = run_experiment(cfg)
+    assert report.passed and report.series[0].outcome == "fit"
+    # mean of sin^2 is 1/2 and of exp(sin) is I_0(1)
+    assert report.details["reference_im"] == pytest.approx(float(iv(0, 1.0)) / 2, rel=1e-13)
+    # the imaginary part's lattice means are exact to rounding from k = 16
+    # on (sin^2 from k = 3, exp(sin) aliases at I_k(1) < 1e-20), so the
+    # errors are those of the real part alone
+    real_only = run_experiment(dataclasses.replace(cfg, f=FunctionSpec(expr=cfg.f.expr, bandwidth=12)))
+    assert [r.error for r in report.rows] == pytest.approx([r.error for r in real_only.rows], rel=1e-9, abs=1e-15)
 
 
 def test_fit_slope_synthetic():
@@ -431,28 +484,44 @@ def test_run_trace_band_limited():
 
 
 def test_run_trace_expression_decay():
+    # traced as itself, not its projection: the projection to bandwidth 10
+    # would read one constant at every level above 10
     cfg = ExperimentConfig(
         experiment="trace", n=1, k_min=16, k_max=128, seed=0,
-        f=FunctionSpec(expr="exp(cos(2*pi*x1)) * cos(2*pi*y1)", bandwidth=10, grid=48),
+        f=FunctionSpec(expr="exp(cos(2*pi*x1)) * (cos(2*pi*y1) / (1.1 - cos(2*pi*y1)))", bandwidth=10, grid=48),
     )
     report = run_experiment(cfg)
     assert report.passed
     assert report.series[0].name == "trace_decay"
+    assert report.series[0].outcome == "fit"
+    assert sum(r.error > ERROR_FLOOR for r in report.rows) == 3
 
 
 def test_run_riemann_expression():
+    # a Riemann sum is the trace of an x-free symbol
     cfg = ExperimentConfig(
-        experiment="riemann", n=1, k_min=8, k_max=64, seed=0,
+        experiment="trace", n=1, k_min=8, k_max=64, seed=0,
         f=FunctionSpec(expr="exp(cos(2*pi*y1))", bandwidth=8),
     )
     report = run_experiment(cfg)
     assert report.passed
-    assert report.details["mean_re"] == pytest.approx(float(iv(0, 1.0)), rel=1e-12)
-    with pytest.raises(ValueError, match="real"):
-        run_experiment(ExperimentConfig(
-            experiment="riemann", n=1, k_min=8, k_max=16, seed=0,
-            f=FunctionSpec(expr="cos(2*pi*y1)", expr_im="sin(2*pi*y1)", bandwidth=2),
-        ))
+    assert report.details["reference_re"] == pytest.approx(float(iv(0, 1.0)), rel=1e-12)
+    assert report.details["reference_im"] == 0.0
+    for row in report.rows:
+        assert row.error == riemann_sum_error(parse(cfg.f.expr), row.k, n=1, mean=report.details["reference_re"])
+
+
+def test_trace_reference_grid_counts_the_axes_read():
+    # an x-free profile at n = 2 reads one axis of four: its reference grid
+    # is held to the sample budget along that axis, not spread over all four
+    # (64 points, whose aliasing error of 1.7e-3 every level above 64 read)
+    cfg = ExperimentConfig(
+        experiment="trace", n=2, k_min=64, k_max=512, seed=0,
+        f=FunctionSpec(expr="1/(1.01 - cos(2*pi*y1))", bandwidth=2),
+    )
+    report = run_experiment(cfg)
+    assert report.details["reference_re"] == pytest.approx(1 / math.sqrt(1.01**2 - 1), rel=1e-13)
+    assert report.passed and report.rows[-1].error <= ERROR_FLOOR
 
 
 def test_run_norm_bound():

@@ -102,7 +102,7 @@ def test_parse_linear_rule():
         (lambda d: d.update(orientation="moyal"), "orientation"),
         *[
             pytest.param(lambda d, kind=kind: d.update(experiment=kind, order=3), "order", id=f"order-on-{kind}")
-            for kind in ("trace", "riemann", "norm_bound", "torus_relations")
+            for kind in ("trace", "norm_bound", "torus_relations")
         ],
         # the star subcommand reads neither a basis nor levels
         pytest.param(lambda d: _star_table(d, polarization="momentum"), "polarization", id="star-polarization"),
@@ -141,7 +141,7 @@ def test_parse_invalid_json_and_missing_file(tmp_path):
 
 def test_expression_spec_realizes_projection():
     cfg = parse_config({
-        "experiment": "riemann", "n": 1, "k_min": 4, "k_max": 8,
+        "experiment": "trace", "n": 1, "k_min": 4, "k_max": 8,
         "f": {"expr": "2*sin(2*pi*y1)", "bandwidth": 2},
     })
     import numpy as np
@@ -299,8 +299,8 @@ def test_cli_run_rejects_level_above_dense_cap(tmp_path, capsys):
     assert code == 2
     assert "config error: k_max:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    # riemann builds no operators, so only assemble meets the cap
-    data = {"experiment": "riemann", "n": 1, "k_min": 8192, "k_max": 8192,
+    # trace builds no operators, so only assemble meets the cap
+    data = {"experiment": "trace", "n": 1, "k_min": 8192, "k_max": 8192,
             "f": {"coeffs": [{"p": [0], "q": [1], "re": 1.0}]}}
     code = main(["assemble", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
     assert code == 2
@@ -344,23 +344,6 @@ def test_cli_run_rejects_expression_that_fails_on_its_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "spec, path",
-    [
-        ({"expr": "cos(2*pi*y1)", "expr_im": "sin(2*pi*y1)", "bandwidth": 2}, "f.expr_im"),
-        ({"random": {"bandwidth": 2}}, "f.random"),
-        ({"coeffs": [{"p": [0], "q": [1], "re": 1.0}, {"p": [1], "q": [0], "re": 0.5}]}, "f.coeffs[1].p"),
-        ({"expr": "cos(2*pi*(x1 + y1))", "bandwidth": 2}, "f.expr"),
-    ],
-)
-def test_cli_run_rejects_riemann_profile_that_is_not_real_in_y(tmp_path, capsys, spec, path):
-    data = {"experiment": "riemann", "n": 1, "k_min": 4, "k_max": 16, "f": spec}
-    code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert f"config error: {path}: riemann profiles must" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize(
     "data, message",
     [
         pytest.param(
@@ -369,17 +352,51 @@ def test_cli_run_rejects_riemann_profile_that_is_not_real_in_y(tmp_path, capsys,
             "f.expr: division by zero",
             id="trace-expr-singular-on-the-reference-grid",
         ),
+        # Riemann sums: traces of x-free profiles
         pytest.param(
-            {"experiment": "riemann", "n": 1, "k_min": 3, "k_max": 8, "k_rule": "linear",
+            {"experiment": "trace", "n": 1, "k_min": 3, "k_max": 8, "k_rule": "linear",
              "f": {"expr": "1/(3*y1 - 1)", "bandwidth": 2}},
             "f.expr: division by zero on the level-k lattice",
             id="riemann-expr-singular-at-a-lattice-point",
         ),
         pytest.param(
-            {"experiment": "riemann", "n": 1, "k_min": 3, "k_max": 5, "k_rule": "linear",
+            {"experiment": "trace", "n": 1, "k_min": 3, "k_max": 5, "k_rule": "linear",
              "f": {"expr": "exp(1/((3*y1 - 1)^2*1000000 + 0.0000000001))", "bandwidth": 2}},
             "f.expr: non-finite value produced by exp on the level-k lattice",
             id="riemann-expr-overflowing-at-a-lattice-point",
+        ),
+        pytest.param(
+            {"experiment": "trace", "n": 1, "k_min": 3, "k_max": 8, "k_rule": "linear",
+             "f": {"expr": "cos(2*pi*x1)", "expr_im": "1/(3*x1 - 2)", "bandwidth": 2}},
+            "f.expr_im: division by zero on the level-k lattice",
+            id="trace-expr_im-singular-at-a-lattice-point",
+        ),
+        # refused while parsing: past the sample budget or the level count
+        pytest.param(
+            # reads three axes: 4096^3 = 2^36 lattice points at the top level
+            {"experiment": "trace", "n": 3, "k_min": 8, "k_max": 4096,
+             "f": {"expr": "exp(cos(2*pi*y1)) * cos(2*pi*y2) / (2 + sin(2*pi*y3))", "bandwidth": 2}},
+            "k_max: level 4096 samples f.expr at 68719476736 points, above 16777216",
+            id="expr-past-the-sample-budget",
+        ),
+        pytest.param(
+            {"experiment": "trace", "n": 1, "k_min": 8, "k_max": 8192,
+             "f": {"expr": "cos(2*pi*y1)", "expr_im": "cos(2*pi*x1) * sin(2*pi*y1)", "bandwidth": 2}},
+            "k_max: level 8192 samples f.expr_im at 67108864 points",
+            id="expr_im-past-the-sample-budget",
+        ),
+        pytest.param(
+            # the default grid of bandwidth 12 is 52 points per axis: 52^6 at n = 3
+            {"experiment": "norm_bound", "n": 3, "k_min": 2, "k_max": 4,
+             "f": {"expr": "cos(2*pi*x1) * cos(2*pi*y3)", "bandwidth": 12}},
+            "f.grid: projection grid 52^6 points, above 16777216",
+            id="projection-grid-past-the-sample-budget",
+        ),
+        pytest.param(
+            {"experiment": "trace", "n": 1, "k_min": 2, "k_max": 10**12, "k_rule": "linear",
+             "f": {"coeffs": [{"p": [0], "q": [1], "re": 1.0}]}},
+            "k_max: the linear rule gives more than 4096 levels",
+            id="linear-rule-past-the-level-count",
         ),
         # parsing accepts it for assemble; run would ignore it
         pytest.param(dict(PRODUCT_CFG, polarization="momentum"), "polarization: ", id="polarization"),
@@ -396,11 +413,33 @@ def test_cli_run_trace_needs_no_dense_cap(tmp_path):
     # traces are lattice sums of coefficients: no operator at any level, so
     # n = 2 runs to k = 1024 (dimension 2^20)
     data = {"experiment": "trace", "n": 2, "k_min": 4, "k_max": 1024,
-            "f": {"expr": "exp(cos(2*pi*x1)) * cos(2*pi*y2) + sin(2*pi*x2)^2", "bandwidth": 6}}
+            "f": {"random": {"bandwidth": 6, "decay": 2.0}}}
     code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 0
     (csv,) = (tmp_path / "out").glob("*.csv")
     assert csv.read_text(encoding="utf-8").splitlines()[-1].startswith("1024,")
+
+
+def test_sample_budget_counts_the_axes_an_expression_reads():
+    # one axis: k^1 is far inside the budget wherever the expression is x-free
+    parse_config({"experiment": "trace", "n": 3, "k_min": 8, "k_max": 2**20,
+                  "f": {"expr": "exp(cos(2*pi*y3))", "bandwidth": 2}})
+    # two axes at k = 4096 sit exactly on it
+    parse_config({"experiment": "trace", "n": 1, "k_min": 4096, "k_max": 4096,
+                  "f": {"expr": "cos(2*pi*x1) * sin(2*pi*y1)", "bandwidth": 1}})
+    with pytest.raises(ConfigError) as info:
+        parse_config({"experiment": "trace", "n": 1, "k_min": 4098, "k_max": 4098, "k_rule": "linear",
+                      "f": {"expr": "cos(2*pi*x1) * sin(2*pi*y1)", "bandwidth": 1}})
+    assert info.value.path == "k_max"
+
+
+@pytest.mark.parametrize("command, config", [("run", "norm_bound"), ("star", "star_table")])
+def test_cli_refuses_a_negative_seed_override(tmp_path, capsys, command, config):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+    code = main([command, str(path), "--seed", "-1", "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert "config error: seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_shipped_config_runs_in_the_readme_and_both_ci_jobs():
