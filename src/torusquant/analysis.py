@@ -21,10 +21,10 @@ and linf are exact column and row sums.  l2 is the LAPACK 2-norm up to
 dimension LAPACK_L2_MAX_DIM, where it is the cheaper route.  Above it, l2
 is the square root of the top Ritz value theta of a three-term Lanczos
 recurrence on A*A, which holds two vectors whatever its step budget,
-certified by a Cholesky factorization of theta (1 + L2_CERT_DELTA) I - A*A;
-where the band is too short to pay, the run does not converge or the
-certificate fails, it is the LAPACK 2-norm again, and above the dense cap
-an ``L2RouteError``.  A certified value sits below the true norm by less than
+certified by a block Cholesky factorization of theta (1 + L2_CERT_DELTA) I -
+A*A; where a block would pass the dense cap, the run does not converge or
+the certificate fails, it is the LAPACK 2-norm again, and above the dense
+cap an ``L2RouteError``.  A certified value sits below the true norm by less than
 L2_CERT_DELTA / 2 relative and never above it beyond rounding;
 ``L2Reading`` says which route answered.
 """
@@ -78,6 +78,10 @@ LANCZOS_CHECK = 8
 # dim 32, 0.38-0.71 against 0.80-16 ms at dim 64); at dim 128 Lanczos is the
 # cheaper (1.2-3.6 against 8.0-8.7 ms).  See the README's table for the set-up.
 LAPACK_L2_MAX_DIM = 64
+# Largest diagonal block that the certificate's triangular solve hands to
+# np.linalg.solve; larger ones are halved, and the off-diagonal part goes
+# through one matrix product.
+LOWER_SOLVE_LEAF = 256
 
 # O(hbar^infinity) statements are operationalized as "error * k^RATE_EXPONENT
 # keeps decreasing over the sweep"; reports flag this as a chosen rendering.
@@ -164,20 +168,20 @@ def certified_l2_norm(op, tol: float) -> L2Reading:
 
 def _interleaving(op: DiagonalOperator) -> tuple[np.ndarray, int] | None:
     """(permutation, block size) that makes A*A block tridiagonal, or None
-    when that leaves fewer than three blocks.
+    when a block would hold more than DENSE_DIM_CAP entries.
 
     The diagonals of A*A sit at the shifts s - r of pairs of diagonals of A;
     on the outermost axis they reach at most w residues either way,
     cyclically.  Ordering that axis 0, k-1, 1, k-2, ... puts cyclic
     neighbours at most 2w positions apart, so blocks of 2w slices (k^(n-1)
-    entries each) couple only to the blocks next to them.  ``perm[new] = old``
-    on flat indices.
+    entries each) couple only to the blocks next to them; with one or two
+    blocks that holds trivially.  ``perm[new] = old`` on flat indices.
     """
     k, inner = op.spec.k, op.spec.dim // op.spec.k
     axis0 = op.shifts[:, 0]
     reach = (axis0[None, :] - axis0[:, None]) % k
     block = max(2 * int(np.minimum(reach, k - reach).max(initial=0)), 1)
-    if -(-k // block) < 3:
+    if block * inner > DENSE_DIM_CAP:
         return None
     order = np.empty(k, dtype=np.int64)
     order[0::2] = np.arange((k + 1) // 2)
@@ -185,34 +189,67 @@ def _interleaving(op: DiagonalOperator) -> tuple[np.ndarray, int] | None:
     return (order[:, None] * inner + np.arange(inner)).ravel(), block * inner
 
 
+def _lower_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lower^{-1} rhs for a lower-triangular ``lower``, written over ``rhs``
+    and returned: recursive halving, so that most of the work is the GEMM
+    update of the bottom half, with ``np.linalg.solve`` on diagonal blocks
+    of at most LOWER_SOLVE_LEAF."""
+    size = len(lower)
+    if size <= LOWER_SOLVE_LEAF:
+        rhs[...] = np.linalg.solve(lower, rhs)
+        return rhs
+    half = size // 2
+    top = _lower_solve(lower[:half, :half], rhs[:half])
+    rhs[half:] -= lower[half:, :half] @ top
+    _lower_solve(lower[half:, half:], rhs[half:])
+    return rhs
+
+
+def _schur_update(factor: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """C S^{-1} C* for S = factor factor*: x* x with x = factor^{-1} C*."""
+    x = _lower_solve(factor, coupling.conj().T)
+    return x.conj().T @ x
+
+
+def _panel_entries(gram: DiagonalOperator, perm: np.ndarray, bs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of -G in the interleaved blocks on and below the block
+    diagonal, sorted by block row: (flat place in the b x 2b panel of its
+    block row, which covers the columns of blocks i - 1 and i; value; the
+    start of each block row).  The blocks above the diagonal mirror these."""
+    dim = gram.spec.dim
+    position = np.empty(dim, dtype=np.int64)
+    position[perm] = np.arange(dim)
+    rows = position[gram.rows]  # the columns are the positions of m'
+    below = rows // bs - position // bs
+    keep = (below == 0) | (below == 1)
+    rows, cols = rows[keep], np.broadcast_to(position, keep.shape)[keep]
+    block = rows // bs
+    order = np.argsort(block, kind="stable")
+    flat = ((rows - block * bs) * (2 * bs) + cols - (block - 1) * bs)[order]
+    starts = np.searchsorted(block[order], np.arange(-(-dim // bs) + 1))
+    return flat, -gram.values[keep][order], starts
+
+
 def _certify(gram: DiagonalOperator, mu: float, interleaving: tuple[np.ndarray, int]) -> bool:
     """Whether mu I - G is positive definite, by a block Cholesky
     factorization of its interleaved block-tridiagonal form, one block row
     at a time: O(S k^n + b^2) memory for S diagonals and blocks of b
-    entries, O(k^n b^2) time, no k^n x k^n array."""
+    entries, O(k^n b^2) time, no k^n x k^n array.  The place of every
+    entry in its block row is computed once (``_panel_entries``), and one
+    panel of b x 2b entries is refilled for each block row."""
     perm, bs = interleaving
-    dim = gram.spec.dim
-    position = np.empty(dim, dtype=np.int64)
-    position[perm] = np.arange(dim)
-    rows, cols = position[gram.rows], np.broadcast_to(position, gram.rows.shape)
-    below = rows // bs - cols // bs
-    keep = (below == 0) | (below == 1)  # the blocks above the diagonal mirror these
-    rows, cols, values = rows[keep], cols[keep], gram.values[keep]
-    order = np.argsort(rows // bs, kind="stable")
-    rows, cols, values = rows[order], cols[order], values[order]
-    blocks = -(-dim // bs)
-    starts = np.searchsorted(rows // bs, np.arange(blocks + 1))
-    factor, shift = None, mu * np.eye(bs)
+    flat, values, starts = _panel_entries(gram, perm, bs)
+    diagonal = np.arange(bs) * (2 * bs + 1) + bs  # the flat places of mu I
+    panel = np.empty((bs, 2 * bs), dtype=complex)
+    factor = None
     try:
-        for i in range(blocks):
-            # block row i: columns of blocks i - 1 and i; the padding of the last block is mu I
-            panel = np.zeros((bs, 2 * bs), dtype=complex)
-            part = slice(starts[i], starts[i + 1])
-            panel[rows[part] - i * bs, cols[part] - (i - 1) * bs] = -values[part]
-            diag = panel[:, bs:] + shift
+        for start, stop in zip(starts[:-1], starts[1:]):
+            panel.fill(0.0)
+            panel.reshape(-1)[flat[start:stop]] = values[start:stop]
+            panel.reshape(-1)[diagonal] += mu  # the padding of the last block is mu I
+            diag = panel[:, bs:]
             if factor is not None:
-                x = np.linalg.solve(factor, panel[:, :bs].conj().T)
-                diag -= x.conj().T @ x
+                diag -= _schur_update(factor, panel[:, :bs])
             factor = np.linalg.cholesky(diag)
     except np.linalg.LinAlgError:
         return False
@@ -236,13 +273,17 @@ def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
     budget = min(LANCZOS_BUDGET, dim)
     rng = np.random.default_rng(0)
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v, previous = start / np.linalg.norm(start), np.zeros(dim, dtype=complex)
+    v, previous = start / np.linalg.norm(start), None
     alpha, beta = np.zeros(budget), np.zeros(budget)
     for j in range(budget):
-        w = gram.rmatvec(v) - beta[j - 1] * previous  # G* = G
+        # every update is in place: one new vector per step, from rmatvec
+        w = gram.rmatvec(v)  # G* = G
+        if previous is not None:
+            previous *= beta[j - 1]
+            w -= previous
         alpha[j] = np.vdot(v, w).real
         w -= alpha[j] * v
-        beta[j] = np.linalg.norm(w)
+        beta[j] = math.sqrt(np.vdot(w, w).real)
         steps = j + 1
         if steps % LANCZOS_CHECK == 0 or steps == budget or beta[j] == 0:
             off = beta[: steps - 1]
@@ -253,7 +294,8 @@ def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
                 return float(theta), steps
             if beta[j] == 0:
                 break
-        previous, v = v, w / beta[j]
+        w /= beta[j]
+        previous, v = v, w
     return None, steps
 
 
@@ -261,7 +303,7 @@ def _l2_diagonal(op: DiagonalOperator) -> L2Reading:
     if op.spec.dim > LAPACK_L2_MAX_DIM:
         steps, interleaving = 0, _interleaving(op)
         if interleaving is None:
-            failed = "the band of A*A leaves fewer than three blocks"
+            failed = f"the band of A*A needs certificate blocks above {DENSE_DIM_CAP} entries"
         else:
             gram = op.adjoint() @ op
             theta, steps = _lanczos_top(gram)
@@ -274,7 +316,7 @@ def _l2_diagonal(op: DiagonalOperator) -> L2Reading:
                 failed = "the certificate refused theta (1 + L2_CERT_DELTA)"
         if op.spec.dim > DENSE_DIM_CAP:
             raise L2RouteError(
-                f"no l2 norm at dimension {op.spec.dim}: {failed} after {steps} Lanczos steps "
+                f"no l2 norm at level k = {op.spec.k}, dimension {op.spec.dim}: {failed} after {steps} Lanczos steps "
                 f"(LANCZOS_BUDGET = {LANCZOS_BUDGET}), and the LAPACK fallback needs a dense "
                 f"matrix, capped at dimension {DENSE_DIM_CAP}"
             )

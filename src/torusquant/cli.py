@@ -6,7 +6,8 @@ Subcommands:
   assemble <config>  dump one Toeplitz matrix as CSV
   check              run the full acceptance suite (criteria 1..9)
 
-Exit status: 0 all checks passed, 1 a check failed, 2 bad config or usage.
+Exit status: 0 all checks passed, 1 a check failed or an l2 norm could not be
+certified (one stderr line names the level), 2 bad config or usage.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from time import perf_counter
 import numpy as np
 
 from . import checks, reporting
-from .analysis import run_experiment
+from .analysis import L2RouteError, run_experiment
 from .config import ConfigError, config_hash, parse_config
 from .quantize import DENSE_DIM_CAP, HilbertSpec, write_operator_csv, assemble_toeplitz
 from .starprod import Orientation, star_truncated
@@ -188,6 +189,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except L2RouteError as exc:
+        print(f"l2 error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Configs are JSON objects.  Parsing is strict: unknown keys are rejected, and
 every validation error names the offending field path (``"f.bandwidth"``).
-Inputs too large to run (more than MAX_LEVELS levels, or lattices of more than
-``funcexpr.SAMPLE_BUDGET`` samples) are refused the same way.
+Inputs too large to run (more than MAX_LEVELS levels, levels beyond int64,
+lattices of more than ``funcexpr.SAMPLE_BUDGET`` samples, or operators past the
+certificate budgets below) are refused the same way.
 The normalized form (defaults filled in) is what reports echo and hash, so a
 report can always be traced back to the exact configuration that produced it.
 """
@@ -41,9 +42,17 @@ SWEEP_KINDS = tuple(k for k in EXPERIMENT_KINDS if k != "star_table")
 PAIR_KINDS = ("product", "star_table")
 # kinds that need any function at all
 FUNCTION_KINDS = ("product", "intertwine", "trace", "norm_bound", "star_table")
-# kinds that build a k^n-dimensional operator at every level, held to the
-# dense cap at the largest one
+# kinds that build a k^n-dimensional operator at every level and read its
+# l2 norm; above the dense cap only certified Lanczos answers, so the
+# largest level is held to the two budgets below
 OPERATOR_KINDS = ("product", "intertwine", "norm_bound", "torus_relations")
+# Most entries of one block of the l2 certificate (analysis._certify): it
+# factors A*A in blocks of 2 (Gram reach) k^(n-1) entries, the Gram reach
+# being twice the x-bandwidth of A, and a block costs O(b^3).
+CERT_BLOCK_CAP = 2048
+# Most stored entries of A*A, its diagonals times k^n, that Lanczos and the
+# certificate read: about 24 bytes each, and a few temporaries of that size.
+GRAM_ENTRY_CAP = 1 << 23
 # kinds that read the truncation order N
 ORDER_KINDS = ("product", "intertwine", "star_table")
 # most levels in one sweep
@@ -101,6 +110,12 @@ class FunctionSpec:
         if self.expr is not None:
             return "expr"
         return "random"
+
+    def x_bandwidth(self) -> int:
+        """The largest |p_i| the realized symbol can have."""
+        if self.coeffs is not None:
+            return max(abs(v) for rec in self.coeffs for v in rec["p"])
+        return self.bandwidth if self.expr is not None else self.random_bandwidth
 
     def projection_spec(self) -> funcexpr.ProjectionSpec:
         return funcexpr.ProjectionSpec(self.bandwidth, self.grid or 0)
@@ -358,6 +373,8 @@ def parse_config(source) -> ExperimentConfig:
     if experiment in SWEEP_KINDS:
         k_min = _as_int(_require(data, "", "k_min"), "k_min", minimum=2)
         k_max = _as_int(_require(data, "", "k_max"), "k_max", minimum=2)
+        if k_max > np.iinfo(np.int64).max:
+            raise ConfigError("k_max", f"levels must fit a 64-bit integer, got {k_max}")
         if k_max < k_min:
             raise ConfigError("k_max", f"must be at least k_min={k_min}, got {k_max}")
         if k_rule == "linear" and (k_max - k_min) // k_step + 1 > MAX_LEVELS:
@@ -396,11 +413,7 @@ def parse_config(source) -> ExperimentConfig:
     if experiment in SWEEP_KINDS and not cfg.k_values():
         raise ConfigError("k_min", "sweep is empty; check k_min/k_max/k_rule")
     if experiment in OPERATOR_KINDS:
-        top = max(cfg.k_values())
-        if top**n > DENSE_DIM_CAP:
-            raise ConfigError(
-                "k_max", f"level {top} needs dimension {top}^{n} = {top**n}, above the dense cap {DENSE_DIM_CAP}"
-            )
+        _check_certificate_budget(cfg)
     for name, spec in (("f", f_spec), ("g", g_spec)):
         if spec is not None and spec.kind == "expr":
             grid = spec.projection_spec().grid
@@ -419,6 +432,35 @@ def parse_config(source) -> ExperimentConfig:
                     "k_max", f"level {top} samples f.{label} at {points} points, above {funcexpr.SAMPLE_BUDGET}"
                 )
     return cfg
+
+
+def _check_certificate_budget(cfg: ExperimentConfig) -> None:
+    """Refuse, on k_max, a largest level above the dense cap whose l2
+    certificate would pass CERT_BLOCK_CAP or GRAM_ENTRY_CAP.  Both grow with
+    k, and every level at or below the dense cap has the LAPACK route, so
+    the largest level decides.  The bounds take the x-bandwidth W of the
+    operator: f's, f's plus g's for a product remainder, 1 for the torus
+    relations; A*A then reaches 2W residues on each axis."""
+    top, n = max(cfg.k_values()), cfg.n
+    if top**n <= DENSE_DIM_CAP:
+        return
+    if cfg.experiment == "torus_relations":
+        width = 1
+    else:
+        width = cfg.f.x_bandwidth() + (cfg.g.x_bandwidth() if cfg.g is not None else 0)
+    reach = min(2 * width, top // 2)
+    block = max(2 * reach, 1) * top ** (n - 1)
+    if block > CERT_BLOCK_CAP:
+        raise ConfigError(
+            "k_max",
+            f"level {top} needs l2 certificate blocks of 2 x {reach} x {top}^{n - 1} = {block} entries "
+            f"(x-bandwidth {width}), above {CERT_BLOCK_CAP}",
+        )
+    entries = min(4 * width + 1, top) ** n * top**n
+    if entries > GRAM_ENTRY_CAP:
+        raise ConfigError(
+            "k_max", f"level {top} needs {entries} entries of A*A (x-bandwidth {width}), above {GRAM_ENTRY_CAP}"
+        )
 
 
 def canonical_json(obj) -> str:

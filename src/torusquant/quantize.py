@@ -18,18 +18,19 @@ so evaluating on canonical residue representatives is exact.
 
 Each symbol term (p, q) contributes to one wrapped diagonal, m = m' + p
 (mod k), so the operator is stored as its R nonzero diagonals, one per
-residue p mod k: ``toeplitz_diagonals`` builds them in O(#terms(f) * k^n)
-time, in key-order blocks of terms whose temporaries stay
-O(TERM_BLOCK_ENTRIES + R k^n), and ``np.add.at`` sums each block in key order
-on 1-D flat indices, its fast path.  The diagonal form acts matrix-free
-(``matvec``, ``rmatvec``) at any dimension and has an operator algebra
-closed on diagonals (``@``, ``+``, ``-``, ``scale``, ``adjoint``): a
-product of R_A and R_B diagonals has at most R_A R_B, found in
-O(R_A R_B k^n) time, so the sweeps and the acceptance checks take their
-operators, defects and norms from it (see ``analysis.operator_norm``) with
-no dense product.  ``dense()`` and ``assemble_toeplitz`` scatter it into a
-dense matrix below ``DENSE_DIM_CAP``.  Traces need no operator at all:
-hbar^n tr Q_f is ``analysis.lattice_mean(f, k)``.
+residue p mod k.  ``toeplitz_diagonals`` builds all of them with one engine:
+the amplitudes are aliased into an (R, k^n) grid indexed by
+(p mod k, q mod k), and one inverse FFT over the q axes turns each row into
+its diagonal, in O(#terms(f) + R k^n log k) time and O(R k^n) memory.  The
+diagonal form acts matrix-free (``matvec``, ``rmatvec``) at any dimension
+and has an operator algebra closed on diagonals (``@``, ``+``, ``-``,
+``scale``, ``adjoint``): a product of R_A and R_B diagonals has at most
+R_A R_B, found in O(R_A R_B k^n) time, so the sweeps and the acceptance
+checks take their operators, defects and norms from it (see
+``analysis.operator_norm``) with no dense product.  ``dense()`` and
+``assemble_toeplitz`` scatter it into a dense matrix below
+``DENSE_DIM_CAP``.  Traces need no operator at all: hbar^n tr Q_f is
+``analysis.lattice_mean(f, k)``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .trigpoly import TrigPoly
 
 # Dense matrices are capped here; beyond it use toeplitz_diagonals (matrix-free).
 DENSE_DIM_CAP = 4096
-# Entries per block of symbol terms in toeplitz_diagonals (a few MiB per temporary).
+# Entries per block of diagonal products in DiagonalOperator.__matmul__ (a
+# few MiB per temporary).
 TERM_BLOCK_ENTRIES = 1 << 18
 
 
@@ -269,28 +271,29 @@ def toeplitz_diagonals(f: TrigPoly, spec: HilbertSpec) -> DiagonalOperator:
     """Wrapped diagonals of the Toeplitz operator of f at level spec.k.
 
     Term (p, q, c) sends column m' to row [m' + p] with entry
-    c e^{2 pi i hbar phase}, phase = q.m' (POSITION) or q.(m' + p)
-    (MOMENTUM).  Terms are taken in key order, in blocks of
-    B = max(1, TERM_BLOCK_ENTRIES // k^n), and ``np.add.at`` adds each
-    block onto the diagonal of its residue p mod k, so the temporaries
-    stay O(TERM_BLOCK_ENTRIES + R k^n) and every entry is the key-order sum
-    of its terms.
+    c e^{2 pi i hbar q.m'} in POSITION.  So the diagonal of residue r is
+    the unscaled inverse DFT of the amplitudes with p = r (mod k), aliased
+    by q mod k: one ``np.add.at`` in key order puts the terms into an
+    (R, k^n) grid indexed by (p mod k, q mod k), and one
+    ``np.fft.ifftn`` over the q axes (``norm="forward"``, which leaves the
+    inverse unscaled) gives every diagonal, in O(#terms + R k^n log k)
+    time and O(R k^n) memory.  MOMENTUM puts the phase at m = m' + p
+    instead, and e^{2 pi i hbar q.p} depends on p mod k only, so its
+    diagonal r is the POSITION one read at [m' + r].  Entries match the
+    per-term sums to rounding (a few ulps of ||f||_l1); a single term per
+    grid cell, such as a constant or a unit shift, comes out exact.
     """
     if f.n != spec.n:
         raise ValueError(f"symbol has n={f.n}, space has n={spec.n}")
     n, k, dim = spec.n, spec.k, spec.dim
     shifts, which = _distinct_residues(f.keys[:, :n], k)
-    values = np.zeros((len(shifts), dim), dtype=complex)
-    grid_t = _residue_grid(n, k).T  # columns are the column residues m'
-    block = max(1, TERM_BLOCK_ENTRIES // dim)
-    for start in range(0, len(f.values), block):
-        p, q = np.hsplit(f.keys[start:start + block], 2)
-        phase = q @ grid_t
-        if spec.polarization is Polarization.MOMENTUM:
-            # at m/k, unreduced is fine: profiles are 1-periodic
-            phase += (p * q).sum(axis=1)[:, None]
-        terms = f.values[start:start + block, None] * np.exp(2j * np.pi * spec.hbar * phase)
-        _add_rows(values, which[start:start + block], terms)
+    grid = np.zeros((len(shifts), dim), dtype=complex)
+    cells = np.ravel_multi_index((f.keys[:, n:] % k).T, (k,) * n)
+    np.add.at(grid.reshape(-1), which * dim + cells, f.values)
+    axes = tuple(range(1, n + 1))
+    values = np.fft.ifftn(grid.reshape((-1,) + (k,) * n), axes=axes, norm="forward").reshape(-1, dim)
+    if spec.polarization is Polarization.MOMENTUM:
+        values = np.take_along_axis(values, _shifted_index(n, k, shifts), axis=1)
     return DiagonalOperator(spec, shifts, values)
 
 

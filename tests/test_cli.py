@@ -292,19 +292,57 @@ def test_cli_run_rejects_star_table(tmp_path, capsys):
 
 
 def test_cli_run_rejects_level_above_dense_cap(tmp_path, capsys):
-    # 128^2 = 16384 exceeds DENSE_DIM_CAP: refused before any level runs
-    data = {"experiment": "norm_bound", "n": 2, "k_min": 128, "k_max": 128,
-            "f": {"random": {"bandwidth": 1}}}
+    # above the dense cap an operator sweep is held to the certificate
+    # budget: an order-1 remainder of two bandwidth-2 symbols has
+    # x-bandwidth 4, so A*A reaches 8 residues and its blocks hold
+    # 2 x 8 x 256 = 4096 entries at n = 2, k = 256, above 2048; refused
+    # before any level runs
+    data = {"experiment": "product", "n": 2, "k_min": 16, "k_max": 256, "order": 1,
+            "f": {"random": {"bandwidth": 2, "decay": 8.0}}, "g": {"random": {"bandwidth": 2, "decay": 8.0}}}
     code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "config error: k_max:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: k_max: level 256 needs l2 certificate blocks of 2 x 8 x 256^1 = 4096 entries" in err
     assert not (tmp_path / "out").exists()
+    # one level lower the blocks hold 2048 entries, which fits
+    assert parse_config(dict(data, k_max=128)).k_values()[-1] == 128
+    # the torus relations have x-bandwidth 1: at n = 3, k = 32 their blocks hold 4 x 32^2
+    data = {"experiment": "torus_relations", "n": 3, "k_min": 2, "k_max": 32}
+    assert main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: k_max: level 32 needs l2 certificate blocks of 2 x 2 x 32^2 = 4096" in capsys.readouterr().err
     # trace builds no operators, so only assemble meets the cap
     data = {"experiment": "trace", "n": 1, "k_min": 8192, "k_max": 8192,
             "f": {"coeffs": [{"p": [0], "q": [1], "re": 1.0}]}}
     code = main(["assemble", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error: k_min:" in capsys.readouterr().err
+
+
+def test_cli_run_certifies_a_small_operator_above_the_dense_cap(tmp_path):
+    # n = 2, k = 128 is dimension 16384, four times the dense cap; a
+    # bandwidth-1 symbol has certificate blocks of 2 x 2 x 128 = 512 entries
+    data = {"experiment": "norm_bound", "n": 2, "k_min": 128, "k_max": 128,
+            "f": {"random": {"bandwidth": 1}}}
+    code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 0
+    (report,) = (tmp_path / "out").glob("*.report.json")
+    methods = json.loads(report.read_text(encoding="utf-8"))["details"]["l2_methods"]
+    assert [(m["k"], m["method"]) for m in methods] == [(128, "lanczos_certified")]
+
+
+def test_cli_run_reports_an_uncertified_l2_norm_in_one_line(tmp_path, capsys, monkeypatch):
+    # above the dense cap no LAPACK route stands behind Lanczos: a run out of
+    # budget fails the check with one line naming the level, no traceback
+    monkeypatch.setattr("torusquant.analysis.LANCZOS_BUDGET", 4)
+    data = {"experiment": "norm_bound", "n": 2, "k_min": 128, "k_max": 128,
+            "f": {"random": {"bandwidth": 1}}}
+    code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("l2 error: no l2 norm at level k = 128, dimension 16384: ")
+    assert "the convergence test of the top Ritz pair failed after 4 Lanczos steps" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -397,6 +435,19 @@ def test_cli_run_rejects_expression_that_fails_on_its_grid(tmp_path, capsys):
              "f": {"coeffs": [{"p": [0], "q": [1], "re": 1.0}]}},
             "k_max: the linear rule gives more than 4096 levels",
             id="linear-rule-past-the-level-count",
+        ),
+        # the levels index int64 arrays
+        pytest.param(
+            {"experiment": "trace", "n": 1, "k_min": 2, "k_max": 2**63,
+             "f": {"coeffs": [{"p": [0], "q": [1], "re": 1.0}]}},
+            "k_max: levels must fit a 64-bit integer, got 9223372036854775808",
+            id="coefficient-trace-past-int64",
+        ),
+        pytest.param(
+            {"experiment": "trace", "n": 1, "k_min": 2, "k_max": 2**63,
+             "f": {"expr": "1.5", "bandwidth": 0}},
+            "k_max: levels must fit a 64-bit integer, got 9223372036854775808",
+            id="expression-trace-past-int64",
         ),
         # parsing accepts it for assemble; run would ignore it
         pytest.param(dict(PRODUCT_CFG, polarization="momentum"), "polarization: ", id="polarization"),

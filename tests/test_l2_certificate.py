@@ -11,12 +11,14 @@ from torusquant.analysis import (
     L2_CERT_DELTA,
     LANCZOS_CHECK,
     LAPACK_L2_MAX_DIM,
+    LOWER_SOLVE_LEAF,
     L2Reading,
     L2RouteError,
     NormKind,
     _certify,
     _interleaving,
     _lanczos_top,
+    _lower_solve,
     norm_bound_sweep,
     operator_norm,
     product_sweep,
@@ -72,20 +74,56 @@ def test_certified_l2_brackets_the_lapack_norm(seed, n, bandwidth, kind, k, pola
         assert reading.method == "lapack_svd" and reading.upper == float(reading) == lapack
 
 
+def _check_lanczos_answers(seed, n, bandwidth, kind, k):
+    op = _diagonals(seed, n, bandwidth, kind, k)
+    reading = operator_norm(op, NormKind.L2)
+    assert reading.method == "lanczos_certified" and 0 < reading.steps <= op.spec.dim
+    assert reading.describe() == {"method": "lanczos_certified", "steps": reading.steps}
+    lapack = spectral_norm(op.dense().entries)
+    assert lapack * (1.0 - L2_CERT_DELTA) <= reading <= lapack * (1.0 + 1e-14) <= reading.upper
+    # up to dimension 64 LAPACK answers
+    small = _diagonals(seed, n, bandwidth, kind, 4)
+    assert operator_norm(small, NormKind.L2).describe() == {"method": "lapack_svd"}
+    return op
+
+
+def _block_count(op):
+    _perm, block = _interleaving(op)
+    return -(-op.spec.dim // block)
+
+
 @pytest.mark.parametrize(
     "seed, n, bandwidth, kind, k",
     [(5, 1, 2, "product", 256), (6, 1, 3, "random", 128), (7, 2, 1, "random", 16), (8, 2, 1, "berezin", 12)],
 )
 def test_lanczos_answers_once_the_band_has_three_blocks(seed, n, bandwidth, kind, k):
-    op = _diagonals(seed, n, bandwidth, kind, k)
-    assert _interleaving(op) is not None
-    reading = operator_norm(op, NormKind.L2)
-    assert reading.method == "lanczos_certified" and 0 < reading.steps <= op.spec.dim
-    assert reading.describe() == {"method": "lanczos_certified", "steps": reading.steps}
-    # fewer than three blocks: nothing to skip, LAPACK answers
-    small = _diagonals(seed, n, bandwidth, kind, 4)
-    assert _interleaving(small) is None
-    assert operator_norm(small, NormKind.L2).describe() == {"method": "lapack_svd"}
+    op = _check_lanczos_answers(seed, n, bandwidth, kind, k)
+    assert _block_count(op) >= 3
+
+
+@pytest.mark.parametrize(
+    "seed, n, bandwidth, kind, k, blocks",
+    [
+        (9, 2, 1, "product", 12, 2),  # blocks of 8 slices: two of them
+        (10, 2, 2, "product", 16, 1),  # blocks of 16 slices: one, the whole band
+    ],
+)
+def test_lanczos_answers_with_one_or_two_blocks(seed, n, bandwidth, kind, k, blocks):
+    # the block-tridiagonal form holds trivially with fewer than three blocks
+    op = _check_lanczos_answers(seed, n, bandwidth, kind, k)
+    assert _block_count(op) == blocks
+
+
+def test_certificate_blocks_stay_within_the_dense_cap(monkeypatch):
+    # a band whose blocks would pass the dense cap gets no certificate: below
+    # the cap LAPACK answers, above it the error names the blocks
+    op = _diagonals(71, 2, 1, "product", 12)  # blocks of 8 x 12 = 96 entries
+    monkeypatch.setattr("torusquant.analysis.DENSE_DIM_CAP", 95)
+    assert _interleaving(op) is None
+    with pytest.raises(L2RouteError, match="certificate blocks above 95 entries"):
+        operator_norm(op, NormKind.L2)
+    monkeypatch.setattr("torusquant.analysis.DENSE_DIM_CAP", 144)
+    assert operator_norm(op, NormKind.L2).method == "lanczos_certified"
 
 
 @pytest.mark.parametrize(
@@ -141,6 +179,40 @@ def test_three_term_lanczos_reads_clustered_tops_within_half_delta(seed, n, k):
     assert lapack * (1.0 - L2_CERT_DELTA / 2) <= np.sqrt(theta) <= lapack * (1.0 + 1e-14)
     assert _certify(gram, theta * (1.0 + L2_CERT_DELTA), _interleaving(op))
     assert not _certify(gram, theta * (1.0 - 1e-9), _interleaving(op))
+
+
+@pytest.mark.parametrize("size", [16, 300, 1024])
+def test_blocked_lower_solve_agrees_with_lapack(size):
+    # the factors _certify solves against: Cholesky factors of Hermitian
+    # positive definite blocks; 300 halves into leaves of 150, 1024 into
+    # leaves of 256 through two levels of GEMM updates
+    assert LOWER_SOLVE_LEAF == 256
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    lower = np.linalg.cholesky(a.conj().T @ a / size + np.eye(size))
+    rhs = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    got = _lower_solve(lower, rhs.conj().T)  # a non-contiguous view, as in _certify
+    want = np.linalg.solve(lower, rhs.conj().T)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_certificate_brackets_the_lanczos_top_at_n2_k64(seed):
+    # an order-1 product remainder of two bandwidth-2 symbols, built by the
+    # FFT engine: blocks of 2 x 8 x 64 = 1024 entries, so the triangular
+    # solves recurse twice down to leaves of 256
+    rng = np.random.default_rng(seed)
+    f, g = random_trig_poly(rng, 2, 2, decay=8.0), random_trig_poly(rng, 2, 2, decay=8.0)
+    k = 64
+    remainder = star_exact(f, g, HbarValue(k)) - star_truncated(f, g, 1).evaluate(1.0 / k)
+    op = toeplitz_diagonals(remainder, HilbertSpec(2, k))
+    interleaving = _interleaving(op)
+    assert interleaving[1] == 1024
+    gram = op.adjoint() @ op
+    theta, _steps = _lanczos_top(gram)
+    assert theta is not None
+    assert _certify(gram, theta * (1.0 + L2_CERT_DELTA), interleaving)
+    assert not _certify(gram, theta * (1.0 - 1e-9), interleaving)
 
 
 def test_lanczos_memory_does_not_grow_with_the_budget(monkeypatch):

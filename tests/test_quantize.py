@@ -24,6 +24,7 @@ from torusquant.quantize import (
     toeplitz_diagonals,
     torus_generator_diagonals,
     write_operator_csv,
+    _distinct_residues,
 )
 from torusquant.starprod import HbarValue, star_exact, star_truncated
 from torusquant.trigpoly import TrigPoly, random_trig_poly
@@ -161,14 +162,93 @@ def _assemble_term_by_term(f, spec):
     return A
 
 
+def _diagonals_term_by_term(f, spec):
+    """The per-term loop toeplitz_diagonals replaced, kept as its oracle:
+    term (p, q, c) adds c e^{2 pi i hbar q.m'} (POSITION) or
+    c e^{2 pi i hbar q.(m' + p)} (MOMENTUM) to the diagonal of p mod k, in
+    key order, with no matrix.  Returns (shifts, values) in the row order of
+    the FFT engine."""
+    n, k = spec.n, spec.k
+    shifts, which = _distinct_residues(f.keys[:, :n], k)
+    values = np.zeros((len(shifts), spec.dim), dtype=complex)
+    grid = np.indices((k,) * n).reshape(n, -1).T  # row-major residues m'
+    for row, p, q, c in zip(which, f.keys[:, :n], f.keys[:, n:], f.values):
+        at = grid if spec.polarization is Polarization.POSITION else grid + p
+        values[row] += c * np.exp(2j * np.pi * spec.hbar * (at @ q))
+    return shifts, values
+
+
+# The FFT sums each diagonal in another order than the loop, and its
+# twiddle factors are not the loop's exp values: both sit a few ulps of
+# ||f||_l1 from the exact sum, so entries are compared to this multiple of
+# ||f||_l1, not bit for bit.
+FFT_ORACLE_TOL = 1e-14
+
+
+@pytest.mark.parametrize("polarization", ["position", "momentum"])
+@pytest.mark.parametrize(
+    "n, bandwidth, ks",
+    [
+        (1, 3, (1, 2, 3, 6, 7, 16, 512)),
+        (2, 1, (1, 2, 3, 5)),
+        (2, 2, (1, 2, 4, 16, 32)),
+        (3, 1, (1, 2, 3, 4, 8)),
+    ],
+)
+def test_fft_diagonals_match_the_per_term_loop(polarization, n, bandwidth, ks):
+    # levels k <= 2 * bandwidth fold several terms onto one diagonal and one
+    # grid cell; the remainder symbols are the ones the product sweeps take
+    # norms of (6553 terms at n = 2, bandwidth 2, more than k^n).  At n = 3
+    # the 729 terms of f alone outnumber k^n up to k = 8.
+    rng = np.random.default_rng(23 + n)
+    f = random_trig_poly(rng, n, bandwidth)
+    g = random_trig_poly(rng, n, bandwidth)
+    series = star_truncated(f, g, 1) if n < 3 else None
+    for k in ks:
+        spec = HilbertSpec(n, k, polarization)
+        symbols = [f]
+        if series is not None:
+            symbols.append(star_exact(f, g, HbarValue(k)) - series.evaluate(1.0 / k))
+        for symbol in symbols:
+            got = toeplitz_diagonals(symbol, spec)
+            shifts, want = _diagonals_term_by_term(symbol, spec)
+            assert np.array_equal(got.shifts, shifts)
+            assert np.abs(got.values - want).max() <= FFT_ORACLE_TOL * symbol.l1_norm()
+            if spec.dim <= 64:
+                dense = _assemble_term_by_term(symbol, spec)
+                assert np.abs(got.dense().entries - dense).max() <= FFT_ORACLE_TOL * symbol.l1_norm()
+
+
+def _aliased_term_by_term(f, spec):
+    """The engine's steps with its amplitude sums done by a per-term loop:
+    term (p, q, c) adds c to cell (p mod k, q mod k) in key order, the grid
+    goes through the same transform, and MOMENTUM diagonal r is read at
+    [m' + r] entry by entry."""
+    n, k, dim = spec.n, spec.k, spec.dim
+    shifts, which = _distinct_residues(f.keys[:, :n], k)
+    grid = np.zeros((len(shifts),) + (k,) * n, dtype=complex)
+    for row, q, c in zip(which, f.keys[:, n:], f.values):
+        grid[(row,) + tuple(q % k)] += c
+    values = np.fft.ifftn(grid, axes=tuple(range(1, n + 1)), norm="forward").reshape(-1, dim)
+    if spec.polarization is Polarization.MOMENTUM:
+        residues = np.indices((k,) * n).reshape(n, -1).T
+        values = np.array(
+            [v[np.ravel_multi_index(((residues + p) % k).T, (k,) * n)] for v, p in zip(values, shifts)]
+        ).reshape(-1, dim)
+    return shifts, values
+
+
 @pytest.mark.parametrize("polarization", ["position", "momentum"])
 @pytest.mark.parametrize(
     "n, bandwidth, ks", [(1, 3, (2, 3, 6, 7, 16)), (2, 1, (2, 3, 5)), (2, 2, (16, 32))]
 )
 def test_assembly_matches_the_per_term_loop_bit_for_bit(polarization, n, bandwidth, ks):
-    # levels k <= 2 * bandwidth fold several terms onto one diagonal; the
-    # remainder symbols are the ones the product sweeps assemble, and at
-    # n = 2, bandwidth 2 they have 6553 terms, more than k^n, in many blocks
+    # the amplitudes are summed into each grid cell in key order, so that
+    # two runs, and the one-call np.add.at against a loop over the terms,
+    # give the same bits; levels k <= 2 * bandwidth fold several terms onto
+    # one cell, and at n = 2, bandwidth 2 the remainder symbols have 6553
+    # terms, more than k^n.  The transform itself is held to the exp loop
+    # by test_fft_diagonals_match_the_per_term_loop.
     rng = np.random.default_rng(23 + n)
     f = random_trig_poly(rng, n, bandwidth)
     g = random_trig_poly(rng, n, bandwidth)
@@ -177,9 +257,55 @@ def test_assembly_matches_the_per_term_loop_bit_for_bit(polarization, n, bandwid
         spec = HilbertSpec(n, k, polarization)
         remainder = star_exact(f, g, HbarValue(k)) - series.evaluate(1.0 / k)
         for symbol in (f, remainder):
-            got = assemble_toeplitz(symbol, spec).entries
+            got = toeplitz_diagonals(symbol, spec)
+            shifts, want = _aliased_term_by_term(symbol, spec)
+            assert np.array_equal(got.shifts, shifts)
             # compare bit patterns, so that a signed zero counts too
-            assert np.array_equal(got.view(np.uint64), _assemble_term_by_term(symbol, spec).view(np.uint64))
+            assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
+            if spec.dim <= 64:
+                dense = np.zeros((spec.dim, spec.dim), dtype=complex)
+                for r, values in zip(got.rows, got.values):
+                    dense[r, np.arange(spec.dim)] = values
+                assembled = assemble_toeplitz(symbol, spec).entries
+                assert np.array_equal(assembled.view(np.uint64), dense.view(np.uint64))
+
+
+@pytest.mark.parametrize("polarization", ["position", "momentum"])
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (1, 7), (2, 1), (2, 2), (2, 6), (3, 2), (3, 4)])
+def test_single_cell_symbols_stay_exact(polarization, n, k):
+    # one term per grid cell: the transform multiplies by exact ones, so a
+    # constant is c times the identity and a unit shift is a permutation,
+    # bit for bit, signed zeros included
+    spec = HilbertSpec(n, k, polarization)
+    for c in (2.5, -0.75, complex(0.0, -0.5)):
+        got = toeplitz_diagonals(TrigPoly.constant(n, c), spec).dense().entries
+        want = np.zeros((spec.dim, spec.dim), dtype=complex)
+        np.fill_diagonal(want, c)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    zero = (0,) * n
+    for axis in range(n):
+        e = tuple(1 if j == axis else 0 for j in range(n))
+        shift = toeplitz_diagonals(TrigPoly.harmonic(n, e, zero), spec).dense().entries
+        want = _assemble_term_by_term(TrigPoly.harmonic(n, e, zero), spec)
+        assert np.array_equal(shift.view(np.uint64), want.view(np.uint64))
+        assert set(np.unique(shift).tolist()) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("polarization", ["position", "momentum"])
+def test_assembled_csv_never_prints_a_negative_zero(polarization):
+    # parts that cancel exactly on the lattice (k = 4 puts e^{2 pi i q m / k}
+    # on the axes), and an amplitude whose real part is -0.0 (the literal
+    # -0.5j, which a single-cell transform would pass through), must print
+    # as 0.0, as the per-term loop printed them
+    rng = np.random.default_rng(19)
+    for n, k in ((1, 4), (1, 8), (2, 4), (1, 3)):
+        pure = TrigPoly.harmonic(n, (1,) * n, (0,) * n, -0.5j)
+        for _ in range(10):
+            f = random_trig_poly(rng, n, 2)
+            for symbol in (pure, f, f + f.conjugate(), f - f.conjugate(), f.scale(-1j)):
+                text = operator_to_csv(assemble_toeplitz(symbol, HilbertSpec(n, k, polarization)))
+                fields = [v for line in text.splitlines()[1:] for v in line.split(",")[2:]]
+                assert "-0.0" not in fields
 
 
 def test_kernel_temporaries_stay_bounded_with_more_terms_than_the_dimension():
