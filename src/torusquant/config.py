@@ -3,8 +3,9 @@
 Configs are JSON objects.  Parsing is strict: unknown keys are rejected, and
 every validation error names the offending field path (``"f.bandwidth"``).
 Inputs too large to run (more than MAX_LEVELS levels, levels beyond int64,
-lattices of more than ``funcexpr.SAMPLE_BUDGET`` samples, or operators past the
-certificate budgets below) are refused the same way.
+lattices of more than ``funcexpr.SAMPLE_BUDGET`` samples, products past
+PAIR_BUDGET term pairs, or operators past the certificate budgets below) are
+refused the same way.
 The normalized form (defaults filled in) is what reports echo and hash, so a
 report can always be traced back to the exact configuration that produced it.
 """
@@ -53,6 +54,10 @@ CERT_BLOCK_CAP = 2048
 # Most stored entries of A*A, its diagonals times k^n, that Lanczos and the
 # certificate read: about 24 bytes each, and a few temporaries of that size.
 GRAM_ENTRY_CAP = 1 << 23
+# Most term pairs |f| |g| of one symbol product (star_exact, star_truncated):
+# each pair holds about a hundred bytes of phases, amplitudes and sort codes
+# at once, so a product at the budget peaks near 360 MiB.
+PAIR_BUDGET = 1 << 22
 # kinds that read the truncation order N
 ORDER_KINDS = ("product", "intertwine", "star_table")
 # most levels in one sweep
@@ -116,6 +121,13 @@ class FunctionSpec:
         if self.coeffs is not None:
             return max(abs(v) for rec in self.coeffs for v in rec["p"])
         return self.bandwidth if self.expr is not None else self.random_bandwidth
+
+    def max_terms(self, n: int) -> int:
+        """The most terms the realized symbol can have: one per coefficient
+        record, or the full box of the bandwidth."""
+        if self.coeffs is not None:
+            return len(self.coeffs)
+        return (2 * self.x_bandwidth() + 1) ** (2 * n)
 
     def projection_spec(self) -> funcexpr.ProjectionSpec:
         return funcexpr.ProjectionSpec(self.bandwidth, self.grid or 0)
@@ -412,6 +424,8 @@ def parse_config(source) -> ExperimentConfig:
     )
     if experiment in SWEEP_KINDS and not cfg.k_values():
         raise ConfigError("k_min", "sweep is empty; check k_min/k_max/k_rule")
+    if experiment in PAIR_KINDS:
+        _check_pair_budget(cfg)
     if experiment in OPERATOR_KINDS:
         _check_certificate_budget(cfg)
     for name, spec in (("f", f_spec), ("g", g_spec)):
@@ -432,6 +446,20 @@ def parse_config(source) -> ExperimentConfig:
                     "k_max", f"level {top} samples f.{label} at {points} points, above {funcexpr.SAMPLE_BUDGET}"
                 )
     return cfg
+
+
+def _check_pair_budget(cfg: ExperimentConfig) -> None:
+    """Refuse a product of more than PAIR_BUDGET term pairs, on the size
+    field of the larger symbol."""
+    f_terms, g_terms = cfg.f.max_terms(cfg.n), cfg.g.max_terms(cfg.n)
+    if f_terms * g_terms > PAIR_BUDGET:
+        name, spec = ("f", cfg.f) if f_terms >= g_terms else ("g", cfg.g)
+        field = {"coeffs": "coeffs", "expr": "bandwidth", "random": "random.bandwidth"}[spec.kind]
+        raise ConfigError(
+            f"{name}.{field}",
+            f"f has up to {f_terms} terms and g up to {g_terms}: {f_terms * g_terms} term pairs, "
+            f"above {PAIR_BUDGET}",
+        )
 
 
 def _check_certificate_budget(cfg: ExperimentConfig) -> None:

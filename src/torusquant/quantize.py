@@ -186,13 +186,27 @@ class DiagonalOperator:
         values = np.asarray(values, dtype=complex)
         if values.shape != (len(shifts), spec.dim):
             raise ValueError(f"values must have shape ({len(shifts)}, {spec.dim}), got {values.shape}")
-        self.spec, self.shifts, self.values = spec, shifts % spec.k, values.copy()
-        self.rows = _shifted_index(spec.n, spec.k, self.shifts)
-        if len(set(self.rows[:, 0].tolist())) != len(shifts):  # rows[:, 0] is [0 + r]
+        shifts = shifts % spec.k
+        rows = _shifted_index(spec.n, spec.k, shifts)
+        if len(set(rows[:, 0].tolist())) != len(shifts):  # rows[:, 0] is [0 + r]
             raise ValueError("shifts must be distinct residues mod k")
-        for a in (self.shifts, self.values, self.rows):
+        self._set(spec, shifts, values.copy(), rows)
+
+    def _set(self, spec: HilbertSpec, shifts: np.ndarray, values: np.ndarray, rows: np.ndarray) -> None:
+        self.spec, self.shifts, self.values, self.rows = spec, shifts, values, rows
+        for a in (shifts, values, rows):
             a.setflags(write=False)
         self._conj = None  # values.conj(), made by the first rmatvec
+
+    @classmethod
+    def _from_arrays(cls, spec: HilbertSpec, shifts: np.ndarray, values: np.ndarray, rows=None) -> "DiagonalOperator":
+        """Wrap arrays this module has just built, with no copy and no check:
+        ``shifts`` distinct residues in {0..k-1}^n (int64), ``values`` an
+        (R, k^n) complex128 array no one else writes, and ``rows`` their
+        flat row indices when the caller already has them."""
+        out = object.__new__(cls)
+        out._set(spec, shifts, values, _shifted_index(spec.n, spec.k, shifts) if rows is None else rows)
+        return out
 
     def matvec(self, x) -> np.ndarray:
         """A x for a length-k^n vector x."""
@@ -220,8 +234,9 @@ class DiagonalOperator:
 
     def __matmul__(self, other: "DiagonalOperator") -> "DiagonalOperator":
         """Diagonal r of self after diagonal s of other lands on shift r + s
-        with values self.values[r][other.rows[s]] * other.values[s]; the
-        rows of self go in blocks of at most TERM_BLOCK_ENTRIES entries."""
+        with values self.values[r][other.rows[s]] * other.values[s], taken
+        in place in the gathered block; the rows of self go in blocks of at
+        most TERM_BLOCK_ENTRIES entries."""
         self._check_compatible(other)
         sums = self.shifts[:, None, :] + other.shifts[None, :, :]
         shifts, which = _distinct_residues(sums.reshape(-1, self.spec.n), self.spec.k)
@@ -230,8 +245,9 @@ class DiagonalOperator:
         block = max(1, TERM_BLOCK_ENTRIES // max(other.values.size, 1))
         for start in range(0, len(self.shifts), block):
             part = slice(start, start + block)
-            _add_rows(out, which[part].ravel(), self.values[part][:, other.rows] * other.values)
-        return DiagonalOperator(self.spec, shifts, out)
+            gathered = self.values[part][:, other.rows]
+            _add_rows(out, which[part].ravel(), np.multiply(gathered, other.values, out=gathered))
+        return DiagonalOperator._from_arrays(self.spec, shifts, out)
 
     def __add__(self, other: "DiagonalOperator") -> "DiagonalOperator":
         return self._plus(other, other.values)
@@ -246,17 +262,17 @@ class DiagonalOperator:
         shifts, which = _distinct_residues(np.concatenate([self.shifts, other.shifts]), self.spec.k)
         out = np.zeros((len(shifts), self.spec.dim), dtype=complex)
         _add_rows(out, which, np.concatenate([self.values, values]))
-        return DiagonalOperator(self.spec, shifts, out)
+        return DiagonalOperator._from_arrays(self.spec, shifts, out)
 
     def scale(self, value: complex) -> "DiagonalOperator":
-        return DiagonalOperator(self.spec, self.shifts, self.values * complex(value))
+        return DiagonalOperator._from_arrays(self.spec, self.shifts, self.values * complex(value), self.rows)
 
     def adjoint(self) -> "DiagonalOperator":
         """The conjugate transpose: diagonal r becomes diagonal -r, entry
         values[r, m'] moving to column [m' + r]."""
         values = np.zeros_like(self.values)
         np.put_along_axis(values, self.rows, self.values.conj(), axis=1)
-        return DiagonalOperator(self.spec, -self.shifts, values)
+        return DiagonalOperator._from_arrays(self.spec, -self.shifts % self.spec.k, values)
 
     def dense(self) -> QuantumOperator:
         """The dense matrix: a scatter of the diagonals (below the dense cap)."""
@@ -292,9 +308,10 @@ def toeplitz_diagonals(f: TrigPoly, spec: HilbertSpec) -> DiagonalOperator:
     np.add.at(grid.reshape(-1), which * dim + cells, f.values)
     axes = tuple(range(1, n + 1))
     values = np.fft.ifftn(grid.reshape((-1,) + (k,) * n), axes=axes, norm="forward").reshape(-1, dim)
-    if spec.polarization is Polarization.MOMENTUM:
-        values = np.take_along_axis(values, _shifted_index(n, k, shifts), axis=1)
-    return DiagonalOperator(spec, shifts, values)
+    if spec.polarization is not Polarization.MOMENTUM:
+        return DiagonalOperator._from_arrays(spec, shifts, values)
+    rows = _shifted_index(n, k, shifts)
+    return DiagonalOperator._from_arrays(spec, shifts, np.take_along_axis(values, rows, axis=1), rows)
 
 
 def assemble_toeplitz(f: TrigPoly, spec: HilbertSpec) -> QuantumOperator:
@@ -314,7 +331,7 @@ def intertwine(op):
         raise PolarizationError("intertwine expects a MOMENTUM-basis operator")
     target = HilbertSpec(op.spec.n, op.spec.k, Polarization.POSITION)
     if isinstance(op, DiagonalOperator):
-        return DiagonalOperator(target, op.shifts, op.values)
+        return DiagonalOperator._from_arrays(target, op.shifts, op.values, op.rows)
     return QuantumOperator(target, op.entries)
 
 

@@ -128,13 +128,13 @@ def _pair_angles(f: TrigPoly, g: TrigPoly, orientation: Orientation) -> tuple[fl
     raise TypeError(f"unknown orientation {orientation!r}")
 
 
-def _phase_series(n: int, keys: np.ndarray, amps: np.ndarray, psi: np.ndarray, last: int) -> list[TrigPoly]:
-    """Orders j = 0..last of sum_m amps[m] psi[m]^j / j! e^{2 pi i keys[m]}.
+def _phase_series(n: int, groups, amps: np.ndarray, psi: np.ndarray, last: int) -> list[TrigPoly]:
+    """Orders j = 0..last of sum_m amps[m] psi[m]^j / j! e^{2 pi i keys[m]},
+    the keys given by their ``_group_keys`` runs ``groups``.
 
-    One ``_group_keys`` sort serves every order; order j is the j-th Taylor
-    coefficient of the per-term phase e^{psi hbar}.
+    One sort serves every order; order j is the j-th Taylor coefficient of
+    the per-term phase e^{psi hbar}.
     """
-    groups = _group_keys(keys)
     terms = [_sum_groups(n, groups, amps)]
     for j in range(1, last + 1):
         amps = amps * psi / j
@@ -146,8 +146,8 @@ def _taylor_terms(f: TrigPoly, g: TrigPoly, orientation: Orientation, last: int)
     """Order-j terms of the product for j = 0..last: each pair contributes
     its amplitude times (i theta)^j / j!."""
     const, m = _pair_angles(f, g, orientation)
-    keys, weights = _pair_terms(f, g)
-    return _phase_series(f.n, keys, weights, 1j * (const * m), last)
+    groups, weights = _pair_terms(f, g)
+    return _phase_series(f.n, groups, weights, 1j * (const * m), last)
 
 
 def bidifferential(order: int, f: TrigPoly, g: TrigPoly, orientation: Orientation) -> TrigPoly:
@@ -183,8 +183,8 @@ def star_exact(f: TrigPoly, g: TrigPoly, h: HbarValue, orientation: Orientation 
         MOYAL: e^{pi i hbar (a.q - p.b)}
     """
     const, m = _pair_angles(f, g, orientation)
-    keys, amps = _pair_terms(f, g)
-    return _collect(f.n, keys, amps * np.exp(1j * (const * h.hbar * m)))
+    groups, amps = _pair_terms(f, g)
+    return _sum_groups(f.n, groups, amps * np.exp(1j * (const * h.hbar * m)))
 
 
 # -- Berezin transform and equivalence maps ------------------------------------
@@ -199,7 +199,7 @@ def berezin_truncated(f: TrigPoly, order: int) -> HbarSeries:
     """Series form e^{-hbar Delta} f of the Berezin transform: the hbar^j
     term multiplies the (p, a) amplitude by (2 pi i p.a)^j / j!."""
     psi = 2j * math.pi * _mixed_dot(f)
-    return HbarSeries(f.n, tuple(_phase_series(f.n, f.keys, f.values, psi, _check_order(order))))
+    return HbarSeries(f.n, tuple(_phase_series(f.n, _group_keys(f.keys), f.values, psi, _check_order(order))))
 
 
 def berezin_exact(f: TrigPoly, h: HbarValue) -> TrigPoly:
@@ -229,7 +229,7 @@ def equivalence_map(gamma, order: int, f: TrigPoly) -> HbarSeries:
         raise ValueError("gamma must be symmetric")
     # u^T gamma u from the exact integer products u_i u_j of each key u
     quad = (f.keys[:, :, None] * f.keys[:, None, :]).reshape(len(f), 4 * n * n) @ gamma.reshape(-1)
-    return HbarSeries(n, tuple(_phase_series(n, f.keys, f.values, -2.0 * math.pi**2 * quad, order)))
+    return HbarSeries(n, tuple(_phase_series(n, _group_keys(f.keys), f.values, -2.0 * math.pi**2 * quad, order)))
 
 
 # -- trace -------------------------------------------------------------------

@@ -12,12 +12,25 @@ checked only where they enter from outside (the constructor, ``harmonic``,
 directly from arrays.
 
 All ring operations (sum, product, derivative, Poisson bracket) act exactly
-on coefficients.  A product is an outer sum of the two key arrays followed by
-one deterministic reduction: a stable lexicographic sort, then a segmented sum
-of the values of equal keys, in their original order.  Arithmetic drops only
+on coefficients.  A sum or a product collects its terms by one deterministic
+reduction: a stable lexicographic sort of the keys, then a segmented sum of
+the values of equal keys, in their original order.  Arithmetic drops only
 amplitudes that are exactly zero, so it is associative up to rounding;
 ``truncate`` drops small ones on request.  Grid evaluation exists only so
 tests can cross-check the coefficient routes against pointwise ones.
+
+The sort runs on one integer code per key (``_group_keys``).  With lo_c and
+s_c = hi_c - lo_c + 1 the least entry and the span of column c, the row u
+has the code sum_c (u_c - lo_c) S_c, where S_c = s_{c+1} ... s_{2n-1}: its
+mixed-radix digits over the box the columns span.  Every digit lies in
+[0, s_c), so codes compare as the rows do lexicographically, and a stable
+sort of the codes is a stable lexicographic sort of the rows.  The codes are
+stored in the narrowest unsigned integer type that holds the box's cell
+count, so that boxes of at most 2^16 cells, which most products have, are
+radix-sorted.  A product codes each term pair as code(f-term) plus
+code(g-term) over the box of the pair sums and never forms their keys.
+Boxes of 2^63 cells or more, which only keys near ``MAX_FREQ`` on several
+axes reach, have codes past int64 and take ``np.lexsort`` of the rows.
 """
 
 from __future__ import annotations
@@ -40,6 +53,10 @@ PRUNE_REL = 1e-14
 # size the pair sums and the dot products of the star phases stay inside
 # int64 for any n below 2^13.
 MAX_FREQ = 2**24
+
+# Key boxes with this many cells or more have codes past int64: their rows
+# are sorted by np.lexsort.
+CODE_CELLS = 2**63
 
 
 class DimensionMismatchError(ValueError):
@@ -217,8 +234,7 @@ class TrigPoly:
     def multiply(self, other: "TrigPoly") -> "TrigPoly":
         """Pointwise product by convolution of coefficient arrays."""
         self._check_same(other)
-        keys, amps = _pair_terms(self, other)
-        return _collect(self.n, keys, amps)
+        return _sum_groups(self.n, *_pair_terms(self, other))
 
     def conjugate(self) -> "TrigPoly":
         # negating every key reverses lexicographic order
@@ -281,15 +297,53 @@ def _as_order(orders: Sequence[int], n: int) -> tuple[int, ...]:
     return t
 
 
-def _pair_terms(f: TrigPoly, g: TrigPoly) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and amplitudes of every term pair of f and g, f-major.
-
-    Row i * len(g) + j holds the frequency sum and the amplitude product of
-    the i-th term of f and the j-th term of g.
-    """
-    keys = (f.keys[:, None, :] + g.keys[None, :, :]).reshape(-1, 2 * f.n)
+def _pair_terms(f: TrigPoly, g: TrigPoly) -> tuple[tuple, np.ndarray]:
+    """``_group_keys`` runs and amplitudes of every term pair of f and g,
+    f-major: pair i * len(g) + j is the i-th term of f with the j-th of g,
+    at the frequency sum and with the amplitude product."""
     amps = (f.values[:, None] * g.values[None, :]).reshape(-1)
-    return keys, amps
+    return _group_pairs(f.keys, g.keys), amps
+
+
+def _box(keys: np.ndarray) -> tuple[list[int], list[int]]:
+    """(least entry, span) of each column of the key rows; span is the
+    largest entry minus the least plus one, and 1 for no rows."""
+    if not len(keys):
+        return [0] * keys.shape[1], [1] * keys.shape[1]
+    lows = [int(column.min()) for column in keys.T]
+    spans = [int(column.max()) - low + 1 for column, low in zip(keys.T, lows)]
+    return lows, spans
+
+
+def _code_dtype(cells: int) -> type:
+    """The narrowest unsigned integer type that holds codes 0..cells-1."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if cells <= 1 << (8 * np.dtype(dtype).itemsize):
+            return dtype
+    return np.uint64
+
+
+def _codes(keys: np.ndarray, lows: list[int], spans: list[int], dtype: type) -> np.ndarray:
+    """sum_c (keys[:, c] - lows[c]) * spans[c+1] ... spans[-1] for each row.
+
+    The sum is taken in int64, where a partial sum may wrap, but the
+    wrapping is modulo 2^64 and the final codes lie in [0, 2^63)."""
+    codes = np.zeros(len(keys), dtype=np.int64)
+    for column, low, span in zip(keys.T, lows, spans):
+        codes *= span
+        codes += column
+        codes -= low
+    return codes.astype(dtype)
+
+
+def _runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the stable sort of the codes and the index in it
+    where each run of equal codes begins."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return order, np.flatnonzero(first)
 
 
 def _group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,13 +352,52 @@ def _group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(order, starts, unique)``: ``keys[order]`` is sorted with rows
     of equal keys left in their given order, each run begins at an index of
     ``starts``, and ``unique`` holds one key per run.
+
+    The sort is a stable ``np.argsort`` of one code per row,
+    sum_c (keys[:, c] - lo_c) * span_{c+1} ... span_{2n-1}, with lo_c and
+    span_c the least entry and the span of column c.  Digit c lies in
+    [0, span_c), so the codes order as the rows do lexicographically, and
+    equal rows have equal codes.  The codes are stored in the narrowest
+    unsigned type that holds the cell count of the box, so a box of at most
+    2^16 cells is radix-sorted.  A box of ``CODE_CELLS`` cells or more,
+    whose codes would pass int64, takes ``np.lexsort`` of the rows, which
+    gives the same three arrays.
     """
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    starts = np.flatnonzero(first)
-    return order, starts, ordered[starts]
+    lows, spans = _box(keys)
+    cells = math.prod(spans)
+    if cells >= CODE_CELLS:
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+        starts = np.flatnonzero(first)
+        return order, starts, ordered[starts]
+    order, starts = _runs(_codes(keys, lows, spans, _code_dtype(cells)))
+    return order, starts, keys[order[starts]]
+
+
+def _group_pairs(f_keys: np.ndarray, g_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_group_keys`` of the f-major pair sums f_keys[i] + g_keys[j],
+    without forming them.
+
+    The pair sums span the box whose column c runs from the sum of the two
+    least entries over the sum of the two spans less one.  Over that box a
+    pair's code is the code of its f row plus the code of its g row, each
+    taken from its own least entries, so one outer sum of two short code
+    arrays gives every pair code, and each run's key is the sum of the rows
+    of its first pair.
+    """
+    f_lows, f_spans = _box(f_keys)
+    g_lows, g_spans = _box(g_keys)
+    spans = [a + b - 1 for a, b in zip(f_spans, g_spans)]
+    cells = math.prod(spans)
+    if cells >= CODE_CELLS:
+        return _group_keys((f_keys[:, None, :] + g_keys[None, :, :]).reshape(-1, f_keys.shape[1]))
+    dtype = _code_dtype(cells)
+    codes = np.add.outer(_codes(f_keys, f_lows, spans, dtype), _codes(g_keys, g_lows, spans, dtype))
+    order, starts = _runs(codes.reshape(-1))
+    i, j = np.divmod(order[starts], len(g_keys))
+    return order, starts, f_keys[i] + g_keys[j]
 
 
 def _sum_groups(n: int, groups, values: np.ndarray) -> TrigPoly:

@@ -335,7 +335,8 @@ def test_truncated_orders_match_the_derivative_formula(pair, orientation):
 
 def test_keys_at_the_frequency_bound_neither_wrap_nor_pass_it():
     # pair sums and the Moyal dot products of the largest allowed keys stay
-    # exact in int64; one more is refused where keys come in
+    # exact in int64, and their key box, past 2^63 cells, is grouped by
+    # np.lexsort; one more is refused where keys come in
     big = MAX_FREQ
     f = TrigPoly(2, {((big, -big), (big, 1)): 1.0, ((-big, big), (1, -big)): 2.0j, ((0, 0), (0, 0)): 0.5})
     g = TrigPoly(2, {((big, big), (-big, -1)): 3.0, ((0, 0), (1, 0)): -1.0, ((-big, big), (1, big)): 0.25})
@@ -349,6 +350,18 @@ def test_keys_at_the_frequency_bound_neither_wrap_nor_pass_it():
     for orientation in ORIENTATIONS:
         ref = ref_bidifferential(1, fd, gd, 2, orientation)
         assert_matches(bidifferential(1, f, g, orientation), ref, ref_size(fd, gd, 1, orientation))
+        # at k = 1 and 8, hbar is a power of two, so the phases of both
+        # routes round to the same double even where they pass 2^49
+        for k in (1, 8):
+            assert_matches(star_exact(f, g, HbarValue(k), orientation), ref_star_exact(fd, gd, k, orientation),
+                           ref_size(fd, gd))
+        series, hbar = star_truncated(f, g, 2, orientation), 1 / 8
+        summed, size = {}, 0.0
+        for j, coefficient in enumerate(series.coefficients):
+            for key, c in coefficient.terms():
+                _add(summed, key, c * hbar**j)
+                size += abs(c) * hbar**j
+        assert_matches(series.evaluate(hbar), summed, size)
     for key in (((big + 1, 0), (0, 0)), ((0, 0), (0, -big - 1)), ((2**63, 0), (0, 0))):
         with pytest.raises(ValueError, match="at most"):
             TrigPoly(2, {key: 1.0})

@@ -449,6 +449,20 @@ def test_cli_run_rejects_expression_that_fails_on_its_grid(tmp_path, capsys):
             "k_max: levels must fit a 64-bit integer, got 9223372036854775808",
             id="expression-trace-past-int64",
         ),
+        # products past the term-pair budget: 25^4 x 25^4 and 9^6 x 9^6 pairs
+        pytest.param(
+            {"experiment": "star_table", "n": 2, "order": 1,
+             "f": {"random": {"bandwidth": 12}}, "g": {"random": {"bandwidth": 12}}},
+            "f.random.bandwidth: f has up to 390625 terms and g up to 390625: 152587890625 term pairs, "
+            "above 4194304",
+            id="star-table-past-the-pair-budget",
+        ),
+        pytest.param(
+            {"experiment": "product", "n": 3, "k_min": 2, "k_max": 4, "order": 1,
+             "f": {"random": {"bandwidth": 4}}, "g": {"random": {"bandwidth": 4}}},
+            "f.random.bandwidth: f has up to 531441 terms and g up to 531441: 282429536481 term pairs",
+            id="product-past-the-pair-budget",
+        ),
         # parsing accepts it for assemble; run would ignore it
         pytest.param(dict(PRODUCT_CFG, polarization="momentum"), "polarization: ", id="polarization"),
     ],
@@ -469,6 +483,19 @@ def test_cli_run_trace_needs_no_dense_cap(tmp_path):
     assert code == 0
     (csv,) = (tmp_path / "out").glob("*.csv")
     assert csv.read_text(encoding="utf-8").splitlines()[-1].startswith("1024,")
+
+
+def test_pair_budget_counts_terms_from_the_spec():
+    # 2048 x 2048 coefficient records sit exactly on the budget; one more
+    # record on g passes it, and an expression counts its full box
+    records = [{"p": [i], "q": [0], "re": 1.0} for i in range(2048)]
+    star = {"experiment": "star_table", "n": 1, "f": {"coeffs": records}}
+    assert parse_config(dict(star, g={"coeffs": records})).g.max_terms(1) == 2048
+    with pytest.raises(ConfigError, match=r"^g\.coeffs: .* 4196352 term pairs, above 4194304"):
+        parse_config(dict(star, g={"coeffs": records + records[:1]}))
+    with pytest.raises(ConfigError, match=r"^g\.bandwidth: f has up to 2048 terms and g up to 4100625"):
+        parse_config(dict(star, n=2, f={"coeffs": [{"p": [0, 0], "q": [0, 0], "re": 1.0}] * 2048},
+                          g={"expr": "cos(2*pi*x1)", "bandwidth": 22}))
 
 
 def test_sample_budget_counts_the_axes_an_expression_reads():
@@ -495,18 +522,20 @@ def test_cli_refuses_a_negative_seed_override(tmp_path, capsys, command, config)
 
 def test_every_shipped_config_runs_in_the_readme_and_both_ci_jobs():
     # CI checks byte identity on exactly the README commands, one loop per
-    # job; a config missing from any of the three would ship unchecked
+    # job; a config missing from any of the three would ship unchecked, and
+    # a name without a config would fail only in CI
     root = Path(__file__).resolve().parents[1]
     shipped = {path.stem for path in (root / "configs").glob("*.json")}
     readme = (root / "README.md").read_text(encoding="utf-8")
     block = re.search(r"Ready-made configs live in `configs/`:\n\n```sh\n(.*?)```", readme, re.S).group(1)
-    assert shipped <= set(re.findall(r"configs/(\w+)\.json", block))
+    # each names every shipped config once, and nothing else
+    assert sorted(re.findall(r"configs/(\w+)\.json", block)) == sorted(shipped)
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     steps = re.findall(r"- name: Run the README commands.*?\n(?=      - name|\n  \S|\Z)", workflow, re.S)
     assert len(steps) == 2
     for step in steps:
         looped = re.search(r"for config in ([^;]*);", step).group(1).replace("\\", " ").split()
-        assert shipped <= set(looped) | set(re.findall(r"configs/(\w+)\.json", step))
+        assert sorted(looped + re.findall(r"configs/(\w+)\.json", step)) == sorted(shipped)
 
 
 def test_cli_threads_flag_is_a_usage_error(tmp_path):

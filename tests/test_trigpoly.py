@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusquant.trigpoly import (
+    CODE_CELLS,
     DimensionMismatchError,
     TrigPoly,
+    _group_keys,
+    _group_pairs,
     poisson_bracket,
     random_trig_poly,
 )
@@ -241,3 +244,94 @@ def test_evaluate_periodic_property(seed):
     rng = np.random.default_rng(seed + 1)
     x, y = rng.uniform(), rng.uniform()
     assert abs(f.evaluate((x,), (y,)) - f.evaluate((x + 1.0,), (y - 1.0,))) < 1e-10
+
+
+# -- key grouping against np.lexsort ------------------------------------------
+
+
+def lexsort_groups(keys):
+    """The row-wise grouping that the integer codes replace, kept as the
+    oracle: a stable lexicographic sort, then runs of equal rows."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return order, starts, ordered[starts]
+
+
+def assert_same_groups(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+# Cells of the key boxes drawn: small boxes, the edges of the uint8, uint16
+# and uint32 codes (2^bits cells, or one column one wider), and boxes of
+# 2^63 cells or more, which take np.lexsort.
+BOX_BITS = (None, 8, 16, 32, 62, 63, 64)
+
+
+def draw_keys(seed: int, n: int, bits, count: int, span_cap: int = 5) -> np.ndarray:
+    """``count`` rows of 2n columns, drawn with repeats from a pool of rows
+    in a box of about 2^bits cells (small spans for bits None) whose two
+    corners are among the rows, so the box is exact."""
+    rng = np.random.default_rng(seed)
+    width = 2 * n
+    if bits is None:
+        spans = rng.integers(1, span_cap + 1, size=width)
+    else:
+        column_bits = np.zeros(width, dtype=np.int64)
+        for _ in range(bits):  # at most 40 bits per column keeps keys small
+            column_bits[rng.choice(np.flatnonzero(column_bits < 40))] += 1
+        spans = 2**column_bits
+        spans[rng.integers(width)] += rng.integers(2)
+    lows = rng.integers(-(2**20), 2**20, size=width)
+    pool = lows + rng.integers(0, spans, size=(max(count // 3, 1), width))
+    keys = pool[rng.integers(len(pool), size=count)]
+    if count >= 2:
+        corners = rng.choice(count, size=2, replace=False)
+        keys[corners[0]], keys[corners[1]] = lows, lows + spans - 1
+    return np.ascontiguousarray(keys, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(BOX_BITS), st.integers(0, 400))
+def test_group_keys_matches_lexsort_bit_for_bit(seed, n, bits, count):
+    keys = draw_keys(seed, n, bits, count)
+    assert_same_groups(_group_keys(keys), lexsort_groups(keys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.sampled_from(BOX_BITS),
+    st.integers(0, 60),
+    st.integers(0, 12),
+)
+def test_pair_codes_match_lexsort_of_the_pair_sums(seed, n, bits, f_count, g_count):
+    # a one-row g leaves the box of f as the box of the pair sums
+    f_keys = draw_keys(seed, n, bits, f_count)
+    g_keys = draw_keys(seed + 1, n, None, g_count, span_cap=3)
+    sums = (f_keys[:, None, :] + g_keys[None, :, :]).reshape(-1, 2 * n)
+    assert_same_groups(_group_pairs(f_keys, g_keys), lexsort_groups(sums))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1])
+def test_group_keys_of_empty_and_one_row_inputs(n, count):
+    keys = np.full((count, 2 * n), -7, dtype=np.int64)
+    assert_same_groups(_group_keys(keys), lexsort_groups(keys))
+    for other in (np.zeros((0, 2 * n), dtype=np.int64), keys + 3):
+        sums = (keys[:, None, :] + other[None, :, :]).reshape(-1, 2 * n)
+        assert_same_groups(_group_pairs(keys, other), lexsort_groups(sums))
+
+
+def test_box_edges_reach_every_code_width_and_the_fallback():
+    # the drawn boxes cross each width, and some pass CODE_CELLS
+    for bits in (8, 16, 32, 62, 63):
+        keys = draw_keys(0, 2, bits, 50)
+        cells = math.prod(int(c.max()) - int(c.min()) + 1 for c in keys.T)
+        assert 2**bits <= cells <= 2 * 2**bits
+    assert math.prod(int(c.max()) - int(c.min()) + 1 for c in draw_keys(0, 2, 64, 50).T) >= CODE_CELLS
