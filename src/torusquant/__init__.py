@@ -11,7 +11,6 @@ from .analysis import (
     L2Reading,
     L2RouteError,
     NormKind,
-    PowerIterationWarning,
     SlopeFit,
     SweepPoint,
     TooFewPointsError,
@@ -23,7 +22,6 @@ from .analysis import (
     operator_norm,
     riemann_sum_error,
     run_experiment,
-    spectral_norm,
     superpoly_decay_ok,
     torus_relation_defects,
     trace_error,
@@ -38,7 +36,6 @@ from .quantize import (
     QuantumOperator,
     assemble_toeplitz,
     intertwine,
-    quantum_torus_generators,
     toeplitz_diagonals,
 )
 from .starprod import (
@@ -79,7 +76,6 @@ __all__ = [
     "Orientation",
     "Polarization",
     "PolarizationError",
-    "PowerIterationWarning",
     "ProjectionSpec",
     "QuantumOperator",
     "SlopeFit",
@@ -103,11 +99,9 @@ __all__ = [
     "parse_config",
     "poisson_bracket",
     "project",
-    "quantum_torus_generators",
     "random_trig_poly",
     "riemann_sum_error",
     "run_experiment",
-    "spectral_norm",
     "star_exact",
     "star_trace",
     "star_truncated",

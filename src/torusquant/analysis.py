@@ -22,11 +22,11 @@ dimension LAPACK_L2_MAX_DIM, where it is the cheaper route.  Above it, l2
 is the square root of the top Ritz value theta of a three-term Lanczos
 recurrence on A*A, which holds two vectors whatever its step budget,
 certified by a block Cholesky factorization of theta (1 + L2_CERT_DELTA) I -
-A*A; where a block would pass the dense cap, the run does not converge or
-the certificate fails, it is the LAPACK 2-norm again, and above the dense
-cap an ``L2RouteError``.  A certified value sits below the true norm by less than
-L2_CERT_DELTA / 2 relative and never above it beyond rounding;
-``L2Reading`` says which route answered.
+A*A; where a block would pass ``config.CERT_BLOCK_CAP``, the run does not
+converge or the certificate fails, it is the LAPACK 2-norm again, and above
+the dense cap an ``L2RouteError``.  A certified value sits below the true
+norm by less than L2_CERT_DELTA / 2 relative and never above it beyond
+rounding; ``L2Reading`` says which route answered.
 """
 
 from __future__ import annotations
@@ -39,13 +39,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import funcexpr
-from .config import SWEEP_KINDS, ConfigError, ExperimentConfig, expression_mean
+from .config import CERT_BLOCK_CAP, SWEEP_KINDS, ConfigError, ExperimentConfig, expression_mean
 from .quantize import (
     DENSE_DIM_CAP,
     DiagonalOperator,
     HilbertSpec,
     Polarization,
-    QuantumOperator,
     intertwine,
     toeplitz_diagonals,
     torus_generator_diagonals,
@@ -98,28 +97,8 @@ NORM_ORDER = (NormKind.L1, NormKind.L2, NormKind.LINF)  # report row order
 
 
 class PowerIterationWarning(UserWarning):
-    """Former spectral-norm power-iteration cap warning.
-
-    Kept so that code filtering or subclassing it still imports; nothing in
-    the package raises it since l2 norms come from the LAPACK SVD.
-    """
-
-
-def spectral_norm(matrix) -> float:
-    """Largest singular value, ``np.linalg.norm(a, 2)`` (LAPACK SVD).
-
-    Exact to rounding; empty matrices have norm 0.
-    """
-    a = np.asarray(matrix)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
-def _entries(op) -> np.ndarray:
-    return op.entries if isinstance(op, QuantumOperator) else np.asarray(op, dtype=complex)
+    """Former power-iteration cap warning; nothing raises it, and only the
+    benchmark tracer still subclasses it."""
 
 
 class L2Reading(float):
@@ -150,25 +129,25 @@ class L2RouteError(ValueError):
     no LAPACK fallback exists."""
 
 
-def certified_l2_norm(op, tol: float) -> L2Reading:
+def certified_l2_norm(op: DiagonalOperator, tol: float) -> L2Reading:
     """l2 norm for comparisons against a tolerance.
 
     Returns the interpolation bound sqrt(l1 * linf), method
     ``interp_bound``, when it already sits at or below ``tol``: the bound
-    dominates the l2 norm, so it certifies the check without an SVD.  For a
-    DiagonalOperator l1 and linf are exact sums over its diagonals.
-    Otherwise returns the reading of the l2 route (``operator_norm``).
+    dominates the l2 norm, so it certifies the check with no l2 route; l1
+    and linf are exact sums over the diagonals.  Otherwise returns the
+    reading of the l2 route (``operator_norm``).
     """
     bound = float(np.sqrt(operator_norm(op, NormKind.L1) * operator_norm(op, NormKind.LINF)))
     if bound <= tol:
         return L2Reading(bound, "interp_bound", bound)
-    value = operator_norm(op, NormKind.L2)
-    return value if isinstance(value, L2Reading) else L2Reading(value, "lapack_svd", value)
+    return operator_norm(op, NormKind.L2)
 
 
 def _interleaving(op: DiagonalOperator) -> tuple[np.ndarray, int] | None:
     """(permutation, block size) that makes A*A block tridiagonal, or None
-    when a block would hold more than DENSE_DIM_CAP entries.
+    when a block would hold more than CERT_BLOCK_CAP entries, the cap that
+    parsing holds configs to.
 
     The diagonals of A*A sit at the shifts s - r of pairs of diagonals of A;
     on the outermost axis they reach at most w residues either way,
@@ -181,7 +160,7 @@ def _interleaving(op: DiagonalOperator) -> tuple[np.ndarray, int] | None:
     axis0 = op.shifts[:, 0]
     reach = (axis0[None, :] - axis0[:, None]) % k
     block = max(2 * int(np.minimum(reach, k - reach).max(initial=0)), 1)
-    if block * inner > DENSE_DIM_CAP:
+    if block * inner > CERT_BLOCK_CAP:
         return None
     order = np.empty(k, dtype=np.int64)
     order[0::2] = np.arange((k + 1) // 2)
@@ -303,7 +282,7 @@ def _l2_diagonal(op: DiagonalOperator) -> L2Reading:
     if op.spec.dim > LAPACK_L2_MAX_DIM:
         steps, interleaving = 0, _interleaving(op)
         if interleaving is None:
-            failed = f"the band of A*A needs certificate blocks above {DENSE_DIM_CAP} entries"
+            failed = f"the band of A*A needs certificate blocks above {CERT_BLOCK_CAP} entries"
         else:
             gram = op.adjoint() @ op
             theta, steps = _lanczos_top(gram)
@@ -320,36 +299,26 @@ def _l2_diagonal(op: DiagonalOperator) -> L2Reading:
                 f"(LANCZOS_BUDGET = {LANCZOS_BUDGET}), and the LAPACK fallback needs a dense "
                 f"matrix, capped at dimension {DENSE_DIM_CAP}"
             )
-    value = spectral_norm(op.dense().entries)
+    value = float(np.linalg.norm(op.dense(), 2))
     return L2Reading(value, "lapack_svd", value)
 
 
-def operator_norm(op, kind: NormKind | str) -> float:
-    """Operator norm of a DiagonalOperator, a QuantumOperator or a matrix.
+def operator_norm(op: DiagonalOperator, kind: NormKind | str) -> float:
+    """Operator norm of a DiagonalOperator.
 
     ``l1`` is the max column absolute sum and ``linf`` the max row absolute
-    sum, exact to rounding; for a DiagonalOperator they are sums of |D| over
-    its diagonals.  ``l2`` is the largest singular value: the LAPACK 2-norm
-    of a matrix (see spectral_norm), and an ``L2Reading`` for a
-    DiagonalOperator, LAPACK up to LAPACK_L2_MAX_DIM and certified Lanczos
-    above it, as the module docstring describes.
+    sum, sums of |D| over the diagonals, exact to rounding.  ``l2`` is the
+    largest singular value as an ``L2Reading``: the LAPACK 2-norm up to
+    LAPACK_L2_MAX_DIM and certified Lanczos above it, as the module
+    docstring describes.
     """
     kind = NormKind(kind) if not isinstance(kind, NormKind) else kind
-    if isinstance(op, DiagonalOperator):
-        if kind is NormKind.L1:
-            return float(np.abs(op.values).sum(axis=0).max(initial=0.0))
-        if kind is NormKind.LINF:
-            weights = np.abs(op.values).ravel()
-            return float(np.bincount(op.rows.ravel(), weights, op.spec.dim).max())
-        return _l2_diagonal(op)
-    a = _entries(op)
-    if a.size == 0:
-        return 0.0
     if kind is NormKind.L1:
-        return float(np.abs(a).sum(axis=0).max())
+        return float(np.abs(op.values).sum(axis=0).max(initial=0.0))
     if kind is NormKind.LINF:
-        return float(np.abs(a).sum(axis=1).max())
-    return spectral_norm(a)
+        weights = np.abs(op.values).ravel()
+        return float(np.bincount(op.rows.ravel(), weights, op.spec.dim).max())
+    return _l2_diagonal(op)
 
 
 # -- error operators ----------------------------------------------------------
@@ -382,17 +351,17 @@ def _berezin_remainder(f: TrigPoly, order: int) -> Callable[[int], DiagonalOpera
     return _remainder_at(lambda h: berezin_exact(f, h), berezin_truncated(f, order))
 
 
-def error_product(f: TrigPoly, g: TrigPoly, order: int, k: int) -> QuantumOperator:
+def error_product(f: TrigPoly, g: TrigPoly, order: int, k: int) -> DiagonalOperator:
     """Q_f Q_g - Q_{f *_order g at hbar=1/k} in the position basis.
 
     Built as the Toeplitz operator of the remainder symbol
     star_exact(f, g, 1/k) - star_truncated(f, g, order)(1/k), which equals
-    the dense difference to rounding.
+    the difference of the operators to rounding.
     """
-    return _product_remainder(f, g, order)(k).dense()
+    return _product_remainder(f, g, order)(k)
 
 
-def error_intertwine(f: TrigPoly, order: int | None, k: int) -> QuantumOperator:
+def error_intertwine(f: TrigPoly, order: int | None, k: int) -> DiagonalOperator:
     """Dual-basis quantization re-expressed, minus quantization of the
     Berezin-transformed symbol.
 
@@ -403,8 +372,8 @@ def error_intertwine(f: TrigPoly, order: int | None, k: int) -> QuantumOperator:
     routes, so it checks the identity the remainder route relies on.
     """
     if order is not None:
-        return _berezin_remainder(f, order)(k).dense()
-    return _exact_transform_defect(f, k).dense()
+        return _berezin_remainder(f, order)(k)
+    return _exact_transform_defect(f, k)
 
 
 def _exact_transform_defect(f: TrigPoly, k: int) -> DiagonalOperator:

@@ -22,7 +22,6 @@ from .analysis import (
     intertwine_sweep,
     lattice_mean,
     norm_bound_sweep,
-    operator_norm,
     product_sweep,
     torus_relations_sweep,
     trace_sweep,
@@ -238,14 +237,14 @@ def check_norm_interpolation() -> CheckResult:
     for _ in range(200):
         dim = int(rng.integers(2, 65))
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        bound = math.sqrt(operator_norm(a, NormKind.L1) * operator_norm(a, NormKind.LINF)) + 1e-9
-        v = operator_norm(a, NormKind.L2)
+        bound = math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)) + 1e-9
+        v = float(np.linalg.norm(a, 2))
         worst_margin = max(worst_margin, v - bound)
         if v > bound:
             violations += 1
     eye = np.eye(8, dtype=complex)
-    id_norm = operator_norm(eye, NormKind.L2)
-    id_bound = math.sqrt(operator_norm(eye, NormKind.L1) * operator_norm(eye, NormKind.LINF))
+    id_norm = float(np.linalg.norm(eye, 2))
+    id_bound = math.sqrt(np.linalg.norm(eye, 1) * np.linalg.norm(eye, np.inf))
     id_ok = abs(id_norm - 1.0) <= 1e-12 and abs(id_bound - 1.0) <= 1e-12
     passed = violations == 0 and id_ok
     return CheckResult(

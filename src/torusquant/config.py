@@ -4,8 +4,9 @@ Configs are JSON objects.  Parsing is strict: unknown keys are rejected, and
 every validation error names the offending field path (``"f.bandwidth"``).
 Inputs too large to run (more than MAX_LEVELS levels, levels beyond int64,
 lattices of more than ``funcexpr.SAMPLE_BUDGET`` samples, products past
-PAIR_BUDGET term pairs, or operators past the certificate budgets below) are
-refused the same way.
+PAIR_BUDGET term pairs, single symbols past PAIR_BUDGET terms, or operators
+past the certificate budgets below) are refused the same way, and so are
+non-finite numbers, which ``json`` reads from ``NaN`` and ``Infinity``.
 The normalized form (defaults filled in) is what reports echo and hash, so a
 report can always be traced back to the exact configuration that produced it.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -56,7 +58,8 @@ CERT_BLOCK_CAP = 2048
 GRAM_ENTRY_CAP = 1 << 23
 # Most term pairs |f| |g| of one symbol product (star_exact, star_truncated):
 # each pair holds about a hundred bytes of phases, amplitudes and sort codes
-# at once, so a product at the budget peaks near 360 MiB.
+# at once, so a product at the budget peaks near 360 MiB.  It also caps the
+# terms of the one symbol that the other kinds realize.
 PAIR_BUDGET = 1 << 22
 # kinds that read the truncation order N
 ORDER_KINDS = ("product", "intertwine", "star_table")
@@ -129,6 +132,10 @@ class FunctionSpec:
             return len(self.coeffs)
         return (2 * self.x_bandwidth() + 1) ** (2 * n)
 
+    def size_field(self) -> str:
+        """The field that sets ``max_terms``, relative to the spec."""
+        return {"coeffs": "coeffs", "expr": "bandwidth", "random": "random.bandwidth"}[self.kind]
+
     def projection_spec(self) -> funcexpr.ProjectionSpec:
         return funcexpr.ProjectionSpec(self.bandwidth, self.grid or 0)
 
@@ -167,7 +174,19 @@ class FunctionSpec:
         return {"random": {"bandwidth": self.random_bandwidth, "decay": self.random_decay}}
 
 
-def _parse_function(data, path: str) -> FunctionSpec:
+def _as_finite(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return number
+
+
+def _parse_function(data, path: str, n: int) -> FunctionSpec:
     if not isinstance(data, Mapping):
         raise ConfigError(path, f"expected an object, got {data!r}")
     modes = [m for m in ("coeffs", "expr", "random") if m in data]
@@ -201,14 +220,15 @@ def _parse_function(data, path: str) -> FunctionSpec:
             if not isinstance(q, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in q):
                 raise ConfigError(f"{rpath}.q", "expected a list of integers")
             for label, v in (("p", p), ("q", q)):
+                if len(v) != n:
+                    raise ConfigError(f"{rpath}.{label}", f"expected {n} components (n = {n}), got {len(v)}")
                 if any(abs(c) > MAX_FREQ for c in v):
                     raise ConfigError(f"{rpath}.{label}", f"frequency components must be at most {MAX_FREQ} in size")
-            re = _require(rec, f"{rpath}.", "re")
-            im = rec.get("im", 0.0)
-            for label, v in (("re", re), ("im", im)):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ConfigError(f"{rpath}.{label}", f"expected a number, got {v!r}")
-            cleaned.append({"p": list(p), "q": list(q), "re": float(re), "im": float(im)})
+            re = _as_finite(_require(rec, f"{rpath}.", "re"), f"{rpath}.re")
+            im = _as_finite(rec.get("im", 0.0), f"{rpath}.im")
+            cleaned.append({"p": list(p), "q": list(q), "re": re, "im": im})
+        if not math.isfinite(sum(math.hypot(rec["re"], rec["im"]) for rec in cleaned)):
+            raise ConfigError(f"{path}.coeffs", "the sum of the amplitudes' magnitudes overflows")
         return FunctionSpec(coeffs=tuple(cleaned))
     if mode == "expr":
         expr = _as_str(data["expr"], f"{path}.expr")
@@ -238,10 +258,10 @@ def _parse_function(data, path: str) -> FunctionSpec:
         if key not in ("bandwidth", "decay"):
             raise ConfigError(f"{path}.random.{key}", "unknown field")
     bw = _as_int(_require(sub, f"{path}.random.", "bandwidth"), f"{path}.random.bandwidth", minimum=0)
-    decay = sub.get("decay", 3.0)
-    if isinstance(decay, bool) or not isinstance(decay, (int, float)) or decay < 0:
+    decay = _as_finite(sub.get("decay", 3.0), f"{path}.random.decay")
+    if decay < 0:
         raise ConfigError(f"{path}.random.decay", f"expected a non-negative number, got {decay!r}")
-    return FunctionSpec(random_bandwidth=bw, random_decay=float(decay))
+    return FunctionSpec(random_bandwidth=bw, random_decay=decay)
 
 
 def expression_mean(spec: FunctionSpec, n: int, grid: int, path: str) -> complex:
@@ -341,6 +361,8 @@ def parse_config(source) -> ExperimentConfig:
                 text = path.read_text(encoding="utf-8")
             except OSError as exc:
                 raise ConfigError(str(source), f"cannot read config file: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise ConfigError(str(source), f"config file is not UTF-8: {exc}") from exc
         else:
             text = source
         try:
@@ -399,11 +421,11 @@ def parse_config(source) -> ExperimentConfig:
     f_spec = None
     g_spec = None
     if experiment in FUNCTION_KINDS:
-        f_spec = _parse_function(_require(data, "", "f"), "f")
+        f_spec = _parse_function(_require(data, "", "f"), "f", n)
     elif "f" in data:
         raise ConfigError("f", f"not used by the {experiment} experiment")
     if experiment in PAIR_KINDS:
-        g_spec = _parse_function(_require(data, "", "g"), "g")
+        g_spec = _parse_function(_require(data, "", "g"), "g", n)
     elif "g" in data:
         raise ConfigError("g", f"not used by the {experiment} experiment")
 
@@ -437,6 +459,8 @@ def parse_config(source) -> ExperimentConfig:
                     f"{name}.grid", f"projection grid {grid}^{2 * n} points, above {funcexpr.SAMPLE_BUDGET}"
                 )
             expression_mean(spec, n, grid, name)
+    if experiment in FUNCTION_KINDS and experiment not in PAIR_KINDS:
+        _check_term_budget(experiment, f_spec, n)
     if experiment == "trace" and f_spec.kind == "expr":
         top = max(cfg.k_values())
         for label, ast in zip(("expr", "expr_im"), f_spec.asts()):
@@ -454,12 +478,22 @@ def _check_pair_budget(cfg: ExperimentConfig) -> None:
     f_terms, g_terms = cfg.f.max_terms(cfg.n), cfg.g.max_terms(cfg.n)
     if f_terms * g_terms > PAIR_BUDGET:
         name, spec = ("f", cfg.f) if f_terms >= g_terms else ("g", cfg.g)
-        field = {"coeffs": "coeffs", "expr": "bandwidth", "random": "random.bandwidth"}[spec.kind]
         raise ConfigError(
-            f"{name}.{field}",
+            f"{name}.{spec.size_field()}",
             f"f has up to {f_terms} terms and g up to {g_terms}: {f_terms * g_terms} term pairs, "
             f"above {PAIR_BUDGET}",
         )
+
+
+def _check_term_budget(experiment: str, spec: FunctionSpec, n: int) -> None:
+    """Refuse, on its size field, a lone symbol f of more than PAIR_BUDGET
+    terms.  A trace of an expression is not held to it: it samples the
+    expression and never realizes the symbol."""
+    if experiment == "trace" and spec.kind == "expr":
+        return
+    terms = spec.max_terms(n)
+    if terms > PAIR_BUDGET:
+        raise ConfigError(f"f.{spec.size_field()}", f"f has up to {terms} terms, above {PAIR_BUDGET}")
 
 
 def _check_certificate_budget(cfg: ExperimentConfig) -> None:

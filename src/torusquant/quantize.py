@@ -27,9 +27,10 @@ and has an operator algebra closed on diagonals (``@``, ``+``, ``-``,
 ``scale``, ``adjoint``): a product of R_A and R_B diagonals has at most
 R_A R_B, found in O(R_A R_B k^n) time, so the sweeps and the acceptance
 checks take their operators, defects and norms from it (see
-``analysis.operator_norm``) with no dense product.  ``dense()`` and
-``assemble_toeplitz`` scatter it into a dense matrix below
-``DENSE_DIM_CAP``.  Traces need no operator at all: hbar^n tr Q_f is
+``analysis.operator_norm``) with no dense product.  ``dense()`` scatters it
+into an ndarray below ``DENSE_DIM_CAP``; ``assemble_toeplitz`` wraps that
+matrix as the ``QuantumOperator`` record that the ``assemble`` CSV writer
+reads.  Traces need no operator at all: hbar^n tr Q_f is
 ``analysis.lattice_mean(f, k)``.
 """
 
@@ -96,7 +97,9 @@ def _residue_grid(n: int, k: int) -> np.ndarray:
 
 
 class QuantumOperator:
-    """Dense operator on a level-k space, tagged with its basis."""
+    """Dense matrix of a level-k operator, tagged with its basis: the record
+    ``assemble_toeplitz`` hands to the CSV writer.  Nothing in the package
+    uses its algebra; the benchmark tracer still patches it."""
 
     __slots__ = ("spec", "entries")
 
@@ -131,14 +134,6 @@ class QuantumOperator:
 
     def __repr__(self) -> str:
         return f"QuantumOperator(n={self.spec.n}, k={self.spec.k}, {self.spec.polarization.value})"
-
-
-def _check_dense(spec: HilbertSpec) -> None:
-    if spec.dim > DENSE_DIM_CAP:
-        raise ValueError(
-            f"dimension {spec.dim} exceeds the dense cap {DENSE_DIM_CAP}; "
-            "use toeplitz_diagonals, whose matvec and rmatvec need no matrix"
-        )
 
 
 def _shifted_index(n: int, k: int, shifts: np.ndarray) -> np.ndarray:
@@ -274,13 +269,17 @@ class DiagonalOperator:
         np.put_along_axis(values, self.rows, self.values.conj(), axis=1)
         return DiagonalOperator._from_arrays(self.spec, -self.shifts % self.spec.k, values)
 
-    def dense(self) -> QuantumOperator:
+    def dense(self) -> np.ndarray:
         """The dense matrix: a scatter of the diagonals (below the dense cap)."""
-        _check_dense(self.spec)
         dim = self.spec.dim
+        if dim > DENSE_DIM_CAP:
+            raise ValueError(
+                f"dimension {dim} exceeds the dense cap {DENSE_DIM_CAP}; "
+                "use toeplitz_diagonals, whose matvec and rmatvec need no matrix"
+            )
         A = np.zeros((dim, dim), dtype=complex)
         A.reshape(-1)[(self.rows * dim + np.arange(dim)).ravel()] = self.values.ravel()
-        return QuantumOperator(self.spec, A)
+        return A
 
 
 def toeplitz_diagonals(f: TrigPoly, spec: HilbertSpec) -> DiagonalOperator:
@@ -315,24 +314,21 @@ def toeplitz_diagonals(f: TrigPoly, spec: HilbertSpec) -> DiagonalOperator:
 
 
 def assemble_toeplitz(f: TrigPoly, spec: HilbertSpec) -> QuantumOperator:
-    """Dense Toeplitz matrix of the symbol f at level spec.k."""
-    return toeplitz_diagonals(f, spec).dense()
+    """Dense Toeplitz matrix of the symbol f at level spec.k, for the CSV writer."""
+    return QuantumOperator(spec, toeplitz_diagonals(f, spec).dense())
 
 
-def intertwine(op):
+def intertwine(op: DiagonalOperator) -> DiagonalOperator:
     """Re-express a MOMENTUM-basis operator on the POSITION-basis space.
 
     The pairing between the two bases matches the mth dual vector with the
-    mth primary vector, so the matrix entries (or the diagonals of a
-    DiagonalOperator) are unchanged; only the tag flips.  Applying it to a
-    POSITION operator is an error.
+    mth primary vector, so the diagonals are unchanged; only the tag flips.
+    Applying it to a POSITION operator is an error.
     """
     if op.spec.polarization is not Polarization.MOMENTUM:
         raise PolarizationError("intertwine expects a MOMENTUM-basis operator")
     target = HilbertSpec(op.spec.n, op.spec.k, Polarization.POSITION)
-    if isinstance(op, DiagonalOperator):
-        return DiagonalOperator._from_arrays(target, op.shifts, op.values, op.rows)
-    return QuantumOperator(target, op.entries)
+    return DiagonalOperator._from_arrays(target, op.shifts, op.values, op.rows)
 
 
 def torus_generator_diagonals(spec: HilbertSpec, axis: int) -> tuple[DiagonalOperator, DiagonalOperator]:
@@ -350,12 +346,6 @@ def torus_generator_diagonals(spec: HilbertSpec, axis: int) -> tuple[DiagonalOpe
     u = toeplitz_diagonals(TrigPoly.harmonic(spec.n, e, zero), spec)
     v = toeplitz_diagonals(TrigPoly.harmonic(spec.n, zero, e), spec)
     return u, v
-
-
-def quantum_torus_generators(spec: HilbertSpec, axis: int) -> tuple[QuantumOperator, QuantumOperator]:
-    """The dense matrices of ``torus_generator_diagonals(spec, axis)``."""
-    u, v = torus_generator_diagonals(spec, axis)
-    return u.dense(), v.dense()
 
 
 def operator_to_csv(op: QuantumOperator) -> str:

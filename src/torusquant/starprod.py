@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .trigpoly import TrigPoly, _collect, _group_keys, _pair_terms, _sum_groups
+from .trigpoly import TrigPoly, _collect, _pair_terms, _sum_groups
 
 # Truncation orders above this are refused: coefficient growth is factorial
 # and double precision has long stopped meaning anything by then.
@@ -195,11 +195,18 @@ def _mixed_dot(f: TrigPoly) -> np.ndarray:
     return np.einsum("ij,ij->i", f.keys[:, : f.n], f.keys[:, f.n :])
 
 
+def _own_runs(f: TrigPoly):
+    """The ``_group_keys`` runs of f's keys, which are sorted and unique
+    already: every run is one term, in place."""
+    index = np.arange(len(f))
+    return index, index, f.keys
+
+
 def berezin_truncated(f: TrigPoly, order: int) -> HbarSeries:
     """Series form e^{-hbar Delta} f of the Berezin transform: the hbar^j
     term multiplies the (p, a) amplitude by (2 pi i p.a)^j / j!."""
     psi = 2j * math.pi * _mixed_dot(f)
-    return HbarSeries(f.n, tuple(_phase_series(f.n, _group_keys(f.keys), f.values, psi, _check_order(order))))
+    return HbarSeries(f.n, tuple(_phase_series(f.n, _own_runs(f), f.values, psi, _check_order(order))))
 
 
 def berezin_exact(f: TrigPoly, h: HbarValue) -> TrigPoly:
@@ -229,7 +236,7 @@ def equivalence_map(gamma, order: int, f: TrigPoly) -> HbarSeries:
         raise ValueError("gamma must be symmetric")
     # u^T gamma u from the exact integer products u_i u_j of each key u
     quad = (f.keys[:, :, None] * f.keys[:, None, :]).reshape(len(f), 4 * n * n) @ gamma.reshape(-1)
-    return HbarSeries(n, tuple(_phase_series(n, _group_keys(f.keys), f.values, -2.0 * math.pi**2 * quad, order)))
+    return HbarSeries(n, tuple(_phase_series(n, _own_runs(f), f.values, -2.0 * math.pi**2 * quad, order)))
 
 
 # -- trace -------------------------------------------------------------------

@@ -28,7 +28,6 @@ from torusquant.analysis import (
     riemann_sum_error,
     run_experiment,
     slope_window,
-    spectral_norm,
     superpoly_decay_ok,
     torus_relation_defects,
     trace_error,
@@ -38,11 +37,9 @@ from torusquant.config import ConfigError, ExperimentConfig, FunctionSpec
 from torusquant.funcexpr import ProjectionSpec, evaluate, parse, project, variables
 from torusquant.quantize import (
     DENSE_DIM_CAP,
+    DiagonalOperator,
     HilbertSpec,
     Polarization,
-    QuantumOperator,
-    assemble_toeplitz,
-    intertwine,
     toeplitz_diagonals,
 )
 from torusquant.starprod import HbarValue, berezin_truncated, star_exact, star_truncated
@@ -53,76 +50,67 @@ Y = TrigPoly.harmonic(1, (0,), (1,))
 XY = TrigPoly.harmonic(1, (1,), (1,))
 
 
-def test_spectral_norm_examples():
-    assert spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_norm(np.diag([1.0, 2.0, 3.0])) == pytest.approx(3.0, abs=1e-9)
-    assert spectral_norm(np.zeros((4, 4))) == 0.0
-    assert spectral_norm(np.zeros((0, 3))) == 0.0
-    with pytest.raises(ValueError):
-        spectral_norm(np.zeros(3))
+def _wrapped(a) -> DiagonalOperator:
+    """A square matrix as the n = 1 operator of its dim wrapped diagonals:
+    entry a[m' + r, m'] sits at values[r, m']."""
+    dim = len(a)
+    cols = np.arange(dim)
+    shifts = np.arange(dim)
+    return DiagonalOperator(HilbertSpec(1, dim), shifts[:, None], a[(cols + shifts[:, None]) % dim, cols])
 
 
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(31)
-    for shape in ((40, 40), (20, 35)):
-        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        want = np.linalg.norm(a, 2)
-        assert spectral_norm(a) == pytest.approx(want, rel=1e-8)
+def test_wrapped_matrix_scatters_back():
+    a = np.random.default_rng(30).normal(size=(7, 7)) + 0j
+    assert np.array_equal(_wrapped(a).dense(), a)
 
 
-def test_spectral_norm_deterministic():
-    rng = np.random.default_rng(32)
-    a = rng.normal(size=(25, 25))
-    assert spectral_norm(a) == spectral_norm(a)
-
-
-def test_spectral_norm_is_lapack_two_norm_without_warnings():
+def test_l2_route_is_the_lapack_two_norm_without_warnings():
     # matrices on which the former power iteration hit its cap or stopped
     # early: a near-degenerate top pair and a flat noise spectrum
     rng = np.random.default_rng(37)
     cases = [
-        np.diag([1.0, 2.0, 3.0]),
+        np.diag([1.0, 2.0, 3.0]).astype(complex),
         np.diag([1.0, 1.0 - 1e-9, 0.5]).astype(complex),
         rng.normal(size=(64, 64)) * 1e-16 + 1j * rng.normal(size=(64, 64)) * 1e-16,
-        rng.normal(size=(20, 35)) + 1j * rng.normal(size=(20, 35)),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a in cases:
-            assert spectral_norm(a) == np.linalg.norm(a, 2)
-            assert operator_norm(a, "l2") == np.linalg.norm(a, 2)
+            reading = operator_norm(_wrapped(a), "l2")
+            assert reading.method == "lapack_svd"
+            assert reading == np.linalg.norm(a, 2)
 
 
 def test_certified_norm_certificate_path():
-    # near-zero matrices (defects of exact identities): the interpolation
-    # bound certifies them without an SVD
-    a = np.full((60, 60), 1e-16, dtype=complex)
+    # near-zero operators (defects of exact identities): the interpolation
+    # bound certifies them with no l2 route
+    op = _wrapped(np.full((60, 60), 1e-16, dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = certified_l2_norm(a, 1e-10)
+        got = certified_l2_norm(op, 1e-10)
+    assert got.method == "interp_bound"
     assert got <= 60 * 1e-16 * (1.0 + 1e-12)
-    assert got >= np.linalg.norm(a, 2) - 1e-18
+    assert got >= np.linalg.norm(op.dense(), 2) - 1e-18
 
 
 def test_certified_norm_falls_back_to_iteration():
     rng = np.random.default_rng(33)
-    a = rng.normal(size=(30, 30))
-    assert certified_l2_norm(a, 1e-10) == pytest.approx(np.linalg.norm(a, 2), rel=1e-8)
+    a = rng.normal(size=(30, 30)) + 0j
+    assert certified_l2_norm(_wrapped(a), 1e-10) == pytest.approx(np.linalg.norm(a, 2), rel=1e-8)
 
 
 def test_entrywise_norms():
-    a = np.array([[1.0, -2.0], [3j, 4.0]])
-    assert operator_norm(a, NormKind.L1) == 6.0
-    assert operator_norm(a, "linf") == 7.0
-    op = QuantumOperator(HilbertSpec(1, 2), a)
-    assert operator_norm(op, "l1") == 6.0
+    op = _wrapped(np.array([[1.0, -2.0], [3j, 4.0]]))
+    assert operator_norm(op, NormKind.L1) == 6.0
+    assert operator_norm(op, "linf") == 7.0
 
 
 def test_interpolation_bound_dominates():
     rng = np.random.default_rng(34)
     for _ in range(10):
         a = rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50))
-        bound = math.sqrt(operator_norm(a, "l1") * operator_norm(a, "linf"))
+        op = _wrapped(a)
+        bound = math.sqrt(operator_norm(op, "l1") * operator_norm(op, "linf"))
         assert np.linalg.norm(a, 2) <= bound + 1e-9
 
 
@@ -145,16 +133,23 @@ def test_error_product_higher_order_smaller():
 
 def assert_remainder_routes_match_dense(f, g, order, k):
     """The remainder-symbol error operators against the dense routes they
-    replace: Q_f Q_g - Q_{f *_N g} and intertwine(Q^dual_f) - Q_{B_N f}."""
+    replace: Q_f Q_g - Q_{f *_N g} and Q^dual_f - Q_{B_N f}, the basis
+    change leaving the matrix of Q^dual_f as it is."""
     spec = HilbertSpec(f.n, k)
-    qf = assemble_toeplitz(f, spec)
-    qg = assemble_toeplitz(g, spec)
-    dense = (qf @ qg) - assemble_toeplitz(star_truncated(f, g, order).evaluate(1.0 / k), spec)
-    scale = operator_norm(qf, "l2") * operator_norm(qg, "l2")
-    assert operator_norm(error_product(f, g, order, k) - dense, "l2") <= 1e-12 * scale
-    dual = intertwine(assemble_toeplitz(f, HilbertSpec(f.n, k, Polarization.MOMENTUM)))
-    dense = dual - assemble_toeplitz(berezin_truncated(f, order).evaluate(1.0 / k), spec)
-    assert operator_norm(error_intertwine(f, order, k) - dense, "l2") <= 1e-12 * operator_norm(qf, "l2")
+
+    def dense(symbol, polarization=Polarization.POSITION):
+        return toeplitz_diagonals(symbol, HilbertSpec(f.n, k, polarization)).dense()
+
+    qf, qg = dense(f), dense(g)
+    want = qf @ qg - dense(star_truncated(f, g, order).evaluate(1.0 / k))
+    scale = np.linalg.norm(qf, 2) * np.linalg.norm(qg, 2)
+    got = error_product(f, g, order, k)
+    assert isinstance(got, DiagonalOperator) and got.spec == spec
+    assert np.linalg.norm(got.dense() - want, 2) <= 1e-12 * scale
+    want = dense(f, Polarization.MOMENTUM) - dense(berezin_truncated(f, order).evaluate(1.0 / k))
+    got = error_intertwine(f, order, k)
+    assert isinstance(got, DiagonalOperator) and got.spec == spec
+    assert np.linalg.norm(got.dense() - want, 2) <= 1e-12 * np.linalg.norm(qf, 2)
 
 
 # k <= 2 * bandwidth aliases frequencies of f (and of the product, whose
@@ -192,7 +187,7 @@ def test_error_product_vanishes_for_commuting_symbols():
     g = TrigPoly(1, {((1,), (0,)): -0.2, ((3,), (0,)): 1.1})
     for order in (0, 1, 2):
         e = error_product(f, g, order, 8)
-        assert np.abs(e.entries).max() < 1e-14
+        assert np.abs(e.values).max(initial=0.0) < 1e-14
 
 
 def test_error_intertwine_monomial():
@@ -203,14 +198,14 @@ def test_error_intertwine_monomial():
     assert operator_norm(e, "l2") == pytest.approx(want, abs=1e-10)
     # the exact transform leaves no defect at all
     exact = error_intertwine(XY, None, k)
-    assert np.abs(exact.entries).max() < 1e-13
+    assert np.abs(exact.values).max(initial=0.0) < 1e-13
 
 
 def test_error_intertwine_vanishes_on_separated_symbols():
     for f in (X, Y, TrigPoly(1, {((2,), (0,)): 1.0, ((0,), (0,)): 0.5})):
         for order in (None, 0, 2):
             e = error_intertwine(f, order, 6)
-            assert np.abs(e.entries).max() < 1e-14
+            assert np.abs(e.values).max(initial=0.0) < 1e-14
 
 
 def test_trace_error_band_limited():
@@ -310,7 +305,7 @@ def test_trace_of_a_trig_polynomial_expression_is_the_matrix_trace(source, n, ba
     ast = parse(source)
     poly = project(ast, ProjectionSpec(bandwidth), n)
     for k in range(2, 2 * bandwidth + 2 if n == 1 else bandwidth + 3):
-        a = assemble_toeplitz(poly, HilbertSpec(n, k)).entries
+        a = toeplitz_diagonals(poly, HilbertSpec(n, k)).dense()
         assert abs(lattice_mean(ast, k, n) - np.trace(a) / k**n) <= 1e-13
 
 
@@ -396,7 +391,7 @@ def test_certified_norm_names_its_route():
     op = toeplitz_diagonals(random_trig_poly(rng, 1, 2), HilbertSpec(1, 8))
     reading = certified_l2_norm(op, 1e-10)
     assert reading.method == "lapack_svd"
-    assert reading == spectral_norm(op.dense().entries)
+    assert reading == np.linalg.norm(op.dense(), 2)
 
 
 def test_checks_run_matrix_free_above_the_dense_cap():

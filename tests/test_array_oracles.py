@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusquant import starprod, trigpoly
 from torusquant.starprod import (
     HbarValue,
     Orientation,
@@ -445,6 +446,34 @@ def test_equivalence_map_matches_the_second_order_powers(pair, order, seed):
     refs = ref_operator_series(lambda u: ref_second_order(gamma, u, n), fd, order, 0.5)
     for j, ref in enumerate(refs):
         assert_matches(mapped.coefficient(j), ref, ref_map_size(fd, gamma, j))
+
+
+def test_berezin_and_equivalence_maps_take_the_keys_unsorted(monkeypatch):
+    # a polynomial's keys are sorted and unique, so each term is its own run:
+    # with the key sort made to fail, both maps still match their oracles,
+    # and the Berezin orders equal those of the sorted route bit for bit
+    def no_sort(keys):
+        raise AssertionError("the keys were sorted again")
+
+    rng = np.random.default_rng(92)
+    for n, bandwidth in ((1, 3), (2, 1)):
+        f = make_box(rng, n, bandwidth)
+        fd, gamma = as_dict(f), GAMMA_MOYAL_STAR[n]
+        with monkeypatch.context() as patch:
+            patch.setattr(trigpoly, "_group_keys", no_sort)
+            patch.setattr(starprod, "_group_keys", no_sort, raising=False)
+            berezin = berezin_truncated(f, 4)
+            mapped = equivalence_map(gamma, 4, f)
+        psi = 2j * math.pi * starprod._mixed_dot(f)
+        sorted_route = starprod._phase_series(n, trigpoly._group_keys(f.keys), f.values, psi, 4)
+        laplacian = ref_operator_series(lambda u: ref_mixed_laplacian(u, n), fd, 4, -1.0)
+        second_order = ref_operator_series(lambda u: ref_second_order(gamma, u, n), fd, 4, 0.5)
+        for j in range(5):
+            got = berezin.coefficient(j)
+            assert np.array_equal(got.keys, sorted_route[j].keys)
+            assert np.array_equal(got.values.view(np.uint64), sorted_route[j].values.view(np.uint64))
+            assert_matches(got, laplacian[j], ref_map_size(fd, GAMMA_BEREZIN[n], j))
+            assert_matches(mapped.coefficient(j), second_order[j], ref_map_size(fd, gamma, j))
 
 
 def moyal_gauge(f: TrigPoly, k: int) -> TrigPoly:

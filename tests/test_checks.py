@@ -45,7 +45,7 @@ def test_criterion1_tolerance_scale_is_a_lower_bound_on_the_two_norm(seed, n, ba
     spec = HilbertSpec(n, k, polarization)
     f, g = (toeplitz_diagonals(random_trig_poly(rng, n, bandwidth), spec) for _ in range(2))
     for op in (f, g, f @ g):
-        dense = op.dense().entries
+        dense = op.dense()
         scale = checks._largest_column_norm(op)
         assert np.isclose(scale, np.linalg.norm(dense, axis=0).max(), rtol=1e-13, atol=0.0)
         assert scale <= np.linalg.norm(dense, 2) * (1.0 + 1e-12)

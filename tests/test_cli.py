@@ -97,6 +97,26 @@ def test_parse_linear_rule():
         (lambda d: d.update(f={"coeffs": [{"p": [0], "q": [0]}]}), "f.coeffs[0].re"),
         (lambda d: d.update(f={"coeffs": [{"p": [0], "q": [2**24 + 1], "re": 1.0}]}), "f.coeffs[0].q"),
         (lambda d: d.update(f={"expr": "sin(2*pi*x1)", "bandwidth": 2, "grid": 3}), "f.grid"),
+        # frequency vectors of another dimension than n = 1
+        pytest.param(lambda d: d.update(f={"coeffs": [{"p": [1, 2], "q": [0], "re": 1}]}), "f.coeffs[0].p",
+                     id="p-of-another-dimension"),
+        pytest.param(lambda d: d.update(g={"coeffs": [{"p": [0], "q": [], "re": 1}]}), "g.coeffs[0].q",
+                     id="q-of-another-dimension"),
+        # non-finite numbers, which json reads from NaN and Infinity
+        *[
+            pytest.param(lambda d, record=record: d.update(f={"coeffs": [record]}), f"f.coeffs[0].{label}", id=name)
+            for name, label, record in (
+                ("nan-re", "re", {"p": [0], "q": [0], "re": math.nan}),
+                ("infinite-im", "im", {"p": [0], "q": [0], "re": 1, "im": -math.inf}),
+                ("re-past-the-float-range", "re", {"p": [0], "q": [0], "re": 10**400}),
+            )
+        ],
+        pytest.param(lambda d: d.update(f={"random": {"bandwidth": 2, "decay": math.inf}}), "f.random.decay",
+                     id="infinite-decay"),
+        pytest.param(lambda d: d.update(f={"random": {"bandwidth": 2, "decay": math.nan}}), "f.random.decay",
+                     id="nan-decay"),
+        pytest.param(lambda d: d.update(f={"coeffs": [{"p": [0], "q": [i], "re": 1e308} for i in range(2)]}),
+                     "f.coeffs", id="l1-sum-overflows"),
         # fields the experiment would ignore: refused unless they have their default
         (lambda d: d.update(k_step=3), "k_step"),
         (lambda d: d.update(orientation="moyal"), "orientation"),
@@ -463,12 +483,52 @@ def test_cli_run_rejects_expression_that_fails_on_its_grid(tmp_path, capsys):
             "f.random.bandwidth: f has up to 531441 terms and g up to 531441: 282429536481 term pairs",
             id="product-past-the-pair-budget",
         ),
+        # one symbol past the same budget in terms: 121^6 at n = 3
+        pytest.param(
+            {"experiment": "trace", "n": 3, "k_min": 2, "k_max": 4,
+             "f": {"random": {"bandwidth": 60}}},
+            "f.random.bandwidth: f has up to 3138428376721 terms, above 4194304",
+            id="trace-past-the-term-budget",
+        ),
+        pytest.param(
+            {"experiment": "intertwine", "n": 2, "k_min": 2, "k_max": 4,
+             "f": {"random": {"bandwidth": 23}}},
+            "f.random.bandwidth: f has up to 4879681 terms, above 4194304",
+            id="intertwine-past-the-term-budget",
+        ),
+        # malformed input: a frequency of another dimension, non-finite amplitudes
+        pytest.param(
+            {"experiment": "trace", "n": 1, "k_min": 2, "k_max": 8,
+             "f": {"coeffs": [{"p": [1, 2], "q": [0], "re": 1}]}},
+            "f.coeffs[0].p: expected 1 components (n = 1), got 2",
+            id="coefficient-of-another-dimension",
+        ),
+        pytest.param(
+            {"experiment": "trace", "n": 1, "k_min": 2, "k_max": 8,
+             "f": {"coeffs": [{"p": [0], "q": [1], "re": math.nan}]}},
+            "f.coeffs[0].re: expected a finite number, got nan",
+            id="nan-amplitude",
+        ),
+        pytest.param(
+            {"experiment": "norm_bound", "n": 1, "k_min": 2, "k_max": 8,
+             "f": {"coeffs": [{"p": [0], "q": [i], "re": 1e308} for i in range(2)]}},
+            "f.coeffs: the sum of the amplitudes' magnitudes overflows",
+            id="amplitudes-whose-l1-sum-overflows",
+        ),
+        # a file that is not UTF-8 text: it starts with a UTF-16 byte order mark
+        pytest.param(b"\xff\xfe{}", "{path}: config file is not UTF-8", id="not-utf-8"),
         # parsing accepts it for assemble; run would ignore it
         pytest.param(dict(PRODUCT_CFG, polarization="momentum"), "polarization: ", id="polarization"),
     ],
 )
 def test_cli_run_refuses_configs_past_parsing(tmp_path, capsys, data, message):
-    code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
+    if isinstance(data, bytes):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        message = message.format(path=path)
+    else:
+        path = write_cfg(tmp_path, data)
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -496,6 +556,26 @@ def test_pair_budget_counts_terms_from_the_spec():
     with pytest.raises(ConfigError, match=r"^g\.bandwidth: f has up to 2048 terms and g up to 4100625"):
         parse_config(dict(star, n=2, f={"coeffs": [{"p": [0, 0], "q": [0, 0], "re": 1.0}] * 2048},
                           g={"expr": "cos(2*pi*x1)", "bandwidth": 22}))
+
+
+def test_term_budget_holds_the_lone_symbol_of_each_kind_that_realizes_it(monkeypatch):
+    # with the budget at 4 terms: 4 records pass and 5 are refused on the
+    # field that sizes f; a trace of an expression samples it and is exempt
+    monkeypatch.setattr("torusquant.config.PAIR_BUDGET", 4)
+    records = [{"p": [i], "q": [0], "re": 1.0} for i in range(5)]
+    for kind in ("trace", "intertwine", "norm_bound"):
+        cfg = {"experiment": kind, "n": 1, "k_min": 2, "k_max": 4}
+        assert parse_config(dict(cfg, f={"coeffs": records[:4]})).f.max_terms(1) == 4
+        with pytest.raises(ConfigError, match=r"^f\.coeffs: f has up to 5 terms, above 4$"):
+            parse_config(dict(cfg, f={"coeffs": records}))
+        with pytest.raises(ConfigError, match=r"^f\.random\.bandwidth: f has up to 9 terms"):
+            parse_config(dict(cfg, f={"random": {"bandwidth": 1}}))
+        expr = dict(cfg, f={"expr": "cos(2*pi*x1)", "bandwidth": 1})
+        if kind == "trace":
+            assert parse_config(expr).f.max_terms(1) == 9
+        else:
+            with pytest.raises(ConfigError, match=r"^f\.bandwidth: f has up to 9 terms"):
+                parse_config(expr)
 
 
 def test_sample_budget_counts_the_axes_an_expression_reads():

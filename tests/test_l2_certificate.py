@@ -22,7 +22,6 @@ from torusquant.analysis import (
     norm_bound_sweep,
     operator_norm,
     product_sweep,
-    spectral_norm,
 )
 from torusquant.quantize import HilbertSpec, toeplitz_diagonals
 from torusquant.starprod import HbarValue, berezin_exact, berezin_truncated, star_exact, star_truncated
@@ -64,7 +63,7 @@ def test_certified_l2_brackets_the_lapack_norm(seed, n, bandwidth, kind, k, pola
         bandwidth, k = 1, min(k, 20)  # dimension at most 400
     op = _diagonals(seed, n, bandwidth, kind, k, polarization)
     reading = operator_norm(op, NormKind.L2)
-    lapack = spectral_norm(op.dense().entries)
+    lapack = np.linalg.norm(op.dense(), 2)
     assert isinstance(reading, L2Reading)
     assert lapack * (1.0 - L2_CERT_DELTA) <= reading <= lapack * (1.0 + 1e-14)
     assert reading.upper >= lapack * (1.0 - 1e-14)
@@ -79,7 +78,7 @@ def _check_lanczos_answers(seed, n, bandwidth, kind, k):
     reading = operator_norm(op, NormKind.L2)
     assert reading.method == "lanczos_certified" and 0 < reading.steps <= op.spec.dim
     assert reading.describe() == {"method": "lanczos_certified", "steps": reading.steps}
-    lapack = spectral_norm(op.dense().entries)
+    lapack = np.linalg.norm(op.dense(), 2)
     assert lapack * (1.0 - L2_CERT_DELTA) <= reading <= lapack * (1.0 + 1e-14) <= reading.upper
     # up to dimension 64 LAPACK answers
     small = _diagonals(seed, n, bandwidth, kind, 4)
@@ -115,14 +114,17 @@ def test_lanczos_answers_with_one_or_two_blocks(seed, n, bandwidth, kind, k, blo
 
 
 def test_certificate_blocks_stay_within_the_dense_cap(monkeypatch):
-    # a band whose blocks would pass the dense cap gets no certificate: below
-    # the cap LAPACK answers, above it the error names the blocks
+    # a band whose blocks would pass CERT_BLOCK_CAP, the cap parsing holds
+    # configs to, gets no certificate: below the dense cap LAPACK answers,
+    # above it the error names the blocks
     op = _diagonals(71, 2, 1, "product", 12)  # blocks of 8 x 12 = 96 entries
-    monkeypatch.setattr("torusquant.analysis.DENSE_DIM_CAP", 95)
+    monkeypatch.setattr("torusquant.analysis.CERT_BLOCK_CAP", 95)
     assert _interleaving(op) is None
+    assert operator_norm(op, NormKind.L2).method == "lapack_svd"
+    monkeypatch.setattr("torusquant.analysis.DENSE_DIM_CAP", 143)
     with pytest.raises(L2RouteError, match="certificate blocks above 95 entries"):
         operator_norm(op, NormKind.L2)
-    monkeypatch.setattr("torusquant.analysis.DENSE_DIM_CAP", 144)
+    monkeypatch.setattr("torusquant.analysis.CERT_BLOCK_CAP", 96)
     assert operator_norm(op, NormKind.L2).method == "lanczos_certified"
 
 
@@ -138,11 +140,11 @@ def test_certificate_blocks_stay_within_the_dense_cap(monkeypatch):
 )
 def test_interleaved_gram_matrix_is_block_tridiagonal(seed, n, bandwidth, kind, k, polarization):
     op = _diagonals(seed, n, bandwidth, kind, k, polarization)
-    a = op.dense().entries
+    a = op.dense()
     gram = a.conj().T @ a
     # the band holds every entry of A*A, and nothing else
     band = op.adjoint() @ op
-    assert np.abs(band.dense().entries - gram).max() <= 1e-13 * np.abs(gram).max()
+    assert np.abs(band.dense() - gram).max() <= 1e-13 * np.abs(gram).max()
     # in the interleaved order nothing lies outside the tridiagonal blocks
     perm, block = _interleaving(op)
     assert sorted(perm.tolist()) == list(range(op.spec.dim))
@@ -159,7 +161,7 @@ def test_interleaved_gram_matrix_is_block_tridiagonal(seed, n, bandwidth, kind, 
 def test_certificate_refuses_a_value_below_the_norm(seed, n, bandwidth, kind, k):
     op = _diagonals(seed, n, bandwidth, kind, k)
     gram = op.adjoint() @ op
-    sigma2 = spectral_norm(op.dense().entries) ** 2
+    sigma2 = np.linalg.norm(op.dense(), 2) ** 2
     assert not _certify(gram, sigma2 * (1.0 - 1e-9), _interleaving(op))
     assert _certify(gram, sigma2 * (1.0 + L2_CERT_DELTA), _interleaving(op))
 
@@ -175,7 +177,7 @@ def test_three_term_lanczos_reads_clustered_tops_within_half_delta(seed, n, k):
     gram = op.adjoint() @ op
     theta, steps = _lanczos_top(gram)
     assert theta is not None and steps > 2 * LANCZOS_CHECK
-    lapack = spectral_norm(op.dense().entries)
+    lapack = np.linalg.norm(op.dense(), 2)
     assert lapack * (1.0 - L2_CERT_DELTA / 2) <= np.sqrt(theta) <= lapack * (1.0 + 1e-14)
     assert _certify(gram, theta * (1.0 + L2_CERT_DELTA), _interleaving(op))
     assert not _certify(gram, theta * (1.0 - 1e-9), _interleaving(op))
@@ -296,7 +298,7 @@ def test_lapack_answers_up_to_dimension_64_and_lanczos_above():
         assert _interleaving(op) is not None  # the band alone would let Lanczos answer
         reading = operator_norm(op, NormKind.L2)
         assert reading.method == method
-        assert reading == pytest.approx(spectral_norm(op.dense().entries), rel=L2_CERT_DELTA)
+        assert reading == pytest.approx(np.linalg.norm(op.dense(), 2), rel=L2_CERT_DELTA)
 
 
 def test_lanczos_out_of_budget_above_the_dense_cap_names_what_failed(monkeypatch):
