@@ -33,8 +33,6 @@ from .quantize import (
     HilbertSpec,
     Polarization,
     PolarizationError,
-    QuantumOperator,
-    assemble_toeplitz,
     intertwine,
     toeplitz_diagonals,
 )
@@ -77,12 +75,10 @@ __all__ = [
     "Polarization",
     "PolarizationError",
     "ProjectionSpec",
-    "QuantumOperator",
     "SlopeFit",
     "SweepPoint",
     "TooFewPointsError",
     "TrigPoly",
-    "assemble_toeplitz",
     "berezin_exact",
     "berezin_truncated",
     "bidifferential",

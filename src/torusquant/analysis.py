@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import funcexpr
-from .config import CERT_BLOCK_CAP, SWEEP_KINDS, ConfigError, ExperimentConfig, expression_mean
+from .config import CERT_BLOCK_CAP, ConfigError, ExperimentConfig, expression_mean
 from .quantize import (
     DENSE_DIM_CAP,
     DiagonalOperator,
@@ -85,6 +85,14 @@ LOWER_SOLVE_LEAF = 256
 # O(hbar^infinity) statements are operationalized as "error * k^RATE_EXPONENT
 # keeps decreasing over the sweep"; reports flag this as a chosen rendering.
 RATE_EXPONENT = 4.0
+
+# intertwine checks its exact-transform identity to this in l2, and reports
+# the transform's phase convention: it multiplies the (p, a)-amplitudes by
+# e^{+2 pi i hbar p.a}.
+EXACT_TRANSFORM_TOL = 1e-10
+TRANSFORM_PHASE = "+p.a"
+# Every quantum-torus generator relation holds to this in l2.
+TORUS_RELATION_TOL = 1e-12
 
 
 class NormKind(Enum):
@@ -444,14 +452,14 @@ class SlopeFit:
     n_excluded: int
 
 
-def fit_slope(points: Iterable[tuple[float, float]], floor: float = ERROR_FLOOR) -> SlopeFit:
+def fit_slope(points: Iterable[tuple[float, float]]) -> SlopeFit:
     """Least-squares slope of log(error) against log(hbar).
 
-    Points with error at or below ``floor`` are excluded (they are exact
+    Points with error at or below ERROR_FLOOR are excluded (they are exact
     zeros); raises TooFewPointsError when fewer than three remain.
     """
     pts = [(float(h), float(e)) for h, e in points]
-    usable = [(h, e) for h, e in pts if e > floor]
+    usable = [(h, e) for h, e in pts if e > ERROR_FLOOR]
     if len(usable) < 3:
         raise TooFewPointsError(len(pts), len(usable))
     xs = np.log([h for h, _ in usable])
@@ -559,14 +567,14 @@ def _fit_series(kind: str, points: list[tuple[float, float]], order: int) -> Ser
     )
 
 
-def superpoly_decay_ok(points: Sequence[tuple[int, float]], exponent: float = RATE_EXPONENT) -> tuple[bool, bool]:
-    """(passed, exact_identity) for a faster-than-k^{-exponent} claim.
+def superpoly_decay_ok(points: Sequence[tuple[int, float]]) -> tuple[bool, bool]:
+    """(passed, exact_identity) for a faster-than-k^{-RATE_EXPONENT} claim.
 
-    Scaled values error * k^exponent must strictly decrease while above the
-    error floor; once a value falls to the floor, later ones must stay there.
-    All-floor data is an exact identity and passes vacuously.
+    Scaled values error * k^RATE_EXPONENT must strictly decrease while above
+    the error floor; once a value falls to the floor, later ones must stay
+    there.  All-floor data is an exact identity and passes vacuously.
     """
-    scaled = [(k, e * float(k) ** exponent, e) for k, e in points]
+    scaled = [(k, e * float(k) ** RATE_EXPONENT, e) for k, e in points]
     exact = all(e <= ERROR_FLOOR for _, _, e in scaled)
     if exact:
         return True, True
@@ -631,22 +639,22 @@ def product_sweep(f: TrigPoly, g: TrigPoly, order: int, ks: Sequence[int]) -> Co
 
 def intertwine_sweep(f: TrigPoly, order: int, ks: Sequence[int]) -> ConvergenceReport:
     """Norms of the order-``order`` intertwining error per level, slope-fitted
-    per norm, plus the exact-transform identity checked to 1e-10 in l2."""
-    exact_tol = 1e-10
-    readings = [certified_l2_norm(_exact_transform_defect(f, k), exact_tol) for k in ks]
+    per norm, plus the exact-transform identity checked to
+    EXACT_TRANSFORM_TOL in l2."""
+    readings = [certified_l2_norm(_exact_transform_defect(f, k), EXACT_TRANSFORM_TOL) for k in ks]
     exact_errors = [{"k": k, "error": float(e), **e.describe()} for k, e in zip(ks, readings)]
     exact_max = float(max(readings))
     exact = SeriesSummary(
         name="exact_transform",
         norm_kind=NormKind.L2.value,
-        outcome="exact_identity" if exact_max <= exact_tol else "violation",
-        passed=exact_max <= exact_tol,
+        outcome="exact_identity" if exact_max <= EXACT_TRANSFORM_TOL else "violation",
+        passed=exact_max <= EXACT_TRANSFORM_TOL,
     )
     details = {
-        "transform_phase": "+p.a",  # exact transform multiplies (p,a)-amplitudes by e^{+2 pi i hbar p.a}
+        "transform_phase": TRANSFORM_PHASE,
         "exact_errors": exact_errors,
         "exact_max_error": exact_max,
-        "exact_tolerance": exact_tol,
+        "exact_tolerance": EXACT_TRANSFORM_TOL,
     }
     return _norm_report("intertwine", ks, _berezin_remainder(f, order), order, details, [exact])
 
@@ -726,13 +734,13 @@ def _power(op: DiagonalOperator, exponent: int) -> DiagonalOperator:
         op = op @ op
 
 
-def torus_relation_defects(n: int, k: int, tol: float = 1e-12) -> tuple[L2Reading, int | None]:
+def torus_relation_defects(n: int, k: int) -> tuple[L2Reading, int | None]:
     """(max relation defect, measured commutation sign) at one level.
 
     Checks unitarity, k-th powers, same-axis commutation with the measured
     sign, and cross-axis commutation, all in the operator 2-norm (via
-    certified_l2_norm against ``tol``), on the one-diagonal generators and
-    their products in wrapped-diagonal form.  The defect is the
+    certified_l2_norm against TORUS_RELATION_TOL), on the one-diagonal
+    generators and their products in wrapped-diagonal form.  The defect is the
     ``L2Reading`` of the worst relation, or inf (method
     ``"sign_inconsistent"``) when the axes disagree on the sign.  The sign
     is None at k = 2 where e^{2 pi i hbar} is real and both signs coincide.
@@ -745,8 +753,8 @@ def torus_relation_defects(n: int, k: int, tol: float = 1e-12) -> tuple[L2Readin
     sign: int | None = None
     for u, v in gens:
         for w in (u, v):
-            defects.append(certified_l2_norm(w.adjoint() @ w - eye, tol))
-            defects.append(certified_l2_norm(_power(w, k) - eye, tol))
+            defects.append(certified_l2_norm(w.adjoint() @ w - eye, TORUS_RELATION_TOL))
+            defects.append(certified_l2_norm(_power(w, k) - eye, TORUS_RELATION_TOL))
         uv = u @ v
         vu = v @ u  # one diagonal, at the same shift as uv
         idx = int(np.argmax(np.abs(vu.values)))
@@ -760,27 +768,26 @@ def torus_relation_defects(n: int, k: int, tol: float = 1e-12) -> tuple[L2Readin
                 return L2Reading(float("inf"), "sign_inconsistent", float("inf")), None
             sign = axis_sign
         phase = minus if (sign or -1) == -1 else plus
-        defects.append(certified_l2_norm(uv - vu.scale(phase), tol))
+        defects.append(certified_l2_norm(uv - vu.scale(phase), TORUS_RELATION_TOL))
     for i in range(n):
         for j in range(i + 1, n):
             ui, vi = gens[i]
             uj, vj = gens[j]
             for a, b in ((ui, uj), (vi, vj), (ui, vj), (vi, uj)):
-                defects.append(certified_l2_norm(a @ b - b @ a, tol))
+                defects.append(certified_l2_norm(a @ b - b @ a, TORUS_RELATION_TOL))
     return max(defects), sign
 
 
 def torus_relations_sweep(n: int, ks: Sequence[int]) -> ConvergenceReport:
-    """Generator relation defects per level (tolerance 1e-12) and one
-    commutation sign across all levels where it is observable; the details
-    name the l2 route of each level's worst defect."""
-    tol = 1e-12
-    cells = [torus_relation_defects(n, k, tol) for k in ks]
+    """Generator relation defects per level (tolerance TORUS_RELATION_TOL)
+    and one commutation sign across all levels where it is observable; the
+    details name the l2 route of each level's worst defect."""
+    cells = [torus_relation_defects(n, k) for k in ks]
     rows = [SweepPoint(k, 1.0 / k, float(d), "l2") for k, (d, _s) in zip(ks, cells)]
     signs = {k: s for k, (_d, s) in zip(ks, cells) if s is not None}
     distinct = sorted(set(signs.values()))
     max_defect = float(max(d for d, _s in cells))
-    ok = len(distinct) <= 1 and max_defect <= tol
+    ok = len(distinct) <= 1 and max_defect <= TORUS_RELATION_TOL
     series = [
         SeriesSummary(
             name="generator_relations",
@@ -798,7 +805,7 @@ def torus_relations_sweep(n: int, ks: Sequence[int]) -> ConvergenceReport:
             "commutation_sign": distinct[0] if distinct else None,
             "signs_by_level": {str(k): s for k, s in sorted(signs.items())},
             "max_defect": max_defect,
-            "tolerance": tol,
+            "tolerance": TORUS_RELATION_TOL,
             "note": "sign is unobservable at k=2 where the phase is real",
             **_l2_details(ks, [d for d, _s in cells]),
         },
@@ -823,35 +830,33 @@ def _expression_mean(spec_f, n: int, k_max: int) -> complex:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
-    """Realize a config's inputs and run the sweep of its kind.
+    """Realize a config's inputs (``cfg.symbols()``) and run the sweep of its kind.
 
-    Random symbols are drawn f first, then g, from one generator seeded with
-    cfg.seed.  An expression is traced as itself, not as its projection,
-    against its mean on a fine reference grid (_expression_mean).  A
-    polarization other than position is refused, since sweeps fix their
-    own bases.  The ``check`` criteria call the same sweeps on their own
-    corpora; see the package README for the per-kind row and series layout.
+    An expression is traced as itself, not as its projection, against its
+    mean on a fine reference grid (_expression_mean).  A polarization other
+    than position is refused, since sweeps fix their own bases.  The
+    ``check`` criteria call the same sweeps on their own corpora; see the
+    package README for the per-kind row and series layout.
     """
-    kind = cfg.experiment
-    if kind not in SWEEP_KINDS:
-        raise ValueError(f"experiment {kind!r} is not a sweep; use the star subcommand")
+    name = cfg.experiment
+    if not cfg.kind.sweep:
+        raise ValueError(f"experiment {name!r} is not a sweep; use the star subcommand")
     if cfg.polarization != "position":
         raise ConfigError("polarization", "only the assemble subcommand reads it")
     ks = cfg.k_values()
-    if kind == "torus_relations":
+    if name == "torus_relations":
         return torus_relations_sweep(cfg.n, ks)
-    if kind == "trace" and cfg.f.kind == "expr":
+    if name == "trace" and cfg.f.kind == "expr":
         reference = _expression_mean(cfg.f, cfg.n, max(ks))
         try:
             return trace_sweep(cfg.f.asts(), ks, reference, cfg.n)
         except funcexpr.EvaluationError as exc:
             raise ConfigError(f"f.{exc.part}", f"{exc} on the level-k lattice") from exc
-    rng = np.random.default_rng(cfg.seed)
-    f = cfg.f.realize(cfg.n, rng)
-    if kind == "product":
-        return product_sweep(f, cfg.g.realize(cfg.n, rng), cfg.order, ks)
-    if kind == "intertwine":
-        return intertwine_sweep(f, cfg.order, ks)
-    if kind == "trace":
-        return trace_sweep(f, ks)
-    return norm_bound_sweep(f, ks)
+    symbols = cfg.symbols()
+    if name == "product":
+        return product_sweep(*symbols, cfg.order, ks)
+    if name == "intertwine":
+        return intertwine_sweep(*symbols, cfg.order, ks)
+    if name == "trace":
+        return trace_sweep(*symbols, ks)
+    return norm_bound_sweep(*symbols, ks)

@@ -16,6 +16,12 @@ import numpy as np
 
 from . import funcexpr
 from .analysis import (
+    EXACT_TRANSFORM_TOL,
+    RATE_EXPONENT,
+    SLOPE_ABOVE,
+    SLOPE_BELOW,
+    TORUS_RELATION_TOL,
+    TRANSFORM_PHASE,
     NormKind,
     SweepPoint,
     certified_l2_norm,
@@ -120,14 +126,13 @@ def check_product_rates() -> CheckResult:
         title="product truncation convergence rates",
         passed=all_ok,
         summary=f"45 fits over orders 0..2, slopes {min(values):.2f}..{max(values):.2f} within windows",
-        details={"slopes": slopes, "window_margins": {"below": 0.2, "above": 1.2}},
+        details={"slopes": slopes, "window_margins": {"below": SLOPE_BELOW, "above": SLOPE_ABOVE}},
         csv_blocks=blocks,
     )
 
 
 def check_intertwining() -> CheckResult:
     """Basis change matches the Berezin transform: exactly, and at rate N+1."""
-    exact_tol = 1e-10
     max_exact = 0.0
     all_ok = True
     slopes: dict[str, float] = {}
@@ -142,20 +147,20 @@ def check_intertwining() -> CheckResult:
             all_ok = all_ok and l2.passed
             if i == 0:
                 blocks[f"order{order}"] = [r for r in report.rows if r.norm_kind == NormKind.L2.value]
-    passed = all_ok and max_exact <= exact_tol
+    passed = all_ok and max_exact <= EXACT_TRANSFORM_TOL
     return CheckResult(
         cid=3,
         title="basis-change intertwining",
         passed=passed,
         summary=(
-            f"exact-transform error {max_exact:.3e} (tol {exact_tol:.0e}); "
+            f"exact-transform error {max_exact:.3e} (tol {EXACT_TRANSFORM_TOL:.0e}); "
             f"truncated slopes {min(slopes.values()):.2f}..{max(slopes.values()):.2f}"
         ),
         details={
             "exact_max_error": max_exact,
-            "exact_tolerance": exact_tol,
+            "exact_tolerance": EXACT_TRANSFORM_TOL,
             "slopes": slopes,
-            "transform_phase": "+p.a",
+            "transform_phase": TRANSFORM_PHASE,
         },
         csv_blocks=blocks,
     )
@@ -188,7 +193,7 @@ def check_trace_identities() -> CheckResult:
             "band_limited_worst": worst_a,
             "smooth_symbol_exact_identity": exact_b,
             "smooth_symbol_errors": [[r.k, r.error] for r in smooth.rows],
-            "rate_exponent": 4.0,
+            "rate_exponent": RATE_EXPONENT,
         },
         csv_blocks={"smooth_symbol": smooth.rows},
     )
@@ -196,19 +201,18 @@ def check_trace_identities() -> CheckResult:
 
 def check_torus_relations() -> CheckResult:
     """Shift/clock generators satisfy the quantum torus relations."""
-    tol = 1e-12
     reports = {n: torus_relations_sweep(n, range(2, 17)) for n in (1, 2)}
     max_defect = max(r.details["max_defect"] for r in reports.values())
     # one sign across both dimensions, not just within each sweep
     signs = {s for r in reports.values() for s in r.details["signs_by_level"].values()}
-    passed = max_defect <= tol and len(signs) == 1
+    passed = max_defect <= TORUS_RELATION_TOL and len(signs) == 1
     sign = signs.pop() if len(signs) == 1 else None
     return CheckResult(
         cid=5,
         title="quantum torus generator relations",
         passed=passed,
-        summary=f"max defect {max_defect:.3e} (tol {tol:.0e}), commutation sign {sign:+d}" if sign else f"max defect {max_defect:.3e}, sign inconsistent",
-        details={"max_defect": max_defect, "tolerance": tol, "commutation_sign": sign},
+        summary=f"max defect {max_defect:.3e} (tol {TORUS_RELATION_TOL:.0e}), commutation sign {sign:+d}" if sign else f"max defect {max_defect:.3e}, sign inconsistent",
+        details={"max_defect": max_defect, "tolerance": TORUS_RELATION_TOL, "commutation_sign": sign},
         csv_blocks={f"n{n}": r.rows for n, r in reports.items()},
     )
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import checks, reporting
 from .analysis import L2RouteError, run_experiment
 from .config import ConfigError, config_hash, parse_config
-from .quantize import DENSE_DIM_CAP, HilbertSpec, write_operator_csv, assemble_toeplitz
+from .quantize import DENSE_DIM_CAP, HilbertSpec, toeplitz_diagonals, write_operator_csv
 from .starprod import Orientation, star_truncated
 
 
@@ -34,8 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_config_args(p, needs_config=True):
         # check runs fixed seeded corpora: it takes neither a config nor a seed
         if needs_config:
-            p.add_argument("config_path", nargs="?", help="path to a JSON config")
-            p.add_argument("--config", dest="config_flag", metavar="PATH", help="path to a JSON config")
+            p.add_argument("config_path", help="path to a JSON config")
             p.add_argument("--seed", type=int, metavar="U64", help="seed override")
         p.add_argument("--out", metavar="DIR", help="output directory override")
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
@@ -48,13 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, parser):
-    path = args.config_path or args.config_flag
-    if path is None:
-        parser.error("a config is required (positional path or --config)")
-    if args.config_path and args.config_flag:
-        parser.error("give the config either positionally or via --config, not both")
-    cfg = parse_config(Path(path))
+def _load_config(args):
+    cfg = parse_config(Path(args.config_path))
     overrides = {}
     if args.out is not None:
         overrides["out"] = args.out
@@ -71,9 +65,9 @@ def _format_index(vec) -> str:
     return "[" + " ".join(str(v) for v in vec) + "]"
 
 
-def _cmd_run(args, parser) -> int:
-    cfg = _load_config(args, parser)
-    if cfg.experiment == "star_table":
+def _cmd_run(args) -> int:
+    cfg = _load_config(args)
+    if not cfg.kind.sweep:
         raise ConfigError("experiment", "star_table configs are handled by the star subcommand")
     t0 = perf_counter()
     result = run_experiment(cfg)
@@ -90,13 +84,11 @@ def _cmd_run(args, parser) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_star(args, parser) -> int:
-    cfg = _load_config(args, parser)
-    if cfg.experiment != "star_table":
+def _cmd_star(args) -> int:
+    cfg = _load_config(args)
+    if cfg.kind.sweep:
         raise ConfigError("experiment", "the star subcommand expects a star_table config")
-    rng = np.random.default_rng(cfg.seed)
-    f = cfg.f.realize(cfg.n, rng)
-    g = cfg.g.realize(cfg.n, rng)
+    f, g = cfg.symbols()
     series = star_truncated(f, g, cfg.order, Orientation(cfg.orientation))
     lines = []
     for i in range(cfg.order + 1):
@@ -123,29 +115,29 @@ def _cmd_star(args, parser) -> int:
     return 0
 
 
-def _cmd_assemble(args, parser) -> int:
-    cfg = _load_config(args, parser)
+def _cmd_assemble(args) -> int:
+    cfg = _load_config(args)
     if cfg.f is None:
         raise ConfigError("f", "the assemble subcommand needs a function")
     if cfg.k_min < 2:
         raise ConfigError("k_min", "assemble uses k_min as the level; it must be >= 2")
     if cfg.k_min**cfg.n > DENSE_DIM_CAP:
         raise ConfigError("k_min", f"dimension {cfg.k_min**cfg.n} is above the dense cap {DENSE_DIM_CAP}")
-    f = cfg.f.realize(cfg.n, np.random.default_rng(cfg.seed))
+    f = next(cfg.symbols())
     spec = HilbertSpec(cfg.n, cfg.k_min, cfg.polarization)
-    op = assemble_toeplitz(f, spec)
+    op = toeplitz_diagonals(f, spec)
     out = Path(args.out if args.out is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"assemble_{config_hash(cfg)[len('sha256:'):][:8]}_k{cfg.k_min}"
     path = out / f"{stem}.csv"
     write_operator_csv(op, path)
     if not args.quiet:
-        nnz = int(np.count_nonzero(op.entries))
+        nnz = int(np.count_nonzero(op.values))
         print(f"wrote {path} (dim {op.spec.dim}, nnz {nnz}, polarization {cfg.polarization})")
     return 0
 
 
-def _cmd_check(args, parser) -> int:
+def _cmd_check(args) -> int:
     echo = None if args.quiet else print
     passed, results, wall = checks.run_all(echo=echo)
     out = Path(args.out) if args.out is not None else Path("reports")
@@ -182,7 +174,7 @@ def main(argv=None) -> int:
         "check": _cmd_check,
     }
     try:
-        return handlers[args.command](args, parser)
+        return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,42 +13,45 @@ report can always be traced back to the exact configuration that produced it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from . import funcexpr
-from .quantize import DENSE_DIM_CAP
-from .starprod import MAX_ORDER
+from .quantize import DENSE_DIM_CAP, Polarization
+from .starprod import MAX_ORDER, Orientation
 from .trigpoly import MAX_FREQ, TrigPoly, random_trig_poly
 
-EXPERIMENT_KINDS = (
-    "product",
-    "intertwine",
-    "trace",
-    "norm_bound",
-    "torus_relations",
-    "star_table",
-)
-K_RULES = ("pow2", "linear")
-POLARIZATIONS = ("position", "momentum")
-ORIENTATIONS = ("star", "check_star", "moyal")
 
-# kinds that sweep over levels k
-SWEEP_KINDS = tuple(k for k in EXPERIMENT_KINDS if k != "star_table")
-# kinds that need a second function g
-PAIR_KINDS = ("product", "star_table")
-# kinds that need any function at all
-FUNCTION_KINDS = ("product", "intertwine", "trace", "norm_bound", "star_table")
-# kinds that build a k^n-dimensional operator at every level and read its
-# l2 norm; above the dense cap only certified Lanczos answers, so the
-# largest level is held to the two budgets below
-OPERATOR_KINDS = ("product", "intertwine", "norm_bound", "torus_relations")
+@dataclass(frozen=True)
+class Kind:
+    """What an experiment kind reads.  ``symbols`` is 0, 1 or 2: none, f, or
+    f then g.  ``order``: it reads the truncation order N.  ``operator``: it
+    builds a k^n-dimensional operator at every level and reads its l2 norm;
+    above the dense cap only certified Lanczos answers, so the largest level
+    is held to the two budgets below.  ``sweep``: it runs over levels k."""
+
+    symbols: int
+    order: bool = False
+    operator: bool = False
+    sweep: bool = True
+
+
+KINDS = {
+    "product": Kind(symbols=2, order=True, operator=True),
+    "intertwine": Kind(symbols=1, order=True, operator=True),
+    "trace": Kind(symbols=1),
+    "norm_bound": Kind(symbols=1, operator=True),
+    "torus_relations": Kind(symbols=0, operator=True),
+    "star_table": Kind(symbols=2, order=True, sweep=False),
+}
+K_RULES = ("pow2", "linear")
 # Most entries of one block of the l2 certificate (analysis._certify): it
 # factors A*A in blocks of 2 (Gram reach) k^(n-1) entries, the Gram reach
 # being twice the x-bandwidth of A, and a block costs O(b^3).
@@ -61,8 +64,6 @@ GRAM_ENTRY_CAP = 1 << 23
 # at once, so a product at the budget peaks near 360 MiB.  It also caps the
 # terms of the one symbol that the other kinds realize.
 PAIR_BUDGET = 1 << 22
-# kinds that read the truncation order N
-ORDER_KINDS = ("product", "intertwine", "star_table")
 # most levels in one sweep
 MAX_LEVELS = 4096
 
@@ -275,23 +276,6 @@ def expression_mean(spec: FunctionSpec, n: int, grid: int, path: str) -> complex
         raise ConfigError(f"{path}.{exc.part}", str(exc)) from exc
 
 
-_TOP_LEVEL_KEYS = {
-    "experiment",
-    "n",
-    "k_min",
-    "k_max",
-    "k_rule",
-    "k_step",
-    "order",
-    "seed",
-    "out",
-    "polarization",
-    "orientation",
-    "f",
-    "g",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -308,9 +292,20 @@ class ExperimentConfig:
     f: FunctionSpec | None = None
     g: FunctionSpec | None = None
 
+    @property
+    def kind(self) -> Kind:
+        return KINDS[self.experiment]
+
+    def symbols(self) -> Iterator[TrigPoly]:
+        """The realized symbols, f first, then g, each realized when it is
+        reached; random ones are drawn in that order from one generator
+        seeded with ``seed``."""
+        rng = np.random.default_rng(self.seed)
+        return (spec.realize(self.n, rng) for spec in (self.f, self.g) if spec is not None)
+
     def k_values(self) -> list[int]:
         """Levels in the sweep: doubling from k_min, or linear with k_step."""
-        if self.experiment not in SWEEP_KINDS:
+        if not self.kind.sweep:
             return []
         ks = []
         if self.k_rule == "pow2":
@@ -331,14 +326,14 @@ class ExperimentConfig:
             "k_rule": self.k_rule,
             "seed": self.seed,
         }
-        if self.experiment in SWEEP_KINDS:
+        if self.kind.sweep:
             out["k_min"] = self.k_min
             out["k_max"] = self.k_max
             if self.k_rule == "linear":
                 out["k_step"] = self.k_step
-        if self.experiment in ORDER_KINDS:
+        if self.kind.order:
             out["order"] = self.order
-        if self.experiment == "star_table":
+        if not self.kind.sweep:
             out["orientation"] = self.orientation
         out["polarization"] = self.polarization
         if self.f is not None:
@@ -373,11 +368,13 @@ def parse_config(source) -> ExperimentConfig:
         data = source
     if not isinstance(data, Mapping):
         raise ConfigError("<config>", "top level must be a JSON object")
+    known = {field.name for field in dataclasses.fields(ExperimentConfig)}
     for key in data:
-        if key not in _TOP_LEVEL_KEYS:
+        if key not in known:
             raise ConfigError(key, "unknown field")
 
-    experiment = _as_str(_require(data, "", "experiment"), "experiment", EXPERIMENT_KINDS)
+    experiment = _as_str(_require(data, "", "experiment"), "experiment", tuple(KINDS))
+    kind = KINDS[experiment]
     n = _as_int(_require(data, "", "n"), "n", minimum=1)
     k_rule = _as_str(data.get("k_rule", "pow2"), "k_rule", K_RULES)
     k_step = _as_int(data.get("k_step", 1), "k_step", minimum=1)
@@ -386,25 +383,25 @@ def parse_config(source) -> ExperimentConfig:
     if order > MAX_ORDER:
         raise ConfigError("order", f"must be at most {MAX_ORDER}, got {order}")
     out = _as_str(data.get("out", "reports"), "out")
-    polarization = _as_str(data.get("polarization", "position"), "polarization", POLARIZATIONS)
-    orientation = _as_str(data.get("orientation", "star"), "orientation", ORIENTATIONS)
+    polarization = _as_str(data.get("polarization", "position"), "polarization", tuple(p.value for p in Polarization))
+    orientation = _as_str(data.get("orientation", "star"), "orientation", tuple(o.value for o in Orientation))
     # a field the experiment would ignore is refused unless it has its default;
     # polarization is read by assemble, so the sweeps refuse it in run_experiment
     if k_rule == "pow2" and k_step != 1:
         raise ConfigError("k_step", "not used by the pow2 rule")
-    if experiment not in ORDER_KINDS and order != 0:
+    if not kind.order and order != 0:
         raise ConfigError("order", f"not used by the {experiment} experiment")
-    if experiment != "star_table" and orientation != "star":
+    if kind.sweep and orientation != "star":
         raise ConfigError("orientation", f"not used by the {experiment} experiment")
     # the star subcommand reads neither a basis nor levels
-    if experiment == "star_table" and polarization != "position":
-        raise ConfigError("polarization", "not used by the star_table experiment")
-    if experiment == "star_table" and k_rule != "pow2":
-        raise ConfigError("k_rule", "not used by the star_table experiment")
+    if not kind.sweep and polarization != "position":
+        raise ConfigError("polarization", f"not used by the {experiment} experiment")
+    if not kind.sweep and k_rule != "pow2":
+        raise ConfigError("k_rule", f"not used by the {experiment} experiment")
 
     k_min = 0
     k_max = 0
-    if experiment in SWEEP_KINDS:
+    if kind.sweep:
         k_min = _as_int(_require(data, "", "k_min"), "k_min", minimum=2)
         k_max = _as_int(_require(data, "", "k_max"), "k_max", minimum=2)
         if k_max > np.iinfo(np.int64).max:
@@ -418,16 +415,13 @@ def parse_config(source) -> ExperimentConfig:
             if key in data:
                 raise ConfigError(key, f"not used by the {experiment} experiment")
 
-    f_spec = None
-    g_spec = None
-    if experiment in FUNCTION_KINDS:
-        f_spec = _parse_function(_require(data, "", "f"), "f", n)
-    elif "f" in data:
-        raise ConfigError("f", f"not used by the {experiment} experiment")
-    if experiment in PAIR_KINDS:
-        g_spec = _parse_function(_require(data, "", "g"), "g", n)
-    elif "g" in data:
-        raise ConfigError("g", f"not used by the {experiment} experiment")
+    specs = []
+    for name in ("f", "g"):
+        if len(specs) < kind.symbols:
+            specs.append(_parse_function(_require(data, "", name), name, n))
+        elif name in data:
+            raise ConfigError(name, f"not used by the {experiment} experiment")
+    f_spec, g_spec = specs + [None] * (2 - len(specs))
 
     cfg = ExperimentConfig(
         experiment=experiment,
@@ -444,11 +438,11 @@ def parse_config(source) -> ExperimentConfig:
         f=f_spec,
         g=g_spec,
     )
-    if experiment in SWEEP_KINDS and not cfg.k_values():
+    if kind.sweep and not cfg.k_values():
         raise ConfigError("k_min", "sweep is empty; check k_min/k_max/k_rule")
-    if experiment in PAIR_KINDS:
+    if kind.symbols == 2:
         _check_pair_budget(cfg)
-    if experiment in OPERATOR_KINDS:
+    if kind.operator:
         _check_certificate_budget(cfg)
     for name, spec in (("f", f_spec), ("g", g_spec)):
         if spec is not None and spec.kind == "expr":
@@ -459,7 +453,7 @@ def parse_config(source) -> ExperimentConfig:
                     f"{name}.grid", f"projection grid {grid}^{2 * n} points, above {funcexpr.SAMPLE_BUDGET}"
                 )
             expression_mean(spec, n, grid, name)
-    if experiment in FUNCTION_KINDS and experiment not in PAIR_KINDS:
+    if kind.symbols == 1:
         _check_term_budget(experiment, f_spec, n)
     if experiment == "trace" and f_spec.kind == "expr":
         top = max(cfg.k_values())
@@ -502,14 +496,12 @@ def _check_certificate_budget(cfg: ExperimentConfig) -> None:
     k, and every level at or below the dense cap has the LAPACK route, so
     the largest level decides.  The bounds take the x-bandwidth W of the
     operator: f's, f's plus g's for a product remainder, 1 for the torus
-    relations; A*A then reaches 2W residues on each axis."""
+    relations, which read no symbol; A*A then reaches 2W residues on each
+    axis."""
     top, n = max(cfg.k_values()), cfg.n
     if top**n <= DENSE_DIM_CAP:
         return
-    if cfg.experiment == "torus_relations":
-        width = 1
-    else:
-        width = cfg.f.x_bandwidth() + (cfg.g.x_bandwidth() if cfg.g is not None else 0)
+    width = 1 if cfg.f is None else cfg.f.x_bandwidth() + (cfg.g.x_bandwidth() if cfg.g is not None else 0)
     reach = min(2 * width, top // 2)
     block = max(2 * reach, 1) * top ** (n - 1)
     if block > CERT_BLOCK_CAP:

@@ -27,11 +27,12 @@ and has an operator algebra closed on diagonals (``@``, ``+``, ``-``,
 ``scale``, ``adjoint``): a product of R_A and R_B diagonals has at most
 R_A R_B, found in O(R_A R_B k^n) time, so the sweeps and the acceptance
 checks take their operators, defects and norms from it (see
-``analysis.operator_norm``) with no dense product.  ``dense()`` scatters it
-into an ndarray below ``DENSE_DIM_CAP``; ``assemble_toeplitz`` wraps that
-matrix as the ``QuantumOperator`` record that the ``assemble`` CSV writer
-reads.  Traces need no operator at all: hbar^n tr Q_f is
-``analysis.lattice_mean(f, k)``.
+``analysis.operator_norm``) with no dense product, and the ``assemble``
+CSV writer reads its entries off the diagonals.  ``dense()`` scatters it
+into an ndarray below ``DENSE_DIM_CAP``.  ``assemble_toeplitz`` wraps that
+matrix as a ``QuantumOperator``, a record that no package code reads: the
+tests keep it as an oracle and the benchmark tracer patches it.  Traces
+need no operator at all: hbar^n tr Q_f is ``analysis.lattice_mean(f, k)``.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def _residue_grid(n: int, k: int) -> np.ndarray:
 
 class QuantumOperator:
     """Dense matrix of a level-k operator, tagged with its basis: the record
-    ``assemble_toeplitz`` hands to the CSV writer.  Nothing in the package
-    uses its algebra; the benchmark tracer still patches it."""
+    ``assemble_toeplitz`` returns.  Nothing in the package reads it; the
+    tests use it as an oracle and the benchmark tracer still patches it."""
 
     __slots__ = ("spec", "entries")
 
@@ -314,7 +315,7 @@ def toeplitz_diagonals(f: TrigPoly, spec: HilbertSpec) -> DiagonalOperator:
 
 
 def assemble_toeplitz(f: TrigPoly, spec: HilbertSpec) -> QuantumOperator:
-    """Dense Toeplitz matrix of the symbol f at level spec.k, for the CSV writer."""
+    """Dense Toeplitz matrix of the symbol f at level spec.k (a test oracle)."""
     return QuantumOperator(spec, toeplitz_diagonals(f, spec).dense())
 
 
@@ -348,16 +349,23 @@ def torus_generator_diagonals(spec: HilbertSpec, axis: int) -> tuple[DiagonalOpe
     return u, v
 
 
-def operator_to_csv(op: QuantumOperator) -> str:
-    """CSV dump "row,col,re,im" of nonzero entries in row-major order."""
-    rows, cols = np.nonzero(op.entries)
-    values = op.entries[rows, cols]
+def operator_to_csv(op: DiagonalOperator) -> str:
+    """CSV dump "row,col,re,im" of nonzero entries in row-major order, read
+    off the diagonals: each value sits at flat index row * dim + column,
+    and one stable argsort of those indices gives the row-major order."""
+    dim = op.spec.dim
+    flat = (op.rows * dim + np.arange(dim)).ravel()
+    values = op.values.ravel()
+    keep = np.flatnonzero(values)
+    order = keep[np.argsort(flat[keep], kind="stable")]
+    rows, cols = np.divmod(flat[order], dim)
+    values = values[order]
     lines = ["row,col,re,im"]
     for r, c, re, im in zip(rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist()):
         lines.append(f"{r},{c},{re!r},{im!r}")
     return "\n".join(lines) + "\n"
 
 
-def write_operator_csv(op: QuantumOperator, path) -> None:
+def write_operator_csv(op: DiagonalOperator, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(operator_to_csv(op))

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusquant import checks
+from torusquant import analysis, checks
 from torusquant.analysis import norm_bound_sweep
 from torusquant.quantize import HilbertSpec, Polarization, toeplitz_diagonals
 from torusquant.trigpoly import random_trig_poly
@@ -49,3 +49,16 @@ def test_criterion1_tolerance_scale_is_a_lower_bound_on_the_two_norm(seed, n, ba
         scale = checks._largest_column_norm(op)
         assert np.isclose(scale, np.linalg.norm(dense, axis=0).max(), rtol=1e-13, atol=0.0)
         assert scale <= np.linalg.norm(dense, 2) * (1.0 + 1e-12)
+
+
+def test_criteria_2_to_5_report_the_rules_of_the_sweeps():
+    # the criteria echo the sweeps' window margins, tolerances, phase
+    # convention and rate exponent; each must be the constant the sweep
+    # judges by, not a copy that could drift from it
+    margins = checks.check_product_rates().details["window_margins"]
+    assert margins == {"below": analysis.SLOPE_BELOW, "above": analysis.SLOPE_ABOVE}
+    intertwining = checks.check_intertwining().details
+    assert intertwining["exact_tolerance"] == analysis.EXACT_TRANSFORM_TOL
+    assert intertwining["transform_phase"] == analysis.TRANSFORM_PHASE
+    assert checks.check_trace_identities().details["rate_exponent"] == analysis.RATE_EXPONENT
+    assert checks.check_torus_relations().details["tolerance"] == analysis.TORUS_RELATION_TOL

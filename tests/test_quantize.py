@@ -311,7 +311,7 @@ def test_assembled_csv_never_prints_a_negative_zero(polarization):
         for _ in range(10):
             f = random_trig_poly(rng, n, 2)
             for symbol in (pure, f, f + f.conjugate(), f - f.conjugate(), f.scale(-1j)):
-                text = operator_to_csv(assemble_toeplitz(symbol, HilbertSpec(n, k, polarization)))
+                text = operator_to_csv(toeplitz_diagonals(symbol, HilbertSpec(n, k, polarization)))
                 fields = [v for line in text.splitlines()[1:] for v in line.split(",")[2:]]
                 assert "-0.0" not in fields
 
@@ -516,7 +516,7 @@ def test_state_and_operator_are_frozen():
 def test_csv_golden(tmp_path):
     # amplitudes chosen so every entry is exactly representable
     f = TrigPoly(1, {((0,), (0,)): 0.5, ((1,), (0,)): 0.25})
-    op = assemble_toeplitz(f, HilbertSpec(1, 2))
+    op = toeplitz_diagonals(f, HilbertSpec(1, 2))
     want = (
         "row,col,re,im\n"
         "0,0,0.5,0.0\n"
@@ -531,17 +531,18 @@ def test_csv_golden(tmp_path):
 
 
 def test_csv_skips_zero_entries():
-    op = QuantumOperator(HilbertSpec(1, 3), np.diag([1.0, 0.0, 2.0]))
+    op = DiagonalOperator(HilbertSpec(1, 3), [[0]], [[1.0, 0.0, 2.0]])
     text = operator_to_csv(op)
     assert text == "row,col,re,im\n0,0,1.0,0.0\n2,2,2.0,0.0\n"
 
 
-def _csv_by_scanning_every_entry(op):
-    """The row-major double loop operator_to_csv replaced, kept as its oracle."""
+def _csv_by_scanning_every_entry(entries):
+    """The row-major double loop over a dense matrix that operator_to_csv
+    replaced, kept as its oracle."""
     lines = ["row,col,re,im"]
-    dim = op.spec.dim
+    dim = len(entries)
     for r in range(dim):
-        row = op.entries[r]
+        row = entries[r]
         for c in range(dim):
             v = row[c]
             if v != 0:
@@ -551,12 +552,23 @@ def _csv_by_scanning_every_entry(op):
 
 @pytest.mark.parametrize("polarization", ["position", "momentum"])
 def test_csv_matches_the_entry_scan_byte_for_byte(polarization):
+    # the assemble subcommand writes its CSV off the wrapped diagonals; the
+    # dense matrix of assemble_toeplitz gives the same bytes
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2):
+            for bandwidth in (0, 1, 2):
+                f = random_trig_poly(rng, n, bandwidth)
+                for k in (2, 3, 5, 8):
+                    spec = HilbertSpec(n, k, polarization)
+                    want = _csv_by_scanning_every_entry(assemble_toeplitz(f, spec).entries)
+                    assert operator_to_csv(toeplitz_diagonals(f, spec)) == want
     f = random_trig_poly(np.random.default_rng(31), 2, 1)
-    op = assemble_toeplitz(f, HilbertSpec(2, 5, polarization))
-    entries = op.entries.copy()
-    entries[0, 1] = -0.0 + 0.0j  # a signed zero is still a zero entry
-    entries[2, 3] = 1e-300 - 0.0j
-    op = QuantumOperator(op.spec, entries)
+    op = toeplitz_diagonals(f, HilbertSpec(2, 5, polarization))
+    values = op.values.copy()
+    values[0, 1] = -0.0 + 0.0j  # a signed zero is still a zero entry
+    values[1, 3] = 1e-300 - 0.0j
+    op = DiagonalOperator(op.spec, op.shifts, values)
     text = operator_to_csv(op)
-    assert text == _csv_by_scanning_every_entry(op)
-    assert len(text.splitlines()) == 1 + np.count_nonzero(entries)
+    assert text == _csv_by_scanning_every_entry(op.dense())
+    assert len(text.splitlines()) == 1 + np.count_nonzero(values)
