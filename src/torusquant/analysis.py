@@ -22,7 +22,10 @@ dimension LAPACK_L2_MAX_DIM, where it is the cheaper route.  Above it, l2
 is the square root of the top Ritz value theta of a three-term Lanczos
 recurrence on A*A, which holds two vectors whatever its step budget,
 certified by a block Cholesky factorization of theta (1 + L2_CERT_DELTA) I -
-A*A; where a block would pass ``config.CERT_BLOCK_CAP``, the run does not
+A*A, made block tridiagonal by interleaving the outermost axis and factored
+in block rows of at least CERT_MIN_ROWS entries, each carrying only the
+last interleaving block of the row before it (``_certify``); where an
+interleaving block would pass ``config.CERT_BLOCK_CAP``, the run does not
 converge or the certificate fails, it is the LAPACK 2-norm again, and above
 the dense cap an ``L2RouteError``.  A certified value sits below the true
 norm by less than L2_CERT_DELTA / 2 relative and never above it beyond
@@ -73,14 +76,20 @@ L2_CERT_DELTA = 1e-10
 LANCZOS_BUDGET = 512
 LANCZOS_CHECK = 8
 # Up to this dimension the LAPACK 2-norm answers l2: it is cheaper there than
-# certified three-term Lanczos (per call, 0.11-0.18 against 0.75-1.2 ms at
-# dim 32, 0.38-0.71 against 0.80-16 ms at dim 64); at dim 128 Lanczos is the
-# cheaper (1.2-3.6 against 8.0-8.7 ms).  See the README's table for the set-up.
+# certified three-term Lanczos (per call, 0.12-0.24 against 0.56-1.1 ms at
+# dim 32, 0.38-0.42 against 0.60-0.91 ms at dim 64); at dim 128 Lanczos is
+# the cheaper (1.0-2.9 against 4.1-4.8 ms).  See the README's table for the
+# set-up.
 LAPACK_L2_MAX_DIM = 64
 # Largest diagonal block that the certificate's triangular solve hands to
 # np.linalg.solve; larger ones are halved, and the off-diagonal part goes
 # through one matrix product.
 LOWER_SOLVE_LEAF = 256
+# Fewest entries in a block row of the certificate: interleaving blocks of
+# fewer entries are merged into block rows of at least this many, since at
+# n = 1 (blocks of 8 to 16) the cost is one LAPACK call per block row, not
+# its arithmetic.
+CERT_MIN_ROWS = 32
 
 # O(hbar^infinity) statements are operationalized as "error * k^RATE_EXPONENT
 # keeps decreasing over the sweep"; reports flag this as a chosen rendering.
@@ -198,45 +207,59 @@ def _schur_update(factor: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     return x.conj().T @ x
 
 
-def _panel_entries(gram: DiagonalOperator, perm: np.ndarray, bs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of -G in the interleaved blocks on and below the block
-    diagonal, sorted by block row: (flat place in the b x 2b panel of its
-    block row, which covers the columns of blocks i - 1 and i; value; the
-    start of each block row).  The blocks above the diagonal mirror these."""
+def _panel_entries(
+    gram: DiagonalOperator, perm: np.ndarray, bs: int, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of -G in the interleaved order that the block rows of
+    ``size`` entries (a multiple of the interleaving block ``bs``) factor,
+    sorted by block row: (flat place in the size x (bs + size) panel of its
+    block row, which covers the last bs columns of the previous block row
+    and its own columns; value; the start of each block row).  An entry
+    couples back at most one interleaving block, so these are all the
+    entries on and below the diagonal; the ones above mirror them."""
     dim = gram.spec.dim
     position = np.empty(dim, dtype=np.int64)
     position[perm] = np.arange(dim)
     rows = position[gram.rows]  # the columns are the positions of m'
-    below = rows // bs - position // bs
-    keep = (below == 0) | (below == 1)
-    rows, cols = rows[keep], np.broadcast_to(position, keep.shape)[keep]
-    block = rows // bs
+    block = rows // size
+    column = position - (block * size - bs)  # the place in the panel's width
+    keep = (column >= 0) & (column < bs + size)
+    rows, block, column = rows[keep], block[keep], column[keep]
     order = np.argsort(block, kind="stable")
-    flat = ((rows - block * bs) * (2 * bs) + cols - (block - 1) * bs)[order]
-    starts = np.searchsorted(block[order], np.arange(-(-dim // bs) + 1))
+    flat = ((rows - block * size) * (bs + size) + column)[order]
+    starts = np.searchsorted(block[order], np.arange(-(-dim // size) + 1))
     return flat, -gram.values[keep][order], starts
 
 
 def _certify(gram: DiagonalOperator, mu: float, interleaving: tuple[np.ndarray, int]) -> bool:
     """Whether mu I - G is positive definite, by a block Cholesky
     factorization of its interleaved block-tridiagonal form, one block row
-    at a time: O(S k^n + b^2) memory for S diagonals and blocks of b
-    entries, O(k^n b^2) time, no k^n x k^n array.  The place of every
-    entry in its block row is computed once (``_panel_entries``), and one
-    panel of b x 2b entries is refilled for each block row."""
+    at a time: O(S k^n + R^2) memory for S diagonals and block rows of R
+    entries, O(k^n R^2) time, no k^n x k^n array.
+
+    Consecutive interleaving blocks of b entries merge into block rows of
+    R = b ceil(CERT_MIN_ROWS / b), so that each LAPACK call has enough
+    work to outweigh its call cost; with b >= CERT_MIN_ROWS, R = b.  Only
+    the first b rows of a block row couple to the previous one, and only to
+    its last b columns, so the Schur update is a b x b corner computed
+    against the trailing b x b of the previous Cholesky factor.  The place
+    of every entry in its block row is computed once (``_panel_entries``),
+    and one panel of R x (b + R) entries is refilled for each block row."""
     perm, bs = interleaving
-    flat, values, starts = _panel_entries(gram, perm, bs)
-    diagonal = np.arange(bs) * (2 * bs + 1) + bs  # the flat places of mu I
-    panel = np.empty((bs, 2 * bs), dtype=complex)
+    size = bs * -(-CERT_MIN_ROWS // bs)
+    flat, values, starts = _panel_entries(gram, perm, bs, size)
+    width = bs + size
+    diagonal = np.arange(size) * (width + 1) + bs  # the flat places of mu I
+    panel = np.empty((size, width), dtype=complex)
     factor = None
     try:
         for start, stop in zip(starts[:-1], starts[1:]):
             panel.fill(0.0)
             panel.reshape(-1)[flat[start:stop]] = values[start:stop]
-            panel.reshape(-1)[diagonal] += mu  # the padding of the last block is mu I
+            panel.reshape(-1)[diagonal] += mu  # the padding of the last block row is mu I
             diag = panel[:, bs:]
             if factor is not None:
-                diag -= _schur_update(factor, panel[:, :bs])
+                diag[:bs, :bs] -= _schur_update(factor[-bs:, -bs:], panel[:bs, :bs])
             factor = np.linalg.cholesky(diag)
     except np.linalg.LinAlgError:
         return False

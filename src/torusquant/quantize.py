@@ -47,9 +47,6 @@ from .trigpoly import TrigPoly
 
 # Dense matrices are capped here; beyond it use toeplitz_diagonals (matrix-free).
 DENSE_DIM_CAP = 4096
-# Entries per block of diagonal products in DiagonalOperator.__matmul__ (a
-# few MiB per temporary).
-TERM_BLOCK_ENTRIES = 1 << 18
 
 
 class Polarization(Enum):
@@ -158,13 +155,6 @@ def _distinct_residues(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     return np.stack(np.unravel_index(np.flatnonzero(present), shape), axis=-1), rank[codes]
 
 
-def _add_rows(out: np.ndarray, which: np.ndarray, rows: np.ndarray) -> None:
-    """out[which[i]] += rows[i] for every i, repeated targets summed in the
-    order of i, by one ``np.add.at`` on flat indices."""
-    width = out.shape[1]
-    np.add.at(out.reshape(-1), (which[:, None] * width + np.arange(width)).ravel(), rows.ravel())
-
-
 class DiagonalOperator:
     """Level-k operator stored as its R nonzero wrapped diagonals.
 
@@ -230,19 +220,16 @@ class DiagonalOperator:
 
     def __matmul__(self, other: "DiagonalOperator") -> "DiagonalOperator":
         """Diagonal r of self after diagonal s of other lands on shift r + s
-        with values self.values[r][other.rows[s]] * other.values[s], taken
-        in place in the gathered block; the rows of self go in blocks of at
-        most TERM_BLOCK_ENTRIES entries."""
+        with values self.values[r][other.rows[s]] * other.values[s].  One
+        diagonal r of self at a time: its targets r + s are distinct, so a
+        fancy-index ``+=`` adds them, the diagonals of self in order."""
         self._check_compatible(other)
         sums = self.shifts[:, None, :] + other.shifts[None, :, :]
         shifts, which = _distinct_residues(sums.reshape(-1, self.spec.n), self.spec.k)
-        which = which.reshape(sums.shape[:2])
         out = np.zeros((len(shifts), self.spec.dim), dtype=complex)
-        block = max(1, TERM_BLOCK_ENTRIES // max(other.values.size, 1))
-        for start in range(0, len(self.shifts), block):
-            part = slice(start, start + block)
-            gathered = self.values[part][:, other.rows]
-            _add_rows(out, which[part].ravel(), np.multiply(gathered, other.values, out=gathered))
+        for targets, values in zip(which.reshape(sums.shape[:2]), self.values):
+            gathered = values[other.rows]
+            out[targets] += np.multiply(gathered, other.values, out=gathered)
         return DiagonalOperator._from_arrays(self.spec, shifts, out)
 
     def __add__(self, other: "DiagonalOperator") -> "DiagonalOperator":
@@ -256,8 +243,10 @@ class DiagonalOperator:
         diagonals of equal residues summed, self's first."""
         self._check_compatible(other)
         shifts, which = _distinct_residues(np.concatenate([self.shifts, other.shifts]), self.spec.k)
-        out = np.zeros((len(shifts), self.spec.dim), dtype=complex)
-        _add_rows(out, which, np.concatenate([self.values, values]))
+        dim = self.spec.dim
+        out = np.zeros((len(shifts), dim), dtype=complex)
+        flat = which[:, None] * dim + np.arange(dim)  # one np.add.at, in the order of the rows
+        np.add.at(out.reshape(-1), flat.ravel(), np.concatenate([self.values, values]).ravel())
         return DiagonalOperator._from_arrays(self.spec, shifts, out)
 
     def scale(self, value: complex) -> "DiagonalOperator":

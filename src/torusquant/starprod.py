@@ -184,7 +184,19 @@ def star_exact(f: TrigPoly, g: TrigPoly, h: HbarValue, orientation: Orientation 
     """
     const, m = _pair_angles(f, g, orientation)
     groups, amps = _pair_terms(f, g)
-    return _sum_groups(f.n, groups, amps * np.exp(1j * (const * h.hbar * m)))
+    return _sum_groups(f.n, groups, amps * _unit_phases(const * h.hbar, m))
+
+
+def _unit_phases(step: float, angles: np.ndarray) -> np.ndarray:
+    """e^{i step m} for every integer m in ``angles``, bit for bit the
+    per-pair exponential.  The angles of a product take few distinct
+    values (a.q over bounded keys), so when they span at most as many
+    integers as there are pairs, the exponential is taken once per integer
+    of the span and gathered back."""
+    if len(angles) == 0 or angles.max() - angles.min() >= len(angles):
+        return np.exp(1j * (step * angles))
+    low = angles.min()
+    return np.exp(1j * (step * np.arange(low, angles.max() + 1)))[angles - low]
 
 
 # -- Berezin transform and equivalence maps ------------------------------------

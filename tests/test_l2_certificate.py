@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusquant.analysis import (
+    CERT_MIN_ROWS,
     L2_CERT_DELTA,
     LANCZOS_CHECK,
     LAPACK_L2_MAX_DIM,
@@ -19,6 +20,7 @@ from torusquant.analysis import (
     _interleaving,
     _lanczos_top,
     _lower_solve,
+    _panel_entries,
     norm_bound_sweep,
     operator_norm,
     product_sweep,
@@ -164,6 +166,56 @@ def test_certificate_refuses_a_value_below_the_norm(seed, n, bandwidth, kind, k)
     sigma2 = np.linalg.norm(op.dense(), 2) ** 2
     assert not _certify(gram, sigma2 * (1.0 - 1e-9), _interleaving(op))
     assert _certify(gram, sigma2 * (1.0 + L2_CERT_DELTA), _interleaving(op))
+
+
+def _two_slice_band(seed: int, k: int) -> TrigPoly:
+    """An n = 2 symbol whose x1-frequencies are 0 and 1 only: the band of
+    its Gram matrix reaches one residue on the outer axis, so interleaving
+    blocks hold 2 k entries."""
+    f = random_trig_poly(np.random.default_rng(seed), 2, 1)
+    return TrigPoly._from_arrays(2, f.keys[f.keys[:, 0] >= 0], f.values[f.keys[:, 0] >= 0])
+
+
+@pytest.mark.parametrize(
+    "seed, n, bandwidth, kind, k, bs, size",
+    [
+        (25, 1, 2, "random", 100, 8, 32),  # 100 = 3 x 32 + 4
+        (26, 1, 3, "random", 40, 12, 36),
+        (27, 1, 2, "product", 100, 16, 32),  # a remainder of bandwidth 4
+        (28, 2, 0, "two_slice", 10, 20, 40),  # dimension 100 = 2 x 40 + 20
+        (29, 2, 0, "two_slice", 12, 24, 48),  # three whole block rows
+        (30, 2, 1, "random", 18, 72, 72),  # 324 = 4 x 72 + 36; no merge, panels of b x 2b
+    ],
+)
+def test_merged_block_rows_certify_the_top_eigenvalue(seed, n, bandwidth, kind, k, bs, size):
+    if kind == "two_slice":
+        op = toeplitz_diagonals(_two_slice_band(seed, k), HilbertSpec(n, k))
+    else:
+        op = _diagonals(seed, n, bandwidth, kind, k)
+    perm, block = interleaving = _interleaving(op)
+    assert block == bs and bs * -(-CERT_MIN_ROWS // bs) == size
+    gram = op.adjoint() @ op
+    dense = gram.dense()
+    top = np.linalg.eigvalsh(dense)[-1]
+    assert _certify(gram, top * (1.0 + L2_CERT_DELTA), interleaving)
+    assert not _certify(gram, top * (1.0 - 1e-9), interleaving)
+    # every entry on or below the diagonal of the interleaved Gram matrix
+    # lies in its own block row or in the last bs columns before it
+    interleaved = dense[np.ix_(perm, perm)]
+    rows, cols = np.nonzero(np.tril(interleaved))
+    assert (cols >= rows // size * size - bs).all()
+    # and each panel holds exactly those columns of its block row, negated,
+    # read off a copy padded by bs in front and to whole block rows behind
+    flat, values, starts = _panel_entries(gram, perm, bs, size)
+    dim = op.spec.dim
+    padded = np.zeros((bs + len(starts) * size,) * 2, dtype=complex)
+    padded[bs : bs + dim, bs : bs + dim] = -interleaved
+    for row, (start, stop) in enumerate(zip(starts[:-1], starts[1:])):
+        panel = np.zeros(size * (bs + size), dtype=complex)
+        panel[flat[start:stop]] = values[start:stop]
+        top_left = row * size
+        want = padded[bs + top_left : bs + top_left + size, top_left : top_left + bs + size]
+        assert np.array_equal(panel.reshape(size, bs + size), want)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

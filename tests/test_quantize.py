@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from torusquant.analysis import lattice_mean
 from torusquant.quantize import (
     DENSE_DIM_CAP,
-    TERM_BLOCK_ENTRIES,
     DiagonalOperator,
     HilbertSpec,
     Polarization,
@@ -323,7 +322,7 @@ def test_kernel_temporaries_stay_bounded_with_more_terms_than_the_dimension():
     spec = HilbertSpec(2, 32)
     state = np.ones(spec.dim, dtype=complex)
     dense = 16 * spec.dim**2
-    budget = 128 * TERM_BLOCK_ENTRIES  # bytes; a block holds about 72 per entry
+    budget = 128 * 2**18  # bytes
     tracemalloc.start()
     try:
         op = assemble_toeplitz(f, spec)
@@ -471,6 +470,42 @@ def test_diagonal_product_merges_colliding_shifts():
         da @ toeplitz_diagonals(TrigPoly.constant(1, 1.0), HilbertSpec(1, 4))
     with pytest.raises(ValueError):
         da + toeplitz_diagonals(TrigPoly.constant(1, 1.0), HilbertSpec(1, 3, "momentum"))
+
+
+def _blocked_product(a, b, block_entries=1 << 18):
+    """a @ b by the former engine, the oracle of the one-diagonal-at-a-time
+    product: the diagonals of a in blocks of at most ``block_entries``
+    gathered entries, each block's products summed into the output by one
+    ``np.add.at`` on flat indices, in the order of a's diagonals."""
+    sums = a.shifts[:, None, :] + b.shifts[None, :, :]
+    shifts, which = _distinct_residues(sums.reshape(-1, a.spec.n), a.spec.k)
+    which = which.reshape(sums.shape[:2])
+    out = np.zeros((len(shifts), a.spec.dim), dtype=complex)
+    block = max(1, block_entries // max(b.values.size, 1))
+    for start in range(0, len(a.shifts), block):
+        part = slice(start, start + block)
+        gathered = a.values[part][:, b.rows] * b.values
+        flat = which[part].ravel()[:, None] * a.spec.dim + np.arange(a.spec.dim)
+        np.add.at(out.reshape(-1), flat.ravel(), gathered.ravel())
+    return shifts, out
+
+
+@pytest.mark.parametrize("polarization", ["position", "momentum"])
+@pytest.mark.parametrize("n, bandwidths, k", [(1, (3, 2), 3), (1, (2, 2), 64), (2, (1, 2), 5), (2, (2, 2), 16)])
+def test_diagonal_product_matches_the_blocked_add_at_product_bit_for_bit(polarization, n, bandwidths, k):
+    # the products the sweeps take, A B and the Gram matrix A* A, with shift
+    # sums that collide across diagonals of A (k = 3 folds bandwidth 3),
+    # against the blocked np.add.at engine with one block and with blocks
+    # of one diagonal; equal bits, signed zeros included
+    rng = np.random.default_rng(n * 100 + k)
+    spec = HilbertSpec(n, k, polarization)
+    da, db = (toeplitz_diagonals(random_trig_poly(rng, n, b), spec) for b in bandwidths)
+    for left, right in ((da, db), (da.adjoint(), da), (db, da.adjoint() @ da)):
+        got = left @ right
+        for block_entries in (1 << 18, 1):
+            shifts, want = _blocked_product(left, right, block_entries)
+            assert np.array_equal(got.shifts, shifts)
+            assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
 
 
 def test_dense_generators_scatter_the_diagonal_ones():

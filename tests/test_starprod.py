@@ -18,8 +18,10 @@ from torusquant.starprod import (
     star_exact,
     star_trace,
     star_truncated,
+    _pair_angles,
+    _unit_phases,
 )
-from torusquant.trigpoly import TrigPoly, poisson_bracket, random_trig_poly
+from torusquant.trigpoly import TrigPoly, _pair_terms, _sum_groups, poisson_bracket, random_trig_poly
 
 X = TrigPoly.harmonic(1, (1,), (0,))  # e^{2 pi i x}
 Y = TrigPoly.harmonic(1, (0,), (1,))  # e^{2 pi i y}
@@ -124,6 +126,54 @@ def test_star_exact_matches_series_limit():
     exact = star_exact(f, g, HbarValue(k))
     series = star_truncated(f, g, 12).evaluate(1.0 / k)
     assert exact.l1_distance(series) < 1e-12
+
+
+def _star_exact_per_pair(f, g, h, orientation):
+    """star_exact with one exponential per term pair, the oracle of the
+    exponential per integer angle."""
+    const, m = _pair_angles(f, g, orientation)
+    groups, amps = _pair_terms(f, g)
+    return _sum_groups(f.n, groups, amps * np.exp(1j * (const * h.hbar * m)))
+
+
+@pytest.mark.parametrize(
+    "n, bandwidth, orientation, k",
+    [
+        (2, 2, "moyal", 8),  # 390,625 pairs
+        # the symbol_algebra benchmark's shapes
+        (1, 6, "star", 4),
+        (1, 6, "star", 32),
+        (1, 6, "star", 256),
+        (1, 6, "check_star", 32),
+        (1, 6, "moyal", 32),
+        (2, 1, "moyal", 8),
+    ],
+)
+def test_star_exact_phases_match_the_per_pair_exponential_bit_for_bit(n, bandwidth, orientation, k):
+    rng = np.random.default_rng(n * 10 + bandwidth)
+    f, g = random_trig_poly(rng, n, bandwidth), random_trig_poly(rng, n, bandwidth)
+    h, o = HbarValue(k), Orientation(orientation)
+    got, want = star_exact(f, g, h, o), _star_exact_per_pair(f, g, h, o)
+    assert np.array_equal(got.keys, want.keys)
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+
+def test_star_exact_angles_spanning_more_integers_than_pairs():
+    # angles a.q of 0 and 10^6 over two pairs: the exponential is taken per
+    # pair; three angles within three integers of 10^6, or a single one,
+    # take the table over their span, and no pair none
+    f = TrigPoly(1, {((0,), (0,)): 0.5, ((0,), (10**6,)): 1.5j})
+    g = TrigPoly(1, {((1,), (2,)): 2.0})
+    step = 2.0 * math.pi / 7
+    for angles in ([0, 10**6], [10**6 + 2, 10**6, 10**6 + 1], [-5], []):
+        angles = np.array(angles, dtype=np.int64)
+        got, want = _unit_phases(step, angles), np.exp(1j * (step * angles))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for a, b in ((f, g), (g, g), (TrigPoly.zero(1), g)):
+        for o in Orientation:
+            got, want = star_exact(a, b, HbarValue(7), o), _star_exact_per_pair(a, b, HbarValue(7), o)
+            assert np.array_equal(got.keys, want.keys)
+            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
 
 
 def test_star_exact_associative():
