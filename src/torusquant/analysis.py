@@ -844,8 +844,10 @@ def _expression_mean(spec_f, n: int, k_max: int) -> complex:
     Uses at least 4x the finest sweep resolution and 1024 points per axis,
     capped so that the points sampled along the axes the expression reads
     stay within funcexpr.SAMPLE_BUDGET; for analytic integrands this
-    trapezoid rule is exact to rounding.  An expression that cannot be
-    evaluated on this grid is a ConfigError on f.expr or f.expr_im.
+    trapezoid rule is exact to rounding.  The cap bounds time: the mean is
+    summed a slab at a time, in funcexpr.SLAB_POINTS memory.  An expression
+    that cannot be evaluated on this grid is a ConfigError on f.expr or
+    f.expr_im.
     """
     axes = max(len(funcexpr.variables(ast)) for ast in spec_f.asts() if ast is not None)
     m = min(max(4 * k_max, 1024), int(2 ** (math.log2(funcexpr.SAMPLE_BUDGET) / max(axes, 1))))

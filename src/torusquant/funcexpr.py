@@ -14,9 +14,12 @@ so precedence is ^ above unary minus above * and / above + and -.
 Exponents must be integer literals.  Parse errors carry a 1-based character
 position.
 
-``sample_lattice`` evaluates an expression on a uniform lattice in one
-vectorized pass over the axes it reads; ``lattice_mean``, its mean for a
-real or a complex expression, gives traces and reference means.  ``project``
+``sample_lattice`` evaluates an expression on a uniform lattice, vectorized
+over the axes it reads.  ``lattice_mean``, its mean for a real or a complex
+expression, gives traces and reference means: it evaluates a lattice of more
+than SLAB_POINTS samples a slab of rows at a time and combines the slab sums
+by numpy's pairwise halving, so its memory is one slab's and, on a
+power-of-two grid, its value is bit for bit the one-pass mean.  ``project``
 turns an expression into a :class:`~torusquant.trigpoly.TrigPoly` by sampling
 on a uniform grid and taking the discrete Fourier transform, keeping
 frequencies inside the requested band.  The scalar ``evaluate`` is the pointwise reference.
@@ -334,10 +337,17 @@ def _check_finite(values, where: str) -> None:
 
 # -- sampling and projection -------------------------------------------------
 
-# Most points one sampled lattice may hold (128 MiB of float64): the cap on
-# reference grids, and, checked at parse time, on projection grids and on the
-# levels of a trace config.
+# Most points one sampled lattice may hold: the cap, checked at parse time,
+# on projection grids, whose samples are held at once (128 MiB of float64),
+# and on the levels of a trace config and the reference grids, whose means
+# are summed a slab at a time, so that there it bounds time, not memory.
 SAMPLE_BUDGET = 2**24
+
+# Points in one slab of a lattice mean (1 MiB of float64).  On the 1024^2
+# and 2048^2 trace references, 2^14-point slabs take 3x the time of one pass
+# and 2^15-point slabs 1.4x, as every slab re-evaluates the subexpressions
+# that do not read its axis; 2^16 to 2^18 match one pass or beat it.
+SLAB_POINTS = 2**17
 
 
 def default_grid(bandwidth: int) -> int:
@@ -372,12 +382,19 @@ def sample_lattice(ast: ExprAst, n: int, grid: int) -> np.ndarray:
     """Evaluate on the uniform lattice (j_1..j_n, l_1..l_n)/grid, sparsely.
 
     The result broadcasts to shape (grid,)*2n, x-axes first, with length 1
-    along every axis the expression does not read, so its mean is the
-    lattice mean at the cost of the axes read.  A division by zero, a zero
-    raised to a negative power or a non-finite value is an EvaluationError.
+    along every axis the expression does not read, so it holds the points of
+    the axes read, all at once.  A division by zero, a zero raised to a
+    negative power or a non-finite value is an EvaluationError.
     """
+    return _sample(ast, n, _lattice_axes(n, grid))
+
+
+def _lattice_axes(n: int, grid: int) -> list[np.ndarray]:
     coords = np.arange(grid, dtype=float) / grid
-    axes = np.meshgrid(*([coords] * (2 * n)), indexing="ij", sparse=True)
+    return list(np.meshgrid(*([coords] * (2 * n)), indexing="ij", sparse=True))
+
+
+def _sample(ast: ExprAst, n: int, axes: Sequence[np.ndarray]) -> np.ndarray:
     # overflow surfaces as EvaluationError via the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(_eval(ast, tuple(axes[:n]), tuple(axes[n:]), scalar=False), dtype=float)
@@ -387,15 +404,51 @@ def sample_lattice(ast: ExprAst, n: int, grid: int) -> np.ndarray:
 
 def lattice_mean(symbol, n: int, grid: int) -> complex:
     """Mean on the uniform lattice of an expression: an AST, or a pair (real
-    AST, imaginary AST or None).  An EvaluationError names its ``part``."""
+    AST, imaginary AST or None), summed a slab at a time (_slab_mean).  An
+    EvaluationError names its ``part``."""
     means = [0.0, 0.0]
     for i, ast in enumerate(symbol if isinstance(symbol, tuple) else (symbol,)):
         try:
-            means[i] = 0.0 if ast is None else sample_lattice(ast, n, grid).mean()
+            means[i] = 0.0 if ast is None else _slab_mean(ast, n, grid)
         except EvaluationError as exc:
             exc.part = ("expr", "expr_im")[i]
             raise
     return complex(*means)
+
+
+def _slab_mean(ast: ExprAst, n: int, grid: int) -> float:
+    """sample_lattice(ast, n, grid).mean(), a slab of rows along the
+    outermost axis read at a time: SLAB_POINTS points a slab, or one row
+    where a row holds more.  A lattice of at most SLAB_POINTS points is one
+    slab, and its sum is np.add.reduce of the whole, as in mean().
+
+    numpy sums a contiguous array pairwise, splitting a power-of-two count
+    at its halves down to blocks of 128.  On a power-of-two grid every slab
+    is a power-of-two run of SLAB_POINTS points or more, so np.add.reduce
+    gives that slab's subtree and combining the slab sums by halving gives
+    numpy's sum bit for bit; on other grids the two orders agree to
+    rounding.  Each slab is checked as sample_lattice checks the whole
+    lattice, so a fault anywhere is an EvaluationError, though with several
+    faults not always the one a single pass reports first.
+    """
+    read = sorted({v.index - 1 + (n if v.axis == "y" else 0) for v in variables(ast) if v.index <= n})
+    points = grid ** len(read)
+    axes = _lattice_axes(n, grid)
+    outer = read[0] if read else 0
+    coords = axes[outer]
+    rows = max(1, SLAB_POINTS * grid // points)
+    sums = []
+    for start in range(0, grid, rows):
+        axes[outer] = coords[(slice(None),) * outer + (slice(start, start + rows),)]
+        sums.append(np.add.reduce(_sample(ast, n, axes), axis=None))
+    return _halving_sum(sums) / points
+
+
+def _halving_sum(sums: list):
+    if len(sums) == 1:
+        return sums[0]
+    half = len(sums) // 2
+    return _halving_sum(sums[:half]) + _halving_sum(sums[half:])
 
 
 def sample_grid(ast: ExprAst, n: int, grid: int) -> np.ndarray:

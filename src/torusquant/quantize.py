@@ -205,7 +205,13 @@ class DiagonalOperator:
     def rmatvec(self, y) -> np.ndarray:
         """A* y (the conjugate transpose) for a length-k^n vector y.  The
         conjugated values are kept after the first call: the values are
-        read-only, and an iteration calls this once per step."""
+        read-only, and an iteration calls this once per step.  The gathered
+        copy of y is a temporary, so from 256 KiB on numpy multiplies into
+        it in place (temporary elision, as ``y[rows] *= conj``) and a call
+        makes one array the size of the values.  An in-place product written
+        out would fix one operand order at every size, and numpy's complex
+        product is not commutative bit for bit, so reported norms would move
+        in their last digit."""
         if self._conj is None:
             self._conj = self.values.conj()
         return (self._conj * np.asarray(y)[self.rows]).sum(axis=0)

@@ -1,6 +1,7 @@
 """Acceptance criteria that judge a sweep more strictly than the sweep itself."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -62,3 +63,14 @@ def test_criteria_2_to_5_report_the_rules_of_the_sweeps():
     assert intertwining["transform_phase"] == analysis.TRANSFORM_PHASE
     assert checks.check_trace_identities().details["rate_exponent"] == analysis.RATE_EXPONENT
     assert checks.check_torus_relations().details["tolerance"] == analysis.TORUS_RELATION_TOL
+
+
+def test_trace_criterion_memory_is_one_slab():
+    # its 1024^2 reference mean held 9.1 MiB in one pass
+    tracemalloc.start()
+    try:
+        assert checks.check_trace_identities().passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20

@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import torusquant
-from torusquant.analysis import ConvergenceReport, SweepPoint
+from torusquant import funcexpr
+from torusquant.analysis import ConvergenceReport, SweepPoint, run_experiment
 from torusquant.cli import main
 from torusquant.config import (
     ConfigError,
@@ -399,6 +401,41 @@ def test_cli_run_rejects_expression_that_fails_on_its_grid(tmp_path, capsys):
     code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error: f.expr: division by zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, path, message",
+    [
+        # overflows only from x1 = 1010/1024 on, zero only at x1 = 1023/1024:
+        # the last of the eight slabs of a 1024^2 lattice, and on no level
+        ({"expr": "exp(720*x1) * cos(2*pi*y1)"}, "f.expr", "non-finite value produced by exp"),
+        ({"expr": "cos(2*pi*x1)", "expr_im": "y1 / (1024*x1 - 1023)"}, "f.expr_im", "division by zero"),
+    ],
+)
+def test_a_fault_in_the_last_slab_is_a_config_error_on_its_field(spec, path, message):
+    assert 1024**2 // funcexpr.SLAB_POINTS > 1
+    data = {"experiment": "trace", "n": 1, "k_min": 4, "k_max": 16, "f": dict(spec, bandwidth=2)}
+    # parsing checks the projection grid, here 1024 points an axis
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(dict(data, f=dict(data["f"], grid=1024))))
+    assert (info.value.path, str(info.value)) == (path, f"{path}: {message}")
+    # a run checks the 1024^2 reference grid before the levels
+    cfg = parse_config(json.dumps(data))
+    with pytest.raises(ConfigError) as info:
+        run_experiment(cfg)
+    assert (info.value.path, str(info.value)) == (path, f"{path}: {message}")
+
+
+def test_cli_run_trace_smooth_memory_is_one_slab(tmp_path):
+    # its 1024^2 reference grid held 9.1 MiB in one pass
+    config = Path(__file__).resolve().parents[1] / "configs" / "trace_smooth.json"
+    tracemalloc.start()
+    try:
+        assert main(["run", str(config), "--quiet", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Expression parsing, evaluation, and Fourier projection against quadrature oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from torusquant.funcexpr import (
     Variable,
     default_grid,
     evaluate,
+    lattice_mean,
     parse,
     project,
     sample_grid,
@@ -261,3 +263,81 @@ def test_project_infers_n_from_variables():
 def test_nonfinite_rejected():
     with pytest.raises(EvaluationError):
         project(parse("exp(x1 * 10000)"), ProjectionSpec(1, 16), 1)
+
+
+# -- lattice means summed in slabs ----------------------------------------------
+
+# the smooth symbol of criterion 4 and the trace_smooth config: two axes at n = 1
+SMOOTH = "exp(cos(2*pi*x1)) * (cos(2*pi*y1) / (1.1 - cos(2*pi*y1)))"
+FOUR_AXES = "exp(cos(2*pi*x1) + sin(2*pi*y2)) * cos(2*pi*(x2 - y1))"
+
+
+@pytest.mark.parametrize(
+    "source, n, grid, slab_points",
+    [
+        ("exp(2*pi)", 2, 8, None),  # reads no axis: one slab of one point
+        ("exp(cos(2*pi*y1))", 1, 4096, None),  # one slab: the whole lattice
+        ("exp(cos(2*pi*y1))", 1, 2**18, None),  # one axis, two slabs
+        (SMOOTH, 1, 256, None),
+        (SMOOTH, 1, 1024, None),  # eight slabs of 128 rows
+        (SMOOTH, 1, 1024, 2**7),  # slabs of numpy's leaf-block size
+        ("cos(2*pi*x2) * exp(sin(2*pi*(y1 + y2)))", 2, 64, None),  # outermost axis read is x2
+        (FOUR_AXES, 2, 32, None),
+        (FOUR_AXES, 2, 16, 2**8),  # one row of 4096 points is more than a slab
+    ],
+)
+def test_lattice_mean_is_the_one_pass_mean_bit_for_bit(monkeypatch, source, n, grid, slab_points):
+    if slab_points is not None:
+        monkeypatch.setattr(funcexpr, "SLAB_POINTS", slab_points)
+    ast = parse(source)
+    assert lattice_mean(ast, n, grid) == sample_lattice(ast, n, grid).mean()
+    im = parse(f"cos({source})")  # reads the same axes
+    want = complex(sample_lattice(ast, n, grid).mean(), sample_lattice(im, n, grid).mean())
+    assert lattice_mean((ast, im), n, grid) == want
+    assert lattice_mean((None, ast), n, grid) == complex(0.0, sample_lattice(ast, n, grid).mean())
+
+
+@pytest.mark.parametrize(
+    "source, n, grid",
+    [(SMOOTH, 1, 1000), (SMOOTH, 1, 1536), ("exp(cos(2*pi*x1) + sin(2*pi*y2) + cos(2*pi*(x2 - y1)))", 2, 24)],
+)
+def test_lattice_mean_on_other_grids_agrees_to_rounding(source, n, grid):
+    ast = parse(source)
+    assert grid ** len(funcexpr.variables(ast)) > funcexpr.SLAB_POINTS
+    one_pass = sample_lattice(ast, n, grid).mean()
+    assert abs(lattice_mean(ast, n, grid).real - one_pass) <= 1e-15 * abs(one_pass)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # zero only at x1 = 1023/1024, the last row of the last slab
+        ("y1 / (1024*x1 - 1023)", "division by zero"),
+        # overflows only from x1 = 1010/1024 on
+        ("exp(720*x1) * cos(2*pi*y1)", "non-finite value produced by exp"),
+    ],
+)
+def test_a_fault_in_the_last_slab_is_an_evaluation_error_naming_its_part(source, message):
+    bad = parse(source)
+    assert 1024**2 // funcexpr.SLAB_POINTS > 1
+    with pytest.raises(EvaluationError, match=message) as info:
+        lattice_mean(bad, 1, 1024)
+    assert info.value.part == "expr"
+    with pytest.raises(EvaluationError, match=message) as info:
+        lattice_mean((parse(SMOOTH), bad), 1, 1024)
+    assert info.value.part == "expr_im"
+    # the first seven slabs, rows 0 to 895, are fine
+    assert math.isfinite(evaluate(bad, (895 / 1024,), (0.25,)))
+
+
+@pytest.mark.parametrize("source, n, grid, budget", [(SMOOTH, 1, 2048, 2 * 2**20), (FOUR_AXES, 2, 64, 8 * 2**20)])
+def test_lattice_mean_memory_is_one_slab(source, n, grid, budget):
+    # one pass held 36 MiB and 144 MiB here
+    ast = parse(source)
+    tracemalloc.start()
+    try:
+        lattice_mean(ast, n, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget

@@ -337,6 +337,29 @@ def test_kernel_temporaries_stay_bounded_with_more_terms_than_the_dimension():
     assert op.entries.shape == (spec.dim, spec.dim)
 
 
+def test_rmatvec_makes_one_array_the_size_of_the_values():
+    # a Lanczos step on the Gram of an n = 2, k = 64 symbol: 81 diagonals of
+    # 4096 entries, 5 MiB; a product next to the gathered copy would be 10.
+    # rmatvec writes no in-place product: the bound holds because numpy's
+    # temporary elision multiplies into the gathered copy (arrays of 256 KiB
+    # or more, on CPython builds with the GIL and backtrace support), so on
+    # a numpy or CPython build without it this test fails with no change here
+    f = random_trig_poly(np.random.default_rng(3), 2, 2)
+    a = toeplitz_diagonals(f, HilbertSpec(2, 64))
+    gram = a.adjoint() @ a
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal(gram.spec.dim) + 1j * rng.standard_normal(gram.spec.dim)
+    gram.rmatvec(y)  # keeps the conjugated values
+    tracemalloc.start()
+    try:
+        gram.rmatvec(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram.values.shape == (81, 4096)
+    assert peak <= gram.values.nbytes + 2 * y.nbytes
+
+
 def _apply_term_by_term(f, spec, x):
     """A x summed over the symbol terms one by one, an oracle that needs no matrix."""
     n, k = spec.n, spec.k
