@@ -22,7 +22,7 @@ import numpy as np
 
 from . import checks, reporting
 from .analysis import L2RouteError, run_experiment
-from .config import ConfigError, config_hash, parse_config
+from .config import ConfigError, check_pair_product, config_hash, parse_config
 from .quantize import DENSE_DIM_CAP, HilbertSpec, toeplitz_diagonals, write_operator_csv
 from .starprod import Orientation, star_truncated
 
@@ -89,6 +89,7 @@ def _cmd_star(args) -> int:
     if cfg.kind.sweep:
         raise ConfigError("experiment", "the star subcommand expects a star_table config")
     f, g = cfg.symbols()
+    check_pair_product(cfg, f, g)
     series = star_truncated(f, g, cfg.order, Orientation(cfg.orientation))
     lines = []
     for i in range(cfg.order + 1):

@@ -276,6 +276,35 @@ def expression_mean(spec: FunctionSpec, n: int, grid: int, path: str) -> complex
         raise ConfigError(f"{path}.{exc.part}", str(exc)) from exc
 
 
+def check_pair_product(cfg: ExperimentConfig, f: TrigPoly, g: TrigPoly) -> None:
+    """Refuse the realized pair f, g when an amplitude of its products could
+    pass the float range, on the ``coeffs`` or ``expr`` field of the factor
+    of the larger l1 norm.
+
+    Every order-j amplitude of every product is at most
+    ||f||_l1 ||g||_l1 (2 pi W)^j / j!, where W = sum_i (max|a_i| max|q_i| +
+    max|p_i| max|b_i|) over f-keys (p, a) and g-keys (q, b) bounds |a.q|
+    and |p.b|; the j = 0 bound also holds for the exact product at every
+    level.  The pair is refused unless the sum of these bounds up to
+    cfg.order, starting with ||f||_l1 ||g||_l1, is finite.
+    """
+    n = cfg.n
+    fw, gw = (np.abs(s.keys).max(axis=0, initial=0).tolist() for s in (f, g))
+    width = sum(fw[n + i] * gw[i] + fw[i] * gw[n + i] for i in range(n))
+    l1f, l1g = f.l1_norm(), g.l1_norm()
+    term = total = l1f * l1g
+    for j in range(1, cfg.order + 1):
+        term *= 2.0 * math.pi * width / j
+        total += term
+    if not math.isfinite(total):
+        name, spec = ("f", cfg.f) if l1f >= l1g else ("g", cfg.g)
+        raise ConfigError(
+            f"{name}.{spec.kind}",
+            f"the product of f (l1 norm {l1f:.3g}) and g (l1 norm {l1g:.3g}) has amplitudes past the float range "
+            f"up to order {cfg.order}",
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str

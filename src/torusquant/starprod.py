@@ -108,23 +108,24 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
-def _pair_angles(f: TrigPoly, g: TrigPoly, orientation: Orientation) -> tuple[float, np.ndarray]:
-    """(c, m) with theta = c * m for every term pair of f and g, f-major.
+def _pair_angles(f: TrigPoly, g: TrigPoly, orientation: Orientation) -> tuple[int, np.ndarray]:
+    """(c, m) with theta = c pi m for every term pair of f and g, f-major.
 
     The exact product multiplies the pair by e^{i theta hbar}: for f-term
-    frequency (p, a) and g-term frequency (q, b), m is a.q with c = 2 pi
-    (STAR), p.b with c = -2 pi (CHECK), or a.q - p.b with c = pi (MOYAL).
+    frequency (p, a) and g-term frequency (q, b), m is a.q with c = 2
+    (STAR), p.b with c = -2 (CHECK), or a.q - p.b with c = 1 (MOYAL).  At
+    hbar = 1/k the phase has period 2k / |c| in m.
     """
     f._check_same(g)
     n = f.n
     p, a = f.keys[:, :n], f.keys[:, n:]
     q, b = g.keys[:, :n], g.keys[:, n:]
     if orientation is Orientation.STAR:
-        return 2.0 * math.pi, (a @ q.T).reshape(-1)
+        return 2, (a @ q.T).reshape(-1)
     if orientation is Orientation.CHECK:
-        return -2.0 * math.pi, (p @ b.T).reshape(-1)
+        return -2, (p @ b.T).reshape(-1)
     if orientation is Orientation.MOYAL:
-        return math.pi, (a @ q.T - p @ b.T).reshape(-1)
+        return 1, (a @ q.T - p @ b.T).reshape(-1)
     raise TypeError(f"unknown orientation {orientation!r}")
 
 
@@ -147,7 +148,7 @@ def _taylor_terms(f: TrigPoly, g: TrigPoly, orientation: Orientation, last: int)
     its amplitude times (i theta)^j / j!."""
     const, m = _pair_angles(f, g, orientation)
     groups, weights = _pair_terms(f, g)
-    return _phase_series(f.n, groups, weights, 1j * (const * m), last)
+    return _phase_series(f.n, groups, weights, 1j * (const * math.pi * m), last)
 
 
 def bidifferential(order: int, f: TrigPoly, g: TrigPoly, orientation: Orientation) -> TrigPoly:
@@ -184,19 +185,30 @@ def star_exact(f: TrigPoly, g: TrigPoly, h: HbarValue, orientation: Orientation 
     """
     const, m = _pair_angles(f, g, orientation)
     groups, amps = _pair_terms(f, g)
-    return _sum_groups(f.n, groups, amps * _unit_phases(const * h.hbar, m))
+    return _sum_groups(f.n, groups, amps * _unit_phases(const * math.pi * h.hbar, 2 * h.k // abs(const), m))
 
 
-def _unit_phases(step: float, angles: np.ndarray) -> np.ndarray:
-    """e^{i step m} for every integer m in ``angles``, bit for bit the
-    per-pair exponential.  The angles of a product take few distinct
-    values (a.q over bounded keys), so when they span at most as many
-    integers as there are pairs, the exponential is taken once per integer
-    of the span and gathered back."""
+def _residues(m: np.ndarray, period: int) -> np.ndarray:
+    """m where |m| <= period / 2, elsewhere its residue modulo ``period``
+    in [-period/2, period/2): the same phase e^{2 pi i m / period}, whose
+    float angle then stays within pi.  Unreduced, the integers of keys near
+    ``MAX_FREQ`` (|m| up to 2^48 n) give float angles whose rounding moves
+    the phase by up to a radian."""
+    half = period // 2
+    return np.where(2 * np.abs(m) > period, (m + half) % period - half, m)
+
+
+def _unit_phases(step: float, period: int, angles: np.ndarray) -> np.ndarray:
+    """e^{i step m} for every integer m in ``angles``, with step * period =
+    +-2 pi and m taken as its ``_residues``: bit for bit the per-pair
+    exponential of the residues.  The angles of a product take few
+    distinct values (a.q over bounded keys), so when they span at most as
+    many integers as there are pairs, the table of the span's integers is
+    reduced and exponentiated once and gathered back."""
     if len(angles) == 0 or angles.max() - angles.min() >= len(angles):
-        return np.exp(1j * (step * angles))
+        return np.exp(1j * (step * _residues(angles, period)))
     low = angles.min()
-    return np.exp(1j * (step * np.arange(low, angles.max() + 1)))[angles - low]
+    return np.exp(1j * (step * _residues(np.arange(low, angles.max() + 1), period)))[angles - low]
 
 
 # -- Berezin transform and equivalence maps ------------------------------------
@@ -224,11 +236,13 @@ def berezin_truncated(f: TrigPoly, order: int) -> HbarSeries:
 def berezin_exact(f: TrigPoly, h: HbarValue) -> TrigPoly:
     """Exact Berezin transform at hbar = 1/k.
 
-    Multiplies the (p, a) amplitude by e^{+2 pi i hbar p.a}; this is the sign
-    for which re-expressing dual-basis matrices in the primary basis agrees
-    with quantizing the transformed function exactly.
+    Multiplies the (p, a) amplitude by e^{+2 pi i hbar p.a}, p.a taken as
+    its ``_residues`` modulo k; this is the sign for which re-expressing
+    dual-basis matrices in the primary basis agrees with quantizing the
+    transformed function exactly.
     """
-    return TrigPoly._from_arrays(f.n, f.keys, f.values * np.exp(1j * (2.0 * math.pi * h.hbar * _mixed_dot(f))))
+    angles = _residues(_mixed_dot(f), h.k)
+    return TrigPoly._from_arrays(f.n, f.keys, f.values * np.exp(1j * (2.0 * math.pi * h.hbar * angles)))
 
 
 def equivalence_map(gamma, order: int, f: TrigPoly) -> HbarSeries:

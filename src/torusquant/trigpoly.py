@@ -19,7 +19,7 @@ amplitudes that are exactly zero, so it is associative up to rounding;
 ``truncate`` drops small ones on request.  Grid evaluation exists only so
 tests can cross-check the coefficient routes against pointwise ones.
 
-The sort runs on one integer code per key (``_group_keys``).  With lo_c and
+The sort runs on one integer code per key (``_group_pairs``).  With lo_c and
 s_c = hi_c - lo_c + 1 the least entry and the span of column c, the row u
 has the code sum_c (u_c - lo_c) S_c, where S_c = s_{c+1} ... s_{2n-1}: its
 mixed-radix digits over the box the columns span.  Every digit lies in
@@ -351,48 +351,38 @@ def _group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(order, starts, unique)``: ``keys[order]`` is sorted with rows
     of equal keys left in their given order, each run begins at an index of
-    ``starts``, and ``unique`` holds one key per run.
-
-    The sort is a stable ``np.argsort`` of one code per row,
-    sum_c (keys[:, c] - lo_c) * span_{c+1} ... span_{2n-1}, with lo_c and
-    span_c the least entry and the span of column c.  Digit c lies in
-    [0, span_c), so the codes order as the rows do lexicographically, and
-    equal rows have equal codes.  The codes are stored in the narrowest
-    unsigned type that holds the cell count of the box, so a box of at most
-    2^16 cells is radix-sorted.  A box of ``CODE_CELLS`` cells or more,
-    whose codes would pass int64, takes ``np.lexsort`` of the rows, which
-    gives the same three arrays.
+    ``starts``, and ``unique`` holds one key per run.  It is ``_group_pairs``
+    of the rows with one zero row, which gives the same box, codes and code
+    type as the rows alone.
     """
-    lows, spans = _box(keys)
-    cells = math.prod(spans)
-    if cells >= CODE_CELLS:
-        order = np.lexsort(keys.T[::-1])
-        ordered = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-        starts = np.flatnonzero(first)
-        return order, starts, ordered[starts]
-    order, starts = _runs(_codes(keys, lows, spans, _code_dtype(cells)))
-    return order, starts, keys[order[starts]]
+    return _group_pairs(keys, np.zeros((1, keys.shape[1]), dtype=np.int64))
 
 
 def _group_pairs(f_keys: np.ndarray, g_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_group_keys`` of the f-major pair sums f_keys[i] + g_keys[j],
-    without forming them.
+    """``_group_keys`` of the f-major pair sums f_keys[i] + g_keys[j]: a
+    stable ``np.argsort`` of their codes (see the module docstring), taken
+    without forming the sums.
 
     The pair sums span the box whose column c runs from the sum of the two
     least entries over the sum of the two spans less one.  Over that box a
     pair's code is the code of its f row plus the code of its g row, each
     taken from its own least entries, so one outer sum of two short code
     arrays gives every pair code, and each run's key is the sum of the rows
-    of its first pair.
+    of its first pair.  A box of ``CODE_CELLS`` cells or more forms the sums
+    and takes ``np.lexsort`` of them, which gives the same three arrays.
     """
     f_lows, f_spans = _box(f_keys)
     g_lows, g_spans = _box(g_keys)
     spans = [a + b - 1 for a, b in zip(f_spans, g_spans)]
     cells = math.prod(spans)
     if cells >= CODE_CELLS:
-        return _group_keys((f_keys[:, None, :] + g_keys[None, :, :]).reshape(-1, f_keys.shape[1]))
+        keys = (f_keys[:, None, :] + g_keys[None, :, :]).reshape(-1, f_keys.shape[1])
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+        starts = np.flatnonzero(first)
+        return order, starts, ordered[starts]
     dtype = _code_dtype(cells)
     codes = np.add.outer(_codes(f_keys, f_lows, spans, dtype), _codes(g_keys, g_lows, spans, dtype))
     order, starts = _runs(codes.reshape(-1))

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import iv
 
+from torusquant import analysis, checks
 from torusquant.analysis import (
+    COMMUTATION_SIGN,
     ERROR_FLOOR,
     ConvergenceReport,
     L2Reading,
@@ -33,7 +36,7 @@ from torusquant.analysis import (
     trace_error,
     trace_sweep,
 )
-from torusquant.config import ConfigError, ExperimentConfig, FunctionSpec
+from torusquant.config import ConfigError, ExperimentConfig, FunctionSpec, parse_config
 from torusquant.funcexpr import ProjectionSpec, evaluate, parse, project, variables
 from torusquant.quantize import (
     DENSE_DIM_CAP,
@@ -373,13 +376,24 @@ def test_superpoly_decay_cases():
     assert superpoly_decay_ok(floor_and_stay) == (True, False)
 
 
-def test_torus_relation_defects_values():
-    defect, sign = torus_relation_defects(1, 5)
-    assert defect < 1e-12
-    assert sign == -1
-    defect2, sign2 = torus_relation_defects(1, 2)
-    assert defect2 < 1e-12
-    assert sign2 is None  # phase is real at k = 2
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_torus_relation_defects_values(n):
+    for k in range(2, 17):
+        defect = torus_relation_defects(n, k)
+        assert isinstance(defect, L2Reading) and defect < 1e-12
+
+
+def test_the_opposite_commutation_sign_fails(monkeypatch):
+    # the relations are checked against the stated sign, not a measured one:
+    # with the sign flipped the same-axis relation reads |1 - e^{4 pi i hbar}|
+    monkeypatch.setattr(analysis, "COMMUTATION_SIGN", 1)
+    for n, k in ((1, 5), (2, 12)):
+        assert torus_relation_defects(n, k) == pytest.approx(abs(1 - cmath.exp(4j * math.pi / k)), rel=1e-12)
+    config = Path(__file__).resolve().parents[1] / "configs" / "torus_relations.json"
+    report = run_experiment(parse_config(config))
+    assert not report.passed and report.details["commutation_sign"] == 1
+    result = checks.check_torus_relations()
+    assert not result.passed and "commutation sign +1" in result.summary
 
 
 def test_certified_norm_names_its_route():
@@ -413,8 +427,8 @@ def test_checks_run_matrix_free_above_the_dense_cap():
         # criterion 4: band-limited traces are exact
         assert trace_error(f, k) <= 1e-10 * abs(f.mean) + 1e-12
         # criterion 5: the generator relations
-        relations, sign = torus_relation_defects(2, k)
-        assert relations <= 1e-12 and sign == -1
+        relations = torus_relation_defects(2, k)
+        assert relations <= 1e-12 and relations.method == "interp_bound"
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -534,8 +548,8 @@ def test_run_torus_relations():
     cfg = ExperimentConfig(experiment="torus_relations", n=1, k_min=2, k_max=8, k_rule="linear")
     report = run_experiment(cfg)
     assert report.passed
-    assert report.details["commutation_sign"] == -1
-    assert "2" not in report.details["signs_by_level"]
+    assert report.details["commutation_sign"] == COMMUTATION_SIGN == -1
+    assert "signs_by_level" not in report.details and "note" not in report.details
 
 
 def test_run_experiment_rejects_star_table():
