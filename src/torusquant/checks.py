@@ -16,7 +16,6 @@ import numpy as np
 
 from . import funcexpr
 from .analysis import (
-    EXACT_TRANSFORM_TOL,
     RATE_EXPONENT,
     SLOPE_ABOVE,
     SLOPE_BELOW,
@@ -33,7 +32,7 @@ from .analysis import (
     trace_sweep,
 )
 from .quantize import DiagonalOperator, HilbertSpec, toeplitz_diagonals
-from .starprod import HbarValue, Orientation, star_exact, star_truncated
+from .starprod import HbarValue, Orientation, product_map, star_exact, star_truncated
 from .trigpoly import TrigPoly, poisson_bracket, random_trig_poly
 
 POW2_LEVELS = (8, 16, 32, 64, 128, 256)
@@ -76,10 +75,11 @@ def check_exact_homomorphism() -> CheckResult:
     per_level = {k: 0.0 for k in POW2_LEVELS}
     for i in range(10):
         f, g = _corpus_pair(i)
+        product = product_map(f, g)  # the pair's exact product, read at each level
         for k in POW2_LEVELS:
             spec = HilbertSpec(1, k)
             df, dg = toeplitz_diagonals(f, spec), toeplitz_diagonals(g, spec)
-            prod = star_exact(f, g, HbarValue(k))
+            prod = product.at(HbarValue(k))
             # the operator product, not a remainder symbol: this is the
             # identity the error operators of the sweeps rely on
             err_op = (df @ dg) - toeplitz_diagonals(prod, spec)
@@ -132,8 +132,9 @@ def check_product_rates() -> CheckResult:
 
 
 def check_intertwining() -> CheckResult:
-    """Basis change matches the Berezin transform: exactly, and at rate N+1."""
-    max_exact = 0.0
+    """Basis change matches the Berezin transform: exactly, to each sweep's
+    EXACT_TRANSFORM_TOL max(1, ||f||_l1), and at rate N+1."""
+    max_exact = tolerance = 0.0
     all_ok = True
     slopes: dict[str, float] = {}
     blocks: dict[str, list[SweepPoint]] = {}
@@ -142,23 +143,24 @@ def check_intertwining() -> CheckResult:
         for order in (0, 1, 2):
             report = intertwine_sweep(f, order, POW2_LEVELS)
             max_exact = max(max_exact, report.details["exact_max_error"])
+            tolerance = max(tolerance, report.details["exact_tolerance"])
+            exact = next(s for s in report.series if s.name == "exact_transform")
             l2 = next(s for s in report.series if s.name == NormKind.L2.value)
             slopes[f"f{i}_order{order}"] = round(l2.slope, 4)
-            all_ok = all_ok and l2.passed
+            all_ok = all_ok and l2.passed and exact.passed
             if i == 0:
                 blocks[f"order{order}"] = [r for r in report.rows if r.norm_kind == NormKind.L2.value]
-    passed = all_ok and max_exact <= EXACT_TRANSFORM_TOL
     return CheckResult(
         cid=3,
         title="basis-change intertwining",
-        passed=passed,
+        passed=all_ok,
         summary=(
-            f"exact-transform error {max_exact:.3e} (tol {EXACT_TRANSFORM_TOL:.0e}); "
+            f"exact-transform error {max_exact:.3e} (tol {tolerance:.0e}); "
             f"truncated slopes {min(slopes.values()):.2f}..{max(slopes.values()):.2f}"
         ),
         details={
             "exact_max_error": max_exact,
-            "exact_tolerance": EXACT_TRANSFORM_TOL,
+            "exact_tolerance": tolerance,
             "slopes": slopes,
             "transform_phase": TRANSFORM_PHASE,
         },

@@ -98,7 +98,16 @@ class Binary:
     right: "ExprAst"
 
 
-ExprAst = Union[Number, PiConstant, Variable, Unary, Binary]
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """The samples of a subexpression on a lattice, evaluated once: a mean
+    over slabs puts them in place of a subexpression that does not read the
+    slab axis (``_slab_mean``)."""
+
+    values: np.ndarray
+
+
+ExprAst = Union[Number, PiConstant, Variable, Unary, Binary, Samples]
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -294,6 +303,8 @@ def _eval(ast: ExprAst, xs, ys, scalar: bool):
                 f"variable {ast.axis}{ast.index} out of range for n={len(block)}"
             )
         return block[ast.index - 1]
+    if isinstance(ast, Samples):
+        return ast.values
     if isinstance(ast, Unary):
         v = _eval(ast.operand, xs, ys, scalar)
         if ast.op == "neg":
@@ -430,11 +441,17 @@ def _slab_mean(ast: ExprAst, n: int, grid: int) -> float:
     rounding.  Each slab is checked as sample_lattice checks the whole
     lattice, so a fault anywhere is an EvaluationError, though with several
     faults not always the one a single pass reports first.
+
+    Every subexpression that reads variables but not the slab axis is
+    evaluated once per mean, before the slabs, and its samples stand in for
+    it on every slab (``_hoisted``): they are the values each slab would
+    compute again, so the mean is unchanged bit for bit.
     """
-    read = sorted({v.index - 1 + (n if v.axis == "y" else 0) for v in variables(ast) if v.index <= n})
+    read = sorted(_axes_read(ast, n))
     points = grid ** len(read)
     axes = _lattice_axes(n, grid)
     outer = read[0] if read else 0
+    ast = _hoisted(ast, n, axes, outer)
     coords = axes[outer]
     rows = max(1, SLAB_POINTS * grid // points)
     sums = []
@@ -442,6 +459,27 @@ def _slab_mean(ast: ExprAst, n: int, grid: int) -> float:
         axes[outer] = coords[(slice(None),) * outer + (slice(start, start + rows),)]
         sums.append(np.add.reduce(_sample(ast, n, axes), axis=None))
     return _halving_sum(sums) / points
+
+
+def _axes_read(ast: ExprAst, n: int) -> set[int]:
+    """The lattice axes (x axes 0..n-1, then y axes) the expression reads."""
+    return {v.index - 1 + (n if v.axis == "y" else 0) for v in variables(ast) if v.index <= n}
+
+
+def _hoisted(ast: ExprAst, n: int, axes: Sequence[np.ndarray], axis: int) -> ExprAst:
+    """ast with every largest subexpression that reads variables but not
+    lattice axis ``axis`` replaced by its ``Samples`` on ``axes``, evaluated
+    as ``_sample`` evaluates the whole."""
+    if not isinstance(ast, (Unary, Binary)):
+        return ast
+    if axis not in _axes_read(ast, n):
+        if not variables(ast):
+            return ast
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Samples(_eval(ast, tuple(axes[:n]), tuple(axes[n:]), scalar=False))
+    if isinstance(ast, Unary):
+        return Unary(ast.op, _hoisted(ast.operand, n, axes, axis))
+    return Binary(ast.op, _hoisted(ast.left, n, axes, axis), _hoisted(ast.right, n, axes, axis))
 
 
 def _halving_sum(sums: list):

@@ -165,7 +165,7 @@ class DiagonalOperator:
     most the number of x-frequencies of the symbol.
     """
 
-    __slots__ = ("spec", "shifts", "values", "rows", "_conj")
+    __slots__ = ("spec", "shifts", "values", "rows", "_conj", "_l1", "_linf")
 
     def __init__(self, spec: HilbertSpec, shifts, values):
         shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, spec.n)
@@ -183,6 +183,7 @@ class DiagonalOperator:
         for a in (shifts, values, rows):
             a.setflags(write=False)
         self._conj = None  # values.conj(), made by the first rmatvec
+        self._l1 = self._linf = None  # the norms, made by their first call
 
     @classmethod
     def _from_arrays(cls, spec: HilbertSpec, shifts: np.ndarray, values: np.ndarray, rows=None) -> "DiagonalOperator":
@@ -215,6 +216,22 @@ class DiagonalOperator:
         if self._conj is None:
             self._conj = self.values.conj()
         return (self._conj * np.asarray(y)[self.rows]).sum(axis=0)
+
+    def l1_norm(self) -> float:
+        """The largest column absolute sum, a sum of |values| over the
+        diagonals; kept once computed, as the values are read-only and every
+        operation returns a new operator."""
+        if self._l1 is None:
+            self._l1 = float(np.abs(self.values).sum(axis=0).max(initial=0.0))
+        return self._l1
+
+    def linf_norm(self) -> float:
+        """The largest row absolute sum, |values| summed into their rows;
+        kept once computed, as ``l1_norm`` is."""
+        if self._linf is None:
+            weights = np.abs(self.values).ravel()
+            self._linf = float(np.bincount(self.rows.ravel(), weights, self.spec.dim).max())
+        return self._linf
 
     @classmethod
     def identity(cls, spec: HilbertSpec) -> "DiagonalOperator":

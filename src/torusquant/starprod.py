@@ -3,9 +3,15 @@
 Every map here is one engine: a quadratic phase per frequency term.  On
 exponentials each map multiplies an amplitude by e^{psi hbar} and moves it
 to a known key, so the exact map at hbar = 1/k is that exponential and its
-order-j term is the Taylor coefficient psi^j / j!.  ``_phase_series`` reads
-orders 0..N off one key sort; ``star_exact`` and ``berezin_exact`` take the
-exponential instead.
+order-j term is the Taylor coefficient psi^j / j!.  An ``ExactMap`` holds
+the terms of one map grouped by key once, with their integer phase angles
+(``product_map`` for a symbol pair, ``berezin_map`` for one symbol, whose
+terms keep their own keys): ``ExactMap.at`` reads the exact map at any
+hbar = 1/k as one segmented sum, and ``_phase_series`` reads orders 0..N
+off the same groups.  ``star_exact`` and ``berezin_exact`` are the map read
+at one level; a sweep builds the map once and reads it at every level.
+``HbarSeries`` likewise groups the keys of all its orders once, so each
+``evaluate`` is one segmented sum.
 
 * Products (``star_truncated``, ``bidifferential``, ``star_exact``): the
   pair of f-term (p, a) and g-term (q, b) lands on (p+q, a+b) with
@@ -33,10 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .trigpoly import TrigPoly, _collect, _pair_terms, _sum_groups
+from .trigpoly import TrigPoly, _group_keys, _pair_terms
 
 # Truncation orders above this are refused: coefficient growth is factorial
 # and double precision has long stopped meaning anything by then.
@@ -89,15 +96,37 @@ class HbarSeries:
             return self.coefficients[i]
         return TrigPoly.zero(self.n)
 
-    def evaluate(self, hbar: float) -> TrigPoly:
-        keys = [np.zeros((0, 2 * self.n), dtype=np.int64)]
-        values = [np.zeros(0, dtype=complex)]
-        scale = 1.0
-        for c in self.coefficients:
-            keys.append(c.keys)
-            values.append(c.values * complex(scale))
+    @cached_property
+    def _grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, starts, values, powers): the terms of every order grouped
+        by key once, in a stable sort of the orders' keys concatenated,
+        each run of one key starting at an index of ``starts``; ``keys``
+        holds one key per run, ``values`` the amplitudes in run order and
+        ``powers`` the order of each."""
+        keys = np.concatenate([np.zeros((0, 2 * self.n), dtype=np.int64), *(c.keys for c in self.coefficients)])
+        values = np.concatenate([np.zeros(0, dtype=complex), *(c.values for c in self.coefficients)])
+        powers = np.repeat(np.arange(len(self.coefficients)), [len(c) for c in self.coefficients])
+        order, starts, unique = _group_keys(keys)
+        return unique, starts, values[order], powers[order]
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Every key some order carries, sorted: the keys of ``values``."""
+        return self._grouped[0]
+
+    def values(self, hbar: float) -> np.ndarray:
+        """The amplitude at hbar of every key of ``keys``, exact zeros kept:
+        each order's amplitudes times hbar^i, summed per key in the order
+        of the orders."""
+        _keys, starts, values, powers = self._grouped
+        scales, scale = [], 1.0
+        for _ in self.coefficients:
+            scales.append(complex(scale))
             scale *= hbar
-        return _collect(self.n, np.concatenate(keys), np.concatenate(values))
+        return np.add.reduceat(values * np.array(scales, dtype=complex)[powers], starts)
+
+    def evaluate(self, hbar: float) -> TrigPoly:
+        return TrigPoly._from_arrays(self.n, self.keys, self.values(hbar))
 
 
 def _check_order(order: int) -> int:
@@ -129,26 +158,76 @@ def _pair_angles(f: TrigPoly, g: TrigPoly, orientation: Orientation) -> tuple[in
     raise TypeError(f"unknown orientation {orientation!r}")
 
 
-def _phase_series(n: int, groups, amps: np.ndarray, psi: np.ndarray, last: int) -> list[TrigPoly]:
-    """Orders j = 0..last of sum_m amps[m] psi[m]^j / j! e^{2 pi i keys[m]},
-    the keys given by their ``_group_keys`` runs ``groups``.
+@dataclass(frozen=True, eq=False)
+class ExactMap:
+    """An exact phase map with its terms grouped by key once.
 
-    One sort serves every order; order j is the j-th Taylor coefficient of
-    the per-term phase e^{psi hbar}.
+    Term m carries the amplitude ``amps[m]`` and the integer angle
+    ``angles[m]``; at hbar = 1/k it adds amps[m] e^{i c pi hbar angles[m]}
+    to its key, c being ``const``.  The terms are stored in the stable sort
+    of their keys, each run of one key starting at an index of ``starts``,
+    and ``keys`` holds one key per run, so reading the map at a level sorts
+    nothing.  The phase has period 2k / |c| in the angle.
     """
-    terms = [_sum_groups(n, groups, amps)]
+
+    n: int
+    keys: np.ndarray
+    starts: np.ndarray
+    amps: np.ndarray
+    angles: np.ndarray
+    const: int
+
+    def values(self, h: HbarValue) -> np.ndarray:
+        """The amplitude at hbar = 1/k of every key of ``keys``, exact zeros
+        kept: one segmented sum of the terms' phased amplitudes."""
+        # the phases stay a temporary: past 256 KiB numpy multiplies into
+        # it, and that operand order decides the last bits
+        step, period = self.const * math.pi * h.hbar, 2 * h.k // abs(self.const)
+        return np.add.reduceat(self.amps * _unit_phases(step, period, self.angles), self.starts)
+
+    def at(self, h: HbarValue) -> TrigPoly:
+        """The exact map at hbar = 1/k."""
+        return TrigPoly._from_arrays(self.n, self.keys, self.values(h))
+
+    def sum(self, amps: np.ndarray) -> TrigPoly:
+        """The polynomial of amplitudes ``amps`` given in term order."""
+        return TrigPoly._from_arrays(self.n, self.keys, np.add.reduceat(amps, self.starts))
+
+
+def product_map(f: TrigPoly, g: TrigPoly, orientation: Orientation = Orientation.STAR) -> ExactMap:
+    """The exact product of f and g as an ``ExactMap``: the term pairs,
+    grouped by the sums of their keys, with their angles (``_pair_angles``)."""
+    const, m = _pair_angles(f, g, orientation)
+    (order, starts, unique), amps = _pair_terms(f, g)
+    return ExactMap(f.n, unique, starts, amps[order], m[order], const)
+
+
+def berezin_map(f: TrigPoly) -> ExactMap:
+    """The exact Berezin transform of f as an ``ExactMap``: f's own terms,
+    each keeping its key, with the angle p.a and const 2."""
+    return ExactMap(f.n, f.keys, np.arange(len(f)), f.values, _mixed_dot(f), 2)
+
+
+def _phase_series(terms: ExactMap, psi: np.ndarray, last: int) -> list[TrigPoly]:
+    """Orders j = 0..last of sum_m amps[m] psi[m]^j / j! e^{2 pi i keys[m]}
+    over the grouped ``terms``, psi given in their order.
+
+    One grouping serves every order; order j is the j-th Taylor coefficient
+    of the per-term phase e^{psi hbar}.
+    """
+    amps = terms.amps
+    out = [terms.sum(amps)]
     for j in range(1, last + 1):
         amps = amps * psi / j
-        terms.append(_sum_groups(n, groups, amps))
-    return terms
+        out.append(terms.sum(amps))
+    return out
 
 
 def _taylor_terms(f: TrigPoly, g: TrigPoly, orientation: Orientation, last: int) -> list[TrigPoly]:
     """Order-j terms of the product for j = 0..last: each pair contributes
     its amplitude times (i theta)^j / j!."""
-    const, m = _pair_angles(f, g, orientation)
-    groups, weights = _pair_terms(f, g)
-    return _phase_series(f.n, groups, weights, 1j * (const * math.pi * m), last)
+    pairs = product_map(f, g, orientation)
+    return _phase_series(pairs, 1j * (pairs.const * math.pi * pairs.angles), last)
 
 
 def bidifferential(order: int, f: TrigPoly, g: TrigPoly, orientation: Orientation) -> TrigPoly:
@@ -183,9 +262,7 @@ def star_exact(f: TrigPoly, g: TrigPoly, h: HbarValue, orientation: Orientation 
         CHECK: e^{-2 pi i hbar p.b}
         MOYAL: e^{pi i hbar (a.q - p.b)}
     """
-    const, m = _pair_angles(f, g, orientation)
-    groups, amps = _pair_terms(f, g)
-    return _sum_groups(f.n, groups, amps * _unit_phases(const * math.pi * h.hbar, 2 * h.k // abs(const), m))
+    return product_map(f, g, orientation).at(h)
 
 
 def _residues(m: np.ndarray, period: int) -> np.ndarray:
@@ -219,18 +296,11 @@ def _mixed_dot(f: TrigPoly) -> np.ndarray:
     return np.einsum("ij,ij->i", f.keys[:, : f.n], f.keys[:, f.n :])
 
 
-def _own_runs(f: TrigPoly):
-    """The ``_group_keys`` runs of f's keys, which are sorted and unique
-    already: every run is one term, in place."""
-    index = np.arange(len(f))
-    return index, index, f.keys
-
-
 def berezin_truncated(f: TrigPoly, order: int) -> HbarSeries:
     """Series form e^{-hbar Delta} f of the Berezin transform: the hbar^j
     term multiplies the (p, a) amplitude by (2 pi i p.a)^j / j!."""
-    psi = 2j * math.pi * _mixed_dot(f)
-    return HbarSeries(f.n, tuple(_phase_series(f.n, _own_runs(f), f.values, psi, _check_order(order))))
+    terms = berezin_map(f)
+    return HbarSeries(f.n, tuple(_phase_series(terms, 2j * math.pi * terms.angles, _check_order(order))))
 
 
 def berezin_exact(f: TrigPoly, h: HbarValue) -> TrigPoly:
@@ -241,8 +311,7 @@ def berezin_exact(f: TrigPoly, h: HbarValue) -> TrigPoly:
     dual-basis matrices in the primary basis agrees with quantizing the
     transformed function exactly.
     """
-    angles = _residues(_mixed_dot(f), h.k)
-    return TrigPoly._from_arrays(f.n, f.keys, f.values * np.exp(1j * (2.0 * math.pi * h.hbar * angles)))
+    return berezin_map(f).at(h)
 
 
 def equivalence_map(gamma, order: int, f: TrigPoly) -> HbarSeries:
@@ -262,7 +331,7 @@ def equivalence_map(gamma, order: int, f: TrigPoly) -> HbarSeries:
         raise ValueError("gamma must be symmetric")
     # u^T gamma u from the exact integer products u_i u_j of each key u
     quad = (f.keys[:, :, None] * f.keys[:, None, :]).reshape(len(f), 4 * n * n) @ gamma.reshape(-1)
-    return HbarSeries(n, tuple(_phase_series(n, _own_runs(f), f.values, -2.0 * math.pi**2 * quad, order)))
+    return HbarSeries(n, tuple(_phase_series(berezin_map(f), -2.0 * math.pi**2 * quad, order)))
 
 
 # -- trace -------------------------------------------------------------------

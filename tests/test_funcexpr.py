@@ -341,3 +341,25 @@ def test_lattice_mean_memory_is_one_slab(source, n, grid, budget):
     finally:
         tracemalloc.stop()
     assert peak <= budget
+
+
+def test_a_subexpression_off_the_slab_axis_is_evaluated_once_per_mean(monkeypatch):
+    # the y1 factor of SMOOTH does not read x1, the slab axis: it is
+    # evaluated once, not once per slab, and the mean does not move
+    ast = parse(SMOOTH)
+    factor = ast.right
+    assert funcexpr.variables(factor) == {funcexpr.Variable("y", 1)}
+    calls = []
+    original = funcexpr._eval
+
+    def counted(node, xs, ys, scalar):
+        calls.append(node)
+        return original(node, xs, ys, scalar)
+
+    monkeypatch.setattr(funcexpr, "_eval", counted)
+    assert 1024**2 // funcexpr.SLAB_POINTS == 8
+    mean = lattice_mean(ast, 1, 1024)
+    assert sum(node == factor for node in calls) == 1
+    assert sum(node == ast.left for node in calls) == 8
+    monkeypatch.setattr(funcexpr, "_eval", original)
+    assert mean == sample_lattice(ast, 1, 1024).mean()

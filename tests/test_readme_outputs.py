@@ -1,0 +1,37 @@
+"""The script that runs the README's commands and compares two runs."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("readme_outputs", ROOT / "scripts" / "readme_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_script_runs_the_commands_the_readme_lists_in_its_order():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Ready-made configs live in `configs/`:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    listed = [re.sub(r"\s+#.*", "", line).split()[1:] for line in block.strip().splitlines()]
+    assert [list(args) for _name, args in load_script().COMMANDS] == listed
+
+
+def test_compare_names_the_files_that_differ(tmp_path, capsys):
+    script = load_script()
+    first, second = tmp_path / "first", tmp_path / "second"
+    for root, wall in ((first, "1.5"), (second, "2.5")):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "a.report.json").write_text(f'{{\n  "error": 1.0,\n  "wall_time_s": {wall}\n}}\n')
+    assert script.main(["compare", str(first), str(second)]) == 0
+    assert "1 files byte-identical" in capsys.readouterr().out
+    (second / "run" / "a.report.json").write_text('{\n  "error": 2.0,\n  "wall_time_s": 1.5\n}\n')
+    assert script.main(["compare", str(first), str(second)]) == 1
+    assert "run/a.report.json" in capsys.readouterr().err
+    (second / "run" / "extra.csv").write_text("k\n")
+    assert script.main(["compare", str(first), str(second)]) == 1
+    assert "different files" in capsys.readouterr().err

@@ -87,6 +87,19 @@ def test_l2_norms_far_from_one_are_certified(tmp_path, data, first):
         assert report["rows"][0]["error"] == pytest.approx(first, rel=1e-5)
 
 
+def test_the_exact_transform_of_a_large_symbol_is_judged_relative_to_its_size(tmp_path):
+    # defects of 3e184 to 5e184 are 3e-16 to 5e-16 of ||f||_l1 = 3e200:
+    # rounding, judged against 1e-10 ||f||_l1 as a small symbol is judged
+    data = {"experiment": "intertwine", "n": 1, "k_min": 128, "k_max": 512, "order": 1,
+            "f": coeffs(([1], [1], 1e200), ([0], [1], 1e200), ([2], [1], 1e200))}
+    assert run_cli(tmp_path, "run", data) == 0
+    report = report_of(tmp_path)
+    (exact,) = [s for s in report["series"] if s["name"] == "exact_transform"]
+    assert exact["outcome"] == "exact_identity" and exact["passed"]
+    assert report["details"]["exact_tolerance"] == 1e-10 * 3e200
+    assert 1e184 < report["details"]["exact_max_error"] < 1e-15 * 3e200
+
+
 B = MAX_FREQ
 LARGE_F = TrigPoly.harmonic(1, (B,), (-(B - 3),))
 LARGE_G = TrigPoly.harmonic(1, (B - 1,), (B,))
