@@ -26,10 +26,10 @@ product or assembly; only the LAPACK l2 route below scatters a matrix.  l1
 and linf are exact column and row sums, kept on each operator once
 computed.  l2 is the LAPACK 2-norm up to dimension LAPACK_L2_MAX_DIM, where
 it is the cheaper route.  Above it, l2 is the square root of the top Ritz
-value theta of a three-term Lanczos recurrence on A*A from a seeded start
-built once per dimension, which holds two vectors whatever its step budget,
-certified by a block Cholesky factorization of theta (1 + L2_CERT_DELTA) I -
-A*A, made block tridiagonal by interleaving the outermost axis and factored
+value theta of a three-term Lanczos recurrence on A*A from a seeded start,
+which holds two vectors whatever its step budget, certified by a block
+Cholesky factorization of theta (1 + L2_CERT_DELTA) I - A*A, made block
+tridiagonal by interleaving the outermost axis and factored
 in block rows of at least CERT_MIN_ROWS entries, each carrying only the
 last interleaving block of the row before it (``_certify``); where an
 interleaving block would pass ``config.CERT_BLOCK_CAP``, the run does not
@@ -54,7 +54,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -298,25 +297,6 @@ def _certify(gram: DiagonalOperator, mu: float, interleaving: tuple[np.ndarray, 
     return True
 
 
-@lru_cache(maxsize=8)
-def _lanczos_start(dim: int) -> np.ndarray:
-    """The unit start vector of ``_lanczos_top`` at dimension ``dim``, from
-    ``default_rng(0)``: built once per dimension and read-only.
-
-    Seeding a generator and drawing the vector cost ``sweep_dense`` (2
-    CPUs) about 8 % of its wall time when every Lanczos run did it.  The
-    cache keeps the last eight dimensions; over a sweep whose dimension
-    grows geometrically they hold less than two start vectors of its largest
-    dimension, beside the three vectors and S diagonals a Lanczos run there
-    holds anyway.
-    """
-    rng = np.random.default_rng(0)
-    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    start = start / np.linalg.norm(start)
-    start.setflags(write=False)
-    return start
-
-
 def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
     """(top Ritz value, steps) of Lanczos on the Hermitian ``gram`` from a
     seeded start; the value is None when the Ritz pair has not converged
@@ -332,7 +312,9 @@ def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
     """
     dim = gram.spec.dim
     budget = min(LANCZOS_BUDGET, dim)
-    v, previous = _lanczos_start(dim).copy(), None  # the recurrence scales it in place
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v, previous = start / np.linalg.norm(start), None
     alpha, beta = np.zeros(budget), np.zeros(budget)
     for j in range(budget):
         # every update is in place: one new vector per step, from rmatvec

@@ -28,11 +28,18 @@ and has an operator algebra closed on diagonals (``@``, ``+``, ``-``,
 R_A R_B, found in O(R_A R_B k^n) time, so the sweeps and the acceptance
 checks take their operators, defects and norms from it (see
 ``analysis.operator_norm``) with no dense product, and the ``assemble``
-CSV writer reads its entries off the diagonals.  ``dense()`` scatters it
-into an ndarray below ``DENSE_DIM_CAP``.  ``assemble_toeplitz`` wraps that
-matrix as a ``QuantumOperator``, a record that no package code reads: the
-tests keep it as an oracle and the benchmark tracer patches it.  Traces
-need no operator at all: hbar^n tr Q_f is ``analysis.lattice_mean(f, k)``.
+CSV writer reads its entries off the diagonals.  The flat row index of
+every diagonal entry (``rows``) is built on first read, from a per-k
+wrapped window (r + arange(k)) % k combined over the axes by broadcasting,
+with no modulo pass; an operator whose rows nothing reads never builds
+them.  A sum adds each side's diagonals by one fancy-index ``+=`` and an
+adjoint moves them by one fancy assignment: each side's residues are
+distinct and each diagonal's rows a permutation, so no entry is hit
+twice.  ``dense()`` scatters it into an ndarray below ``DENSE_DIM_CAP``.
+``assemble_toeplitz`` wraps that matrix as a ``QuantumOperator``, a record
+that no package code reads: the tests keep it as an oracle and the
+benchmark tracer patches it.  Traces need no operator at all: hbar^n tr Q_f
+is ``analysis.lattice_mean(f, k)``.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .trigpoly import TrigPoly
 
@@ -85,15 +93,6 @@ class HilbertSpec:
         return 1.0 / self.k
 
 
-@lru_cache(maxsize=32)
-def _residue_grid(n: int, k: int) -> np.ndarray:
-    """(k^n, n) array of residue vectors in row-major index order."""
-    grids = np.meshgrid(*([np.arange(k)] * n), indexing="ij")
-    out = np.stack([g.reshape(-1) for g in grids], axis=1)
-    out.setflags(write=False)
-    return out
-
-
 class QuantumOperator:
     """Dense matrix of a level-k operator, tagged with its basis: the record
     ``assemble_toeplitz`` returns.  Nothing in the package reads it; the
@@ -134,25 +133,47 @@ class QuantumOperator:
         return f"QuantumOperator(n={self.spec.n}, k={self.spec.k}, {self.spec.polarization.value})"
 
 
+@lru_cache(maxsize=32)
+def _wrapped(k: int) -> np.ndarray:
+    """(k, k) read-only window with wrapped[r] = (r + arange(k)) % k: row r
+    of ``sliding_window_view`` over 0..k-1, 0..k-2, so O(k) memory."""
+    return sliding_window_view(np.arange(2 * k - 1) % k, k)
+
+
 def _shifted_index(n: int, k: int, shifts: np.ndarray) -> np.ndarray:
-    """(R, k^n) flat indices of the residues [m' + r], one row per shift r."""
-    grid = _residue_grid(n, k)
-    out = np.zeros((len(shifts), k**n), dtype=np.int64)
-    for axis in range(n):  # row-major: the last axis varies fastest
-        out *= k
-        out += (grid[:, axis] + shifts[:, axis, None]) % k
+    """(R, k^n) flat indices of the residues [m' + r], one row per shift r:
+    the wrapped rows of each axis combined by broadcasting in row-major
+    order (Horner's rule, the last axis fastest), with no modulo; read-only."""
+    wrapped = _wrapped(k)
+    out = wrapped[shifts[:, 0]]
+    for axis in range(1, n):
+        out = out[..., None] * k + wrapped[shifts[:, axis]].reshape((-1,) + (1,) * axis + (k,))
+    out = out.reshape(len(shifts), k**n)
+    out.setflags(write=False)
     return out
+
+
+def _residue_codes(vectors: np.ndarray, k: int) -> np.ndarray:
+    """The flat row-major index of each row's residue mod k (Horner's rule)."""
+    codes = vectors[:, 0] % k
+    for column in range(1, vectors.shape[1]):
+        codes = codes * k + vectors[:, column] % k
+    return codes
 
 
 def _distinct_residues(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(distinct residues mod k of the rows of ``vectors``, the index of
     each row's residue among them)."""
-    shape = (k,) * vectors.shape[1]
-    codes = np.ravel_multi_index((vectors % k).T, shape)
-    present = np.zeros(k ** vectors.shape[1], dtype=bool)  # a mark per residue: no sort
+    n = vectors.shape[1]
+    codes = _residue_codes(vectors, k)
+    present = np.zeros(k**n, dtype=bool)  # a mark per residue: no sort
     present[codes] = True
     rank = np.cumsum(present) - 1
-    return np.stack(np.unravel_index(np.flatnonzero(present), shape), axis=-1), rank[codes]
+    distinct = np.flatnonzero(present)
+    residues = np.empty((len(distinct), n), dtype=np.int64)
+    for column in range(n - 1, -1, -1):  # the digits, the last one first
+        distinct, residues[:, column] = np.divmod(distinct, k)
+    return residues, rank[codes]
 
 
 class DiagonalOperator:
@@ -161,11 +182,14 @@ class DiagonalOperator:
     ``shifts`` is an (R, n) int array of distinct residues r in
     {0..k-1}^n and ``values`` an (R, k^n) complex array: column m' holds
     values[i, m'] in row [m' + shifts[i]] and nothing else.  ``rows`` is
-    that row as a flat index, an (R, k^n) array.  R <= k^n, and R is at
+    that row as a flat index, an (R, k^n) array built on first read from
+    the wrapped window of ``_shifted_index``, so an operator whose rows
+    nothing reads (the inputs of a difference or of ``intertwine``, an
+    operator normed only in l1) never builds them.  R <= k^n, and R is at
     most the number of x-frequencies of the symbol.
     """
 
-    __slots__ = ("spec", "shifts", "values", "rows", "_conj", "_l1", "_linf")
+    __slots__ = ("spec", "shifts", "values", "_rows", "_conj", "_l1", "_linf")
 
     def __init__(self, spec: HilbertSpec, shifts, values):
         shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, spec.n)
@@ -173,15 +197,14 @@ class DiagonalOperator:
         if values.shape != (len(shifts), spec.dim):
             raise ValueError(f"values must have shape ({len(shifts)}, {spec.dim}), got {values.shape}")
         shifts = shifts % spec.k
-        rows = _shifted_index(spec.n, spec.k, shifts)
-        if len(set(rows[:, 0].tolist())) != len(shifts):  # rows[:, 0] is [0 + r]
+        if len(set(_residue_codes(shifts, spec.k).tolist())) != len(shifts):
             raise ValueError("shifts must be distinct residues mod k")
-        self._set(spec, shifts, values.copy(), rows)
+        self._set(spec, shifts, values.copy(), None)
 
-    def _set(self, spec: HilbertSpec, shifts: np.ndarray, values: np.ndarray, rows: np.ndarray) -> None:
-        self.spec, self.shifts, self.values, self.rows = spec, shifts, values, rows
-        for a in (shifts, values, rows):
-            a.setflags(write=False)
+    def _set(self, spec: HilbertSpec, shifts: np.ndarray, values: np.ndarray, rows: np.ndarray | None) -> None:
+        self.spec, self.shifts, self.values, self._rows = spec, shifts, values, rows
+        shifts.setflags(write=False)
+        values.setflags(write=False)
         self._conj = None  # values.conj(), made by the first rmatvec
         self._l1 = self._linf = None  # the norms, made by their first call
 
@@ -190,10 +213,18 @@ class DiagonalOperator:
         """Wrap arrays this module has just built, with no copy and no check:
         ``shifts`` distinct residues in {0..k-1}^n (int64), ``values`` an
         (R, k^n) complex128 array no one else writes, and ``rows`` their
-        flat row indices when the caller already has them."""
+        flat row indices when the caller already has them (None builds them
+        on first read)."""
         out = object.__new__(cls)
-        out._set(spec, shifts, values, _shifted_index(spec.n, spec.k, shifts) if rows is None else rows)
+        out._set(spec, shifts, values, rows)
         return out
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (R, k^n) flat row indices, read-only, built on first read."""
+        if self._rows is None:
+            self._rows = _shifted_index(self.spec.n, self.spec.k, self.shifts)
+        return self._rows
 
     def matvec(self, x) -> np.ndarray:
         """A x for a length-k^n vector x."""
@@ -266,20 +297,21 @@ class DiagonalOperator:
         diagonals of equal residues summed, self's first."""
         self._check_compatible(other)
         shifts, which = _distinct_residues(np.concatenate([self.shifts, other.shifts]), self.spec.k)
-        dim = self.spec.dim
-        out = np.zeros((len(shifts), dim), dtype=complex)
-        flat = which[:, None] * dim + np.arange(dim)  # one np.add.at, in the order of the rows
-        np.add.at(out.reshape(-1), flat.ravel(), np.concatenate([self.values, values]).ravel())
+        out = np.zeros((len(shifts), self.spec.dim), dtype=complex)
+        # each side's residues are distinct, so no target repeats within a +=
+        out[which[: len(self.shifts)]] += self.values
+        out[which[len(self.shifts) :]] += values
         return DiagonalOperator._from_arrays(self.spec, shifts, out)
 
     def scale(self, value: complex) -> "DiagonalOperator":
-        return DiagonalOperator._from_arrays(self.spec, self.shifts, self.values * complex(value), self.rows)
+        return DiagonalOperator._from_arrays(self.spec, self.shifts, self.values * complex(value), self._rows)
 
     def adjoint(self) -> "DiagonalOperator":
         """The conjugate transpose: diagonal r becomes diagonal -r, entry
-        values[r, m'] moving to column [m' + r]."""
-        values = np.zeros_like(self.values)
-        np.put_along_axis(values, self.rows, self.values.conj(), axis=1)
+        values[r, m'] moving to column [m' + r].  Every row of ``rows`` is a
+        permutation, so one assignment fills every entry."""
+        values = np.empty_like(self.values)
+        values[np.arange(len(self.shifts))[:, None], self.rows] = self.values.conj()
         return DiagonalOperator._from_arrays(self.spec, -self.shifts % self.spec.k, values)
 
     def dense(self) -> np.ndarray:
@@ -316,7 +348,7 @@ def toeplitz_diagonals(f: TrigPoly, spec: HilbertSpec) -> DiagonalOperator:
     n, k, dim = spec.n, spec.k, spec.dim
     shifts, which = _distinct_residues(f.keys[:, :n], k)
     grid = np.zeros((len(shifts), dim), dtype=complex)
-    cells = np.ravel_multi_index((f.keys[:, n:] % k).T, (k,) * n)
+    cells = _residue_codes(f.keys[:, n:], k)
     np.add.at(grid.reshape(-1), which * dim + cells, f.values)
     axes = tuple(range(1, n + 1))
     values = np.fft.ifftn(grid.reshape((-1,) + (k,) * n), axes=axes, norm="forward").reshape(-1, dim)
@@ -341,7 +373,7 @@ def intertwine(op: DiagonalOperator) -> DiagonalOperator:
     if op.spec.polarization is not Polarization.MOMENTUM:
         raise PolarizationError("intertwine expects a MOMENTUM-basis operator")
     target = HilbertSpec(op.spec.n, op.spec.k, Polarization.POSITION)
-    return DiagonalOperator._from_arrays(target, op.shifts, op.values, op.rows)
+    return DiagonalOperator._from_arrays(target, op.shifts, op.values, op._rows)
 
 
 def torus_generator_diagonals(spec: HilbertSpec, axis: int) -> tuple[DiagonalOperator, DiagonalOperator]:

@@ -639,9 +639,10 @@ def test_cli_refuses_a_negative_seed_override(tmp_path, capsys, command, config)
 
 def test_every_shipped_config_runs_in_the_readme_and_both_ci_jobs():
     # CI checks byte identity on exactly the README commands, which both
-    # jobs run through scripts/readme_outputs.py (tests/test_readme_outputs.py
-    # holds its list to the README's); a config missing from the README
-    # would ship unchecked, and a name without a config would fail only in CI
+    # jobs run twice through scripts/readme_outputs.py
+    # (tests/test_readme_outputs.py holds its list to the README's); a
+    # config missing from the README would ship unchecked, and a name
+    # without a config would fail only in CI
     root = Path(__file__).resolve().parents[1]
     shipped = {path.stem for path in (root / "configs").glob("*.json")}
     readme = (root / "README.md").read_text(encoding="utf-8")
@@ -651,8 +652,9 @@ def test_every_shipped_config_runs_in_the_readme_and_both_ci_jobs():
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     steps = re.findall(r"- name: Run the README commands.*?\n(?=      - name|\n  \S|\Z)", workflow, re.S)
     assert len(steps) == 2
-    for step in steps:
-        assert "python scripts/readme_outputs.py run " in step
+    for step in steps:  # each job runs them twice and compares the two runs
+        assert step.count("python scripts/readme_outputs.py run ") == 2
+        assert "python scripts/readme_outputs.py compare " in step
 
 
 def test_cli_threads_flag_is_a_usage_error(tmp_path):
