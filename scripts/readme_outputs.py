@@ -31,6 +31,7 @@ COMMANDS = (
             "product_n2",
             "intertwine_random",
             "intertwine_n2",
+            "intertwine_n2_order2",
             "trace_smooth",
             "trace_bandlimited",
             "riemann_smooth",

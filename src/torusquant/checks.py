@@ -70,8 +70,10 @@ def _largest_column_norm(op: DiagonalOperator) -> float:
 
 
 def check_exact_homomorphism() -> CheckResult:
-    """Quantizing the exact product reproduces the matrix product."""
-    worst_ratio = 0.0
+    """Quantizing the exact product reproduces the matrix product: every
+    defect's certified upper value (``L2Reading.upper``) is within its
+    tolerance; the summary reports the worst defect over its tolerance."""
+    worst_ratio = worst_upper = 0.0
     per_level = {k: 0.0 for k in POW2_LEVELS}
     for i in range(10):
         f, g = _corpus_pair(i)
@@ -86,12 +88,13 @@ def check_exact_homomorphism() -> CheckResult:
             tol = 1e-10 * (1.0 + _largest_column_norm(df) * _largest_column_norm(dg))
             err = certified_l2_norm(err_op, tol)
             worst_ratio = max(worst_ratio, err / tol)
+            worst_upper = max(worst_upper, err.upper / tol)
             per_level[k] = max(per_level[k], err)
     rows = [SweepPoint(k, 1.0 / k, per_level[k], "l2") for k in POW2_LEVELS]
     return CheckResult(
         cid=1,
         title="exact product homomorphism",
-        passed=worst_ratio <= 1.0,
+        passed=worst_upper <= 1.0,
         summary=f"10 pairs, k in {{{POW2_LEVELS[0]}..{POW2_LEVELS[-1]}}}, worst error/tolerance {worst_ratio:.3e}",
         details={
             "worst_ratio": worst_ratio,

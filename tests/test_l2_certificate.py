@@ -1,6 +1,7 @@
 """Certified Lanczos l2 norms of wrapped-diagonal operators against LAPACK."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from torusquant.analysis import (
     LANCZOS_CHECK,
     LAPACK_L2_MAX_DIM,
     LOWER_SOLVE_LEAF,
+    TORUS_RELATION_TOL,
     L2Reading,
     L2RouteError,
     NormKind,
@@ -21,13 +23,30 @@ from torusquant.analysis import (
     _lanczos_top,
     _lower_solve,
     _panel_entries,
+    _product_remainder,
+    _remainder_at,
+    _schur_update,
+    _tridiagonal,
+    intertwine_sweep,
     norm_bound_sweep,
     operator_norm,
     product_sweep,
+    torus_relations_sweep,
 )
-from torusquant.quantize import HilbertSpec, toeplitz_diagonals
-from torusquant.starprod import HbarValue, berezin_exact, berezin_truncated, star_exact, star_truncated
+from torusquant.checks import check_exact_homomorphism
+from torusquant.config import CERT_BLOCK_CAP, GRAM_ENTRY_CAP, ConfigError, parse_config
+from torusquant.quantize import DiagonalOperator, HilbertSpec, toeplitz_diagonals
+from torusquant.starprod import (
+    HbarValue,
+    berezin_exact,
+    berezin_map,
+    berezin_truncated,
+    star_exact,
+    star_truncated,
+)
 from torusquant.trigpoly import TrigPoly, random_trig_poly
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _symbol(seed: int, n: int, bandwidth: int, kind: str, k: int) -> TrigPoly:
@@ -176,6 +195,12 @@ def _two_slice_band(seed: int, k: int) -> TrigPoly:
     return TrigPoly._from_arrays(2, f.keys[f.keys[:, 0] >= 0], f.values[f.keys[:, 0] >= 0])
 
 
+def _certificate_operator(seed, n, bandwidth, kind, k):
+    if kind == "two_slice":
+        return toeplitz_diagonals(_two_slice_band(seed, k), HilbertSpec(n, k))
+    return _diagonals(seed, n, bandwidth, kind, k)
+
+
 @pytest.mark.parametrize(
     "seed, n, bandwidth, kind, k, bs, size",
     [
@@ -188,10 +213,7 @@ def _two_slice_band(seed: int, k: int) -> TrigPoly:
     ],
 )
 def test_merged_block_rows_certify_the_top_eigenvalue(seed, n, bandwidth, kind, k, bs, size):
-    if kind == "two_slice":
-        op = toeplitz_diagonals(_two_slice_band(seed, k), HilbertSpec(n, k))
-    else:
-        op = _diagonals(seed, n, bandwidth, kind, k)
+    op = _certificate_operator(seed, n, bandwidth, kind, k)
     perm, block = interleaving = _interleaving(op)
     assert block == bs and bs * -(-CERT_MIN_ROWS // bs) == size
     gram = op.adjoint() @ op
@@ -204,12 +226,15 @@ def test_merged_block_rows_certify_the_top_eigenvalue(seed, n, bandwidth, kind, 
     interleaved = dense[np.ix_(perm, perm)]
     rows, cols = np.nonzero(np.tril(interleaved))
     assert (cols >= rows // size * size - bs).all()
-    # and each panel holds exactly those columns of its block row, negated,
-    # read off a copy padded by bs in front and to whole block rows behind
-    flat, values, starts = _panel_entries(gram, perm, bs, size)
+    # and each panel holds exactly those columns of mu I - G in its block
+    # row, read off a copy padded by bs in front and by mu I to whole block
+    # rows behind
+    mu = top * (1.0 + L2_CERT_DELTA)
+    flat, values, starts = _panel_entries(gram, perm, bs, size, mu)
     dim = op.spec.dim
     padded = np.zeros((bs + len(starts) * size,) * 2, dtype=complex)
-    padded[bs : bs + dim, bs : bs + dim] = -interleaved
+    padded[bs : bs + dim, bs : bs + dim] = mu * np.eye(dim) - interleaved
+    np.fill_diagonal(padded[bs + dim :, bs + dim :], mu)
     for row, (start, stop) in enumerate(zip(starts[:-1], starts[1:])):
         panel = np.zeros(size * (bs + size), dtype=complex)
         panel[flat[start:stop]] = values[start:stop]
@@ -363,3 +388,197 @@ def test_lanczos_out_of_budget_above_the_dense_cap_names_what_failed(monkeypatch
     assert "after 8 Lanczos steps" in message and "LANCZOS_BUDGET = 8" in message
     assert "convergence test" in message
     assert isinstance(err.value, ValueError)
+
+
+# -- the slice-triangular Schur update and the trimmed certified readings --------
+
+
+def _schur_update_oracle(factor, coupling):
+    """The Schur update as one dense triangular solve and one GEMM, before it
+    followed the slice-triangular coupling."""
+    x = _lower_solve(factor, coupling.conj().T)
+    return x.conj().T @ x
+
+
+def _random_factor(rng, size):
+    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return np.linalg.cholesky(a.conj().T @ a / size + np.eye(size))
+
+
+@pytest.mark.parametrize("leaf", [LOWER_SOLVE_LEAF, 16])
+@pytest.mark.parametrize("b, inner", [(64, 16), (96, 12), (80, 16), (512, 64)])
+def test_slice_triangular_schur_update_agrees_with_the_dense_one(monkeypatch, leaf, b, inner):
+    # a coupling upper block-triangular in slices of `inner` entries, as the
+    # interleaved Gram matrix gives; with leaves of 16 the small blocks
+    # recurse too, and 80 = 5 slices halves unevenly
+    monkeypatch.setattr("torusquant.analysis.LOWER_SOLVE_LEAF", leaf)
+    rng = np.random.default_rng(b + inner)
+    lower = _random_factor(rng, b)
+    coupling = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
+    slices = np.arange(b) // inner
+    coupling[slices[:, None] > slices[None, :]] = 0.0
+    want = _schur_update_oracle(lower, coupling)
+    got = _schur_update(lower, coupling, inner)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("leaf", [LOWER_SOLVE_LEAF, 8])
+@pytest.mark.parametrize(
+    "seed, n, bandwidth, kind, k",
+    [
+        (25, 1, 2, "random", 100),  # merged n = 1 rows: b = 8, R = 32
+        (27, 1, 2, "product", 100),  # b = 16, R = 32
+        (28, 2, 0, "two_slice", 10),  # n = 2: b = 20, two slices of 10
+        (29, 2, 0, "two_slice", 12),  # b = 24
+        (30, 2, 1, "random", 18),  # b = 72, four slices of 18
+        (32, 2, 1, "product", 20),  # b = 160, eight slices of 20
+    ],
+)
+def test_schur_updates_of_real_grams_agree_with_the_dense_one(monkeypatch, leaf, seed, n, bandwidth, kind, k):
+    # every update a certificate makes, against the dense one; leaves of 8
+    # make the real couplings recurse at their slice boundaries
+    op = _certificate_operator(seed, n, bandwidth, kind, k)
+    interleaving = _interleaving(op)
+    gram = op.adjoint() @ op
+    top = np.linalg.eigvalsh(gram.dense())[-1]
+    calls = []
+
+    def checked(factor, coupling, inner):
+        assert inner == op.spec.dim // k
+        got = _schur_update(factor, coupling, inner)
+        want = _schur_update_oracle(factor, coupling)
+        calls.append(np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want))
+        return got
+
+    monkeypatch.setattr("torusquant.analysis._schur_update", checked)
+    monkeypatch.setattr("torusquant.analysis.LOWER_SOLVE_LEAF", leaf)
+    assert _certify(gram, top * (1.0 + L2_CERT_DELTA), interleaving)
+    assert not _certify(gram, top * (1.0 - 1e-9), interleaving)
+    assert calls and all(calls)
+
+
+def test_certificate_decides_every_product_n2_level_up_to_k32():
+    # the shipped n = 2 product: blocks of 256 entries at k = 16 (one leaf)
+    # and 512 at k = 32 (halved at its slice boundary)
+    cfg = parse_config(CONFIGS / "product_n2.json")
+    f, g = cfg.symbols()
+    remainder = _product_remainder(f, g, cfg.order)
+    for k in [k for k in cfg.k_values() if k <= 32]:
+        op = remainder(k)
+        interleaving = _interleaving(op)
+        assert interleaving[1] == 16 * k
+        gram = op.adjoint() @ op
+        top = np.linalg.eigvalsh(gram.dense())[-1]
+        assert _certify(gram, top * (1.0 + L2_CERT_DELTA), interleaving)
+        assert not _certify(gram, top * (1.0 - 1e-9), interleaving)
+
+
+def test_the_order2_n2_intertwine_fills_the_certificate_budget():
+    # configs/intertwine_n2_order2.json reaches k = 256 at n = 2: blocks of
+    # 2 x 4 x 256 entries, exactly CERT_BLOCK_CAP, and 81 x 256^2 entries of
+    # A*A, under GRAM_ENTRY_CAP; one level more is refused at parse
+    cfg = parse_config(CONFIGS / "intertwine_n2_order2.json")
+    assert (cfg.n, cfg.order, cfg.k_values()) == (2, 2, [16, 32, 64, 128, 256])
+    (f,) = cfg.symbols()
+    op = _remainder_at(berezin_map(f), berezin_truncated(f, cfg.order))(256)
+    assert _interleaving(op)[1] == 2 * 4 * 256 == CERT_BLOCK_CAP
+    reach = {tuple(s) for s in (op.shifts[:, None, :] - op.shifts[None, :, :]).reshape(-1, 2) % 256}
+    assert len(reach) * 256**2 == 81 * 256**2 <= GRAM_ENTRY_CAP
+    with pytest.raises(ConfigError, match="k_max"):
+        parse_config({**cfg.normalized(), "k_max": 512})
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (1, 7), (1, 16), (1, 33), (1, 64), (2, 5), (2, 8)])
+def test_lapack_leaf_reads_the_bits_of_numpy_norm(n, k):
+    # every residue a diagonal: a random complex matrix of dimension k^n
+    rng = np.random.default_rng(100 * n + k)
+    spec = HilbertSpec(n, k)
+    shifts = np.stack(np.unravel_index(np.arange(spec.dim), (k,) * n), axis=1)
+    values = rng.standard_normal((spec.dim, spec.dim)) + 1j * rng.standard_normal((spec.dim, spec.dim))
+    op = DiagonalOperator(spec, shifts, values)
+    reading = operator_norm(op, NormKind.L2)
+    assert reading.method == "lapack_svd"
+    assert float(reading) == float(np.linalg.norm(op.dense(), 2))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 33, 64])
+def test_tridiagonal_has_the_bits_of_the_diag_build(size):
+    rng = np.random.default_rng(size)
+    alpha, off = rng.standard_normal(size), np.abs(rng.standard_normal(size - 1))
+    want = np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
+    got = _tridiagonal(alpha, off)
+    assert got.tobytes() == want.tobytes()
+    for g, w in zip(np.linalg.eigh(got), np.linalg.eigh(want)):
+        assert g.tobytes() == w.tobytes()
+
+
+def _panel_entries_int64(gram, perm, bs, size):
+    """The entries of -G sorted by an int64 stable sort of their block ids."""
+    dim = gram.spec.dim
+    position = np.empty(dim, dtype=np.int64)
+    position[perm] = np.arange(dim)
+    rows = position[gram.rows]
+    block = rows // size
+    column = position - (block * size - bs)
+    keep = (column >= 0) & (column < bs + size)
+    rows, block, column = rows[keep], block[keep], column[keep]
+    order = np.argsort(block, kind="stable")
+    flat = ((rows - block * size) * (bs + size) + column)[order]
+    starts = np.searchsorted(block[order], np.arange(-(-dim // size) + 1))
+    return flat, -gram.values[keep][order], starts
+
+
+@pytest.mark.parametrize(
+    "seed, n, bandwidth, kind, k",
+    [
+        (25, 1, 2, "random", 100),
+        (28, 2, 0, "two_slice", 10),
+        (30, 2, 1, "random", 18),
+        (33, 1, 1, "random", 16384),  # 512 block rows: 16-bit keys
+    ],
+)
+def test_narrow_key_panel_entries_have_the_bits_of_the_int64_sort(seed, n, bandwidth, kind, k):
+    op = _certificate_operator(seed, n, bandwidth, kind, k)
+    perm, bs = _interleaving(op)
+    size = bs * -(-CERT_MIN_ROWS // bs)
+    gram = op.adjoint() @ op
+    mu = 1.5 * float(np.abs(gram.values).sum(axis=0).max())
+    flat, values, starts = _panel_entries(gram, perm, bs, size, mu)
+    want_flat, want_values, want_starts = _panel_entries_int64(gram, perm, bs, size)
+    # the same entries in the same order, then the padding of the last block row
+    assert np.array_equal(flat[: len(want_flat)], want_flat)
+    assert np.array_equal(starts[:-1], want_starts[:-1])
+    assert starts[-1] == len(flat) == len(want_flat) + len(starts[:-1]) * size - op.spec.dim
+    # and every panel has the bits of the panel that added mu I per block row
+    width = bs + size
+    for start, stop, want_start, want_stop in zip(starts[:-1], starts[1:], want_starts[:-1], want_starts[1:]):
+        panel, want = np.zeros(size * width, dtype=complex), np.zeros(size * width, dtype=complex)
+        panel[flat[start:stop]] = values[start:stop]
+        want[want_flat[want_start:want_stop]] = want_values[want_start:want_stop]
+        want[np.arange(size) * (width + 1) + bs] += mu
+        assert panel.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("upper_over_tol", [1.0 + 1e-12, 1.0])
+def test_identity_checks_are_judged_on_the_certified_upper_value(monkeypatch, upper_over_tol):
+    # a Lanczos reading just below each tolerance: the exact-transform
+    # identity, the torus relations and criterion 1 fail once its certified
+    # upper value passes the tolerance, and pass while it does not; the
+    # reported values are the readings themselves either way
+    def reading(op, tol):
+        return L2Reading(tol * (1.0 - 1e-12), "lanczos_certified", tol * upper_over_tol, 1)
+
+    monkeypatch.setattr("torusquant.analysis.certified_l2_norm", reading)
+    monkeypatch.setattr("torusquant.checks.certified_l2_norm", reading)
+    passes = upper_over_tol <= 1.0
+    f = random_trig_poly(np.random.default_rng(3000), 1, 2, decay=8.0)
+    report = intertwine_sweep(f, 1, (8, 16, 32, 64))
+    exact = next(s for s in report.series if s.name == "exact_transform")
+    assert report.details["exact_max_error"] == report.details["exact_tolerance"] * (1.0 - 1e-12)
+    assert exact.passed is passes and exact.outcome == ("exact_identity" if passes else "violation")
+    relations = torus_relations_sweep(1, (2, 3, 4))
+    assert relations.details["max_defect"] == TORUS_RELATION_TOL * (1.0 - 1e-12)
+    assert relations.passed is passes
+    criterion = check_exact_homomorphism()
+    assert criterion.details["worst_ratio"] < 1.0
+    assert criterion.passed is passes
