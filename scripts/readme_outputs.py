@@ -10,12 +10,19 @@ first one that exits non-zero.
 ``compare`` checks that the two directories hold the same files and that
 every file is byte-identical once ``reporting.normalize_volatile`` has
 blanked the timestamp and wall-time fields; it names the files that differ
-and exits 1 if any do.
+and exits 1 if any do.  For each file that differs it also says how far it
+moved: the largest relative move among its numbers (JSON floats, and in
+the CSV files cells that read as numbers on both sides) with where it is,
+and the first difference that is not such a number (a key, a string, an
+integer, a line), if there is one.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +67,73 @@ def _files(root: Path) -> list[str]:
     return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
 
 
+def _float(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _walk(a, b, path: str, moves: list, others: list) -> None:
+    """Append (relative move, path) for every pair of JSON numbers of which
+    one is a float, and a description of every other difference."""
+    if any(isinstance(x, float) for x in (a, b)) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)
+    ):
+        moves.append((_relative(float(a), float(b)), path))
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            if key in a and key in b:
+                _walk(a[key], b[key], f"{path}.{key}", moves, others)
+            else:
+                others.append(f"{path}.{key} only in the {'first' if key in a else 'second'}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _walk(x, y, f"{path}[{i}]", moves, others)
+    elif a != b:
+        others.append(f"{path}: {json.dumps(a)} != {json.dumps(b)}")
+
+
+def _csv_moves(a: str, b: str, moves: list, others: list) -> None:
+    """``_walk`` for comma-separated lines, cell by cell."""
+    rows_a, rows_b = list(csv.reader(a.splitlines())), list(csv.reader(b.splitlines()))
+    for line, (x, y) in enumerate(zip(rows_a, rows_b), start=1):
+        if len(x) != len(y):
+            others.append(f"line {line}: {','.join(x)!r} != {','.join(y)!r}")
+            continue
+        for column, (u, v) in enumerate(zip(x, y), start=1):
+            fu, fv = _float(u), _float(v)
+            if fu is not None and fv is not None:
+                moves.append((_relative(fu, fv), f"line {line}, column {column}"))
+            elif u != v:
+                others.append(f"line {line}, column {column}: {u!r} != {v!r}")
+    if len(rows_a) != len(rows_b):
+        others.append(f"{len(rows_a)} lines against {len(rows_b)}")
+
+
+def describe_move(name: str, a: str, b: str) -> str:
+    """How far the normalized text ``b`` of file ``name`` moved from ``a``:
+    the largest relative move among its numbers, and the first other
+    difference, if any."""
+    moves: list = []
+    others: list = []
+    if name.endswith(".json"):
+        _walk(json.loads(a), json.loads(b), "$", moves, others)
+    else:
+        _csv_moves(a, b, moves, others)
+    move, where = max(moves, default=(0.0, None))
+    text = f"{name}: largest relative move {move:.3g}" + (f" at {where}" if move else "")
+    if others:
+        text += f"; first other difference: {others[0]}"
+    return text
+
+
 def compare(first: Path, second: Path) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from torusquant.reporting import normalize_volatile
@@ -68,13 +142,13 @@ def compare(first: Path, second: Path) -> int:
     if names != _files(second):
         print(f"the two runs wrote different files: {sorted(set(names) ^ set(_files(second)))}", file=sys.stderr)
         return 1
-    differ = [
-        name
-        for name in names
-        if normalize_volatile((first / name).read_text()) != normalize_volatile((second / name).read_text())
-    ]
+    texts = {name: (normalize_volatile((first / name).read_text()), normalize_volatile((second / name).read_text()))
+             for name in names}
+    differ = [name for name in names if texts[name][0] != texts[name][1]]
     if differ:
         print(f"files differ between two runs: {differ}", file=sys.stderr)
+        for name in differ:
+            print(f"  {describe_move(name, *texts[name])}", file=sys.stderr)
         return 1
     print(f"{len(names)} files byte-identical across two runs")
     return 0

@@ -14,10 +14,9 @@ the bandwidth; for an expression the mean of its samples there
 of an x-free symbol.
 
 A product or intertwine sweep builds once what does not depend on the
-level: the exact map with its terms grouped by key, the truncated series
-with the keys of all its orders grouped, and the grouping of both key sets
-together (``_remainder_at``), so each level is three segmented sums and an
-assembly.
+level, the exact map with its terms grouped by key, and reads each level's
+remainder symbol off it as one segmented sum of per-term Taylor
+remainders (``ExactMap.remainder``), then assembles it.
 
 The other sweeps and the acceptance checks take their operators, defects
 and norms from the wrapped-diagonal form of each operator
@@ -72,17 +71,8 @@ from .quantize import (
     toeplitz_diagonals,
     torus_generator_diagonals,
 )
-from .starprod import (
-    ExactMap,
-    HbarSeries,
-    HbarValue,
-    berezin_exact,
-    berezin_map,
-    berezin_truncated,
-    product_map,
-    star_truncated,
-)
-from .trigpoly import TrigPoly, _code_dtype, _group_keys
+from .starprod import ExactMap, HbarValue, berezin_exact, berezin_map, product_map
+from .trigpoly import TrigPoly, _code_dtype
 
 # Measured errors at or below this are double-precision accumulation noise
 # and are treated as exact zeros.
@@ -456,35 +446,21 @@ def operator_norm(op: DiagonalOperator, kind: NormKind | str) -> float:
 # torus: Q_f Q_g = Q_{star_exact(f, g, 1/k)}, and re-expressing a dual-basis
 # matrix in the primary basis gives Q_{berezin_exact(f, 1/k)}.  So each
 # truncation error is the Toeplitz operator of a remainder symbol, exact minus
-# truncated series at hbar = 1/k: one assembly, no matrix product.  Neither
-# side's keys depend on k, so a sweep builds once the exact map
-# (``starprod.ExactMap``), the series and the grouping of their keys
-# together, and each level is three segmented sums and the assembly.
+# truncated series at hbar = 1/k: one assembly, no matrix product.  Both sums
+# run over the terms of one exact map, and per term the remainder has a
+# closed form, the tail of the Taylor series of its phase, so a sweep builds
+# the exact map (``starprod.ExactMap``) once and each level is one segmented
+# sum of those tails (``ExactMap.remainder``) and the assembly.
 
 
-def _remainder_at(exact: ExactMap, series: HbarSeries) -> Callable[[int], DiagonalOperator]:
-    """Level k -> wrapped diagonals of the Toeplitz operator of
-    exact(1/k) - series(1/k).
-
-    The exact keys and the series keys are grouped together once.  Each
-    group holds at most one term of either side, exact first, so a level's
-    remainder is one segmented sum of [exact values, -series values], and
-    the exact zeros of that sum are dropped as ``TrigPoly`` drops them.  This
-    is bit for bit the difference of the two polynomials: a term that either
-    side drops as an exact zero only adds a zero here."""
-    order, starts, keys = _group_keys(np.concatenate([exact.keys, series.keys]))
+def _remainder_at(exact: ExactMap, order: int) -> Callable[[int], DiagonalOperator]:
+    """Level k -> wrapped diagonals of the Toeplitz operator of the order-
+    ``order`` remainder of ``exact`` at hbar = 1/k."""
 
     def at(k: int) -> DiagonalOperator:
-        h = HbarValue(k)
-        values = np.concatenate([exact.values(h), -series.values(h.hbar)])
-        remainder = TrigPoly._from_arrays(exact.n, keys, np.add.reduceat(values[order], starts))
-        return toeplitz_diagonals(remainder, HilbertSpec(exact.n, k))
+        return toeplitz_diagonals(exact.remainder(HbarValue(k), order), HilbertSpec(exact.n, k))
 
     return at
-
-
-def _product_remainder(f: TrigPoly, g: TrigPoly, order: int) -> Callable[[int], DiagonalOperator]:
-    return _remainder_at(product_map(f, g), star_truncated(f, g, order))
 
 
 def error_product(f: TrigPoly, g: TrigPoly, order: int, k: int) -> DiagonalOperator:
@@ -492,9 +468,10 @@ def error_product(f: TrigPoly, g: TrigPoly, order: int, k: int) -> DiagonalOpera
 
     Built as the Toeplitz operator of the remainder symbol
     star_exact(f, g, 1/k) - star_truncated(f, g, order)(1/k), which equals
-    the difference of the operators to rounding.
+    the difference of the operators to rounding; the symbol is read per term
+    pair in closed form (``ExactMap.remainder``), not as that difference.
     """
-    return _product_remainder(f, g, order)(k)
+    return _remainder_at(product_map(f, g), order)(k)
 
 
 def error_intertwine(f: TrigPoly, order: int | None, k: int) -> DiagonalOperator:
@@ -508,7 +485,7 @@ def error_intertwine(f: TrigPoly, order: int | None, k: int) -> DiagonalOperator
     routes, so it checks the identity the remainder route relies on.
     """
     if order is not None:
-        return _remainder_at(berezin_map(f), berezin_truncated(f, order))(k)
+        return _remainder_at(berezin_map(f), order)(k)
     return _exact_transform_defect(f, k)
 
 
@@ -737,7 +714,8 @@ def _norm_report(
     extra: Sequence[SeriesSummary] = (),
 ) -> ConvergenceReport:
     """Rows of the three norms of ``error_at(k)`` per level, one slope fit
-    per norm against the order-``order`` window, then the ``extra`` series."""
+    per norm against the order-``order`` window, then the ``extra`` series;
+    the details state the ERROR_FLOOR the fits exclude rows at."""
     cells = [{kind.value: operator_norm(op, kind) for kind in NORM_ORDER} for op in map(error_at, ks)]
     rows = [
         SweepPoint(k, 1.0 / k, float(norms[kind.value]), kind.value)
@@ -749,7 +727,8 @@ def _norm_report(
         for kind in NORM_ORDER
     ]
     series += extra
-    details = {"order": order, **details, **_l2_details(ks, [norms[NormKind.L2.value] for norms in cells])}
+    l2 = [norms[NormKind.L2.value] for norms in cells]
+    details = {"order": order, "error_floor": ERROR_FLOOR, **details, **_l2_details(ks, l2)}
     return ConvergenceReport(experiment, rows, series, all(s.passed for s in series), details)
 
 
@@ -762,7 +741,7 @@ def _norm_report(
 
 def product_sweep(f: TrigPoly, g: TrigPoly, order: int, ks: Sequence[int]) -> ConvergenceReport:
     """Norms of Q_f Q_g - Q_{f *_order g} per level, slope-fitted per norm."""
-    return _norm_report("product", ks, _product_remainder(f, g, order), order, {"error_floor": ERROR_FLOOR})
+    return _norm_report("product", ks, _remainder_at(product_map(f, g), order), order, {})
 
 
 def intertwine_sweep(f: TrigPoly, order: int, ks: Sequence[int]) -> ConvergenceReport:
@@ -788,8 +767,7 @@ def intertwine_sweep(f: TrigPoly, order: int, ks: Sequence[int]) -> ConvergenceR
         "exact_max_error": exact_max,
         "exact_tolerance": tol,
     }
-    remainder = _remainder_at(berezin_map(f), berezin_truncated(f, order))
-    return _norm_report("intertwine", ks, remainder, order, details, [exact])
+    return _norm_report("intertwine", ks, _remainder_at(berezin_map(f), order), order, details, [exact])
 
 
 def trace_sweep(f, ks: Sequence[int], reference: complex | None = None, n: int | None = None) -> ConvergenceReport:

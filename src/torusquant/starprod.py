@@ -7,11 +7,12 @@ order-j term is the Taylor coefficient psi^j / j!.  An ``ExactMap`` holds
 the terms of one map grouped by key once, with their integer phase angles
 (``product_map`` for a symbol pair, ``berezin_map`` for one symbol, whose
 terms keep their own keys): ``ExactMap.at`` reads the exact map at any
-hbar = 1/k as one segmented sum, and ``_phase_series`` reads orders 0..N
-off the same groups.  ``star_exact`` and ``berezin_exact`` are the map read
-at one level; a sweep builds the map once and reads it at every level.
-``HbarSeries`` likewise groups the keys of all its orders once, so each
-``evaluate`` is one segmented sum.
+hbar = 1/k as one segmented sum, ``ExactMap.remainder`` its order-N Taylor
+remainder e^{psi hbar} - sum_{j<=N} (psi hbar)^j / j!, taken per term in
+closed form and summed the same way, and ``_phase_series`` reads orders
+0..N off the same groups.  ``star_exact`` and ``berezin_exact`` are the
+map read at one level; a sweep builds the map once and reads its
+remainder at every level, with no truncated series.
 
 * Products (``star_truncated``, ``bidifferential``, ``star_exact``): the
   pair of f-term (p, a) and g-term (q, b) lands on (p+q, a+b) with
@@ -39,11 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
-from .trigpoly import TrigPoly, _group_keys, _pair_terms
+from .trigpoly import TrigPoly, _collect, _pair_terms
 
 # Truncation orders above this are refused: coefficient growth is factorial
 # and double precision has long stopped meaning anything by then.
@@ -96,37 +96,16 @@ class HbarSeries:
             return self.coefficients[i]
         return TrigPoly.zero(self.n)
 
-    @cached_property
-    def _grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, starts, values, powers): the terms of every order grouped
-        by key once, in a stable sort of the orders' keys concatenated,
-        each run of one key starting at an index of ``starts``; ``keys``
-        holds one key per run, ``values`` the amplitudes in run order and
-        ``powers`` the order of each."""
-        keys = np.concatenate([np.zeros((0, 2 * self.n), dtype=np.int64), *(c.keys for c in self.coefficients)])
-        values = np.concatenate([np.zeros(0, dtype=complex), *(c.values for c in self.coefficients)])
-        powers = np.repeat(np.arange(len(self.coefficients)), [len(c) for c in self.coefficients])
-        order, starts, unique = _group_keys(keys)
-        return unique, starts, values[order], powers[order]
-
-    @property
-    def keys(self) -> np.ndarray:
-        """Every key some order carries, sorted: the keys of ``values``."""
-        return self._grouped[0]
-
-    def values(self, hbar: float) -> np.ndarray:
-        """The amplitude at hbar of every key of ``keys``, exact zeros kept:
-        each order's amplitudes times hbar^i, summed per key in the order
-        of the orders."""
-        _keys, starts, values, powers = self._grouped
-        scales, scale = [], 1.0
-        for _ in self.coefficients:
-            scales.append(complex(scale))
-            scale *= hbar
-        return np.add.reduceat(values * np.array(scales, dtype=complex)[powers], starts)
-
     def evaluate(self, hbar: float) -> TrigPoly:
-        return TrigPoly._from_arrays(self.n, self.keys, self.values(hbar))
+        """The series at hbar: each order's amplitudes times hbar^i,
+        collected per key in the order of the orders."""
+        keys, values = [np.zeros((0, 2 * self.n), dtype=np.int64)], [np.zeros(0, dtype=complex)]
+        scale = 1.0
+        for c in self.coefficients:
+            keys.append(c.keys)
+            values.append(c.values * complex(scale))
+            scale *= hbar
+        return _collect(self.n, np.concatenate(keys), np.concatenate(values))
 
 
 def _check_order(order: int) -> int:
@@ -177,17 +156,33 @@ class ExactMap:
     angles: np.ndarray
     const: int
 
-    def values(self, h: HbarValue) -> np.ndarray:
-        """The amplitude at hbar = 1/k of every key of ``keys``, exact zeros
-        kept: one segmented sum of the terms' phased amplitudes."""
+    def at(self, h: HbarValue) -> TrigPoly:
+        """The exact map at hbar = 1/k: one segmented sum of the terms'
+        phased amplitudes."""
         # the phases stay a temporary: past 256 KiB numpy multiplies into
         # it, and that operand order decides the last bits
         step, period = self.const * math.pi * h.hbar, 2 * h.k // abs(self.const)
-        return np.add.reduceat(self.amps * _unit_phases(step, period, self.angles), self.starts)
+        values = np.add.reduceat(self.amps * _unit_phases(step, period, self.angles), self.starts)
+        return TrigPoly._from_arrays(self.n, self.keys, values)
 
-    def at(self, h: HbarValue) -> TrigPoly:
-        """The exact map at hbar = 1/k."""
-        return TrigPoly._from_arrays(self.n, self.keys, self.values(h))
+    def remainder(self, h: HbarValue, order: int) -> TrigPoly:
+        """The map at hbar = 1/k minus its order-``order`` truncation: per
+        term amps (e^z - sum_{j<=order} z^j / j!), z = i c pi hbar angle,
+        summed per key.  e^z - 1 is 2i sin(w) e^{iw}, w = z / 2i, from the
+        half-angle ``_unit_phases``, so it keeps every digit however small z
+        is; the rest of the polynomial is Horner's, z (1 + z/2 (1 + ...)),
+        on the unreduced angle.  Each term is as small as the truncation
+        error, so nothing cancels between two sums as large as the map."""
+        order = _check_order(order)
+        step, period = self.const * math.pi * h.hbar, 2 * h.k // abs(self.const)
+        half = _unit_phases(step / 2, 2 * period, self.angles)
+        terms = 2j * half.imag * half
+        z, taylor = 1j * (step * self.angles), 0.0
+        for j in range(order, 0, -1):
+            taylor = z / j * (1.0 + taylor)
+        terms -= taylor
+        np.multiply(self.amps, terms, out=terms)  # one operand order, whatever numpy elides
+        return TrigPoly._from_arrays(self.n, self.keys, np.add.reduceat(terms, self.starts))
 
     def sum(self, amps: np.ndarray) -> TrigPoly:
         """The polynomial of amplitudes ``amps`` given in term order."""

@@ -22,6 +22,7 @@ from torusquant.analysis import (
     NormKind,
     TooFewPointsError,
     _exact_transform_defect,
+    _remainder_at,
     certified_l2_norm,
     error_intertwine,
     error_product,
@@ -45,7 +46,15 @@ from torusquant.quantize import (
     Polarization,
     toeplitz_diagonals,
 )
-from torusquant.starprod import HbarValue, berezin_truncated, star_exact, star_truncated
+from torusquant.starprod import (
+    HbarValue,
+    Orientation,
+    berezin_map,
+    berezin_truncated,
+    product_map,
+    star_exact,
+    star_truncated,
+)
 from torusquant.trigpoly import TrigPoly, random_trig_poly
 
 X = TrigPoly.harmonic(1, (1,), (0,))
@@ -209,6 +218,77 @@ def test_error_intertwine_vanishes_on_separated_symbols():
         for order in (None, 0, 2):
             e = error_intertwine(f, order, 6)
             assert np.abs(e.values).max(initial=0.0) < 1e-14
+
+
+def tails(z: complex, last: int) -> list[complex]:
+    """sum_{j > N} z^j / j! for N = 0..last, each summed smallest term
+    first; with |z| <= 1/2 the 24 terms past ``last`` leave out less than
+    1e-30 of the tail."""
+    terms, term = [], 1.0 + 0.0j
+    for j in range(1, last + 25):
+        term *= z / j
+        terms.append(term)
+    return [sum(reversed(terms[order:])) for order in range(last + 1)]
+
+
+def tail_oracles(n: int, terms, k: int, last: int) -> list[TrigPoly]:
+    """The order-N remainder symbols, N = 0..last, of phase terms (key,
+    amplitude, c angle): each amplitude times the tail of e^z, z = i pi
+    (c angle) / k, summed per key with math.fsum, real and imaginary parts
+    apart."""
+    sums = [{} for _ in range(last + 1)]
+    for key, amp, angle in terms:
+        z = 1j * math.pi * angle / k
+        assert abs(z) <= 0.5
+        for per_key, tail in zip(sums, tails(z, last)):
+            per_key.setdefault(key, []).append(amp * tail)
+    return [
+        TrigPoly(n, {key: complex(math.fsum(v.real for v in vs), math.fsum(v.imag for v in vs))
+                     for key, vs in per_key.items()})
+        for per_key in sums
+    ]
+
+
+def product_phase_terms(f, g, orientation):
+    """(key, amplitude, c angle) of every term pair: c a.q, c p.b or
+    a.q - p.b with c = 2, -2 and 1, as star_exact's docstring states."""
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    angle = {
+        Orientation.STAR: lambda p, a, q, b: 2 * dot(a, q),
+        Orientation.CHECK: lambda p, a, q, b: -2 * dot(p, b),
+        Orientation.MOYAL: lambda p, a, q, b: dot(a, q) - dot(p, b),
+    }[orientation]
+    return [
+        ((tuple(map(sum, zip(p, q))), tuple(map(sum, zip(a, b)))), x * y, angle(p, a, q, b))
+        for (p, a), x in f.terms()
+        for (q, b), y in g.terms()
+    ]
+
+
+@pytest.mark.parametrize("n, bandwidth", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_remainders_are_the_tail_series_to_rounding(n, bandwidth, seed):
+    # every |z| <= 1/2 at k = 64 and 256; the bound is relative to the
+    # largest amplitude of the oracle's remainder symbol
+    rng = np.random.default_rng(seed)
+    f, g = (random_trig_poly(rng, n, bandwidth, decay=8.0) for _ in range(2))
+    bounds = (1e-13, 1e-13, 2e-11)
+    routes = [
+        # error_product reads the STAR product
+        (product_phase_terms(f, g, o),
+         (lambda order, k: error_product(f, g, order, k)) if o is Orientation.STAR
+         else (lambda order, k, o=o: _remainder_at(product_map(f, g, o), order)(k)))
+        for o in Orientation
+    ]
+    routes.append(([(key, x, 2 * sum(p * a for p, a in zip(*key))) for key, x in f.terms()],
+                   lambda order, k: error_intertwine(f, order, k)))
+    for terms, route in routes:
+        for k in (64, 256):
+            for order, (want, bound) in enumerate(zip(tail_oracles(n, terms, k, 2), bounds)):
+                error = route(order, k) - toeplitz_diagonals(want, HilbertSpec(n, k))
+                assert np.abs(error.values).max() <= bound * np.abs(want.values).max()
 
 
 def test_trace_error_band_limited():
@@ -475,6 +555,7 @@ def test_run_intertwine_experiment():
     exact = next(s for s in report.series if s.name == "exact_transform")
     assert exact.outcome == "exact_identity"
     assert report.details["transform_phase"] == "+p.a"
+    assert report.details["error_floor"] == ERROR_FLOOR
     assert report.details["exact_max_error"] <= 1e-10
 
 

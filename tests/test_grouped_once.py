@@ -1,11 +1,12 @@
 """What a sweep builds once, against the per-level route it replaces.
 
-A sweep groups the keys of its exact map, of its series and of their
-difference once and reads every level off those groupings; an operator
-keeps its l1 and linf once computed.  The oracles here are the per-level
-route: the exact map and the series evaluated at each level with their own
-key sorts, subtracted as polynomials and assembled, which every reading
-must match bit for bit.
+A sweep groups the terms of its exact map once and reads every level off
+that grouping; an operator keeps its l1 and linf once computed.  The
+oracles here are the per-level route: the exact map and the series
+evaluated at each level with their own key sorts, and for remainders their
+difference as polynomials, assembled.  Exact maps and series match it bit
+for bit.  A remainder is read per term in closed form, not as that
+difference, so it matches to rounding on the scale of the symbols.
 """
 
 import math
@@ -90,9 +91,10 @@ def per_level_remainder(exact, series, k):
     return toeplitz_diagonals(remainder, HilbertSpec(remainder.n, k))
 
 
-def assert_same_operator(got: DiagonalOperator, want: DiagonalOperator) -> None:
-    assert np.array_equal(got.shifts, want.shifts)
-    assert np.array_equal(bits(got.values), bits(want.values))
+def assert_close_operator(got: DiagonalOperator, want: DiagonalOperator, scale: float) -> None:
+    """Every dense entry within 1e-15 ``scale``: rounding on the scale of the
+    symbols, where the per-level route subtracts two sums that large."""
+    assert np.abs(got.dense() - want.dense()).max() <= 1e-15 * scale
 
 
 # -- symbols -------------------------------------------------------------------
@@ -123,46 +125,47 @@ def test_the_exact_product_cancels_where_the_series_does_not():
     ],
 )
 @pytest.mark.parametrize("orientation", list(Orientation))
-def test_product_remainders_are_the_per_level_route_bit_for_bit(f, g, order, ks, orientation):
+def test_product_remainders_are_the_per_level_route_to_rounding(f, g, order, ks, orientation):
     series = star_truncated(f, g, order, orientation)
-    at = _remainder_at(product_map(f, g, orientation), series)
+    at = _remainder_at(product_map(f, g, orientation), order)
     for k in ks:
         want = per_level_remainder(lambda h: per_level_star_exact(f, g, h, orientation), series, k)
-        assert_same_operator(at(k), want)
+        assert_close_operator(at(k), want, f.l1_norm() * g.l1_norm())
 
 
-def test_an_n2_product_past_the_elision_threshold_is_the_per_level_route_bit_for_bit():
+def test_an_n2_product_past_the_elision_threshold_is_the_per_level_route_to_rounding():
     # 625 terms each: 390,625 pairs, whose 6 MiB of phases numpy multiplies
-    # into in place, as it does in the per-level route
+    # into in place in the per-level route
     rng = np.random.default_rng(22)
     f, g = random_trig_poly(rng, 2, 2), random_trig_poly(rng, 2, 2)
     assert len(f) * len(g) * 16 > 256 * 1024
     for orientation in Orientation:
         series = star_truncated(f, g, 2, orientation)
-        at = _remainder_at(product_map(f, g, orientation), series)
+        at = _remainder_at(product_map(f, g, orientation), 2)
         for k in (4, 8):
             want = per_level_remainder(lambda h: per_level_star_exact(f, g, h, orientation), series, k)
-            assert_same_operator(at(k), want)
+            assert_close_operator(at(k), want, f.l1_norm() * g.l1_norm())
 
 
 @pytest.mark.parametrize("n, bandwidth, order", [(1, 3, 0), (1, 2, 2), (2, 1, 3), (2, 2, 1)])
-def test_berezin_remainders_are_the_per_level_route_bit_for_bit(n, bandwidth, order):
+def test_berezin_remainders_are_the_per_level_route_to_rounding(n, bandwidth, order):
     f = random_trig_poly(np.random.default_rng(10 * n + bandwidth), n, bandwidth, decay=8.0)
     series = berezin_truncated(f, order)
-    at = _remainder_at(berezin_map(f), series)
+    at = _remainder_at(berezin_map(f), order)
     for k in (4, 8, 16):
-        assert_same_operator(at(k), per_level_remainder(lambda h: per_level_berezin_exact(f, h), series, k))
+        want = per_level_remainder(lambda h: per_level_berezin_exact(f, h), series, k)
+        assert_close_operator(at(k), want, f.l1_norm())
 
 
-def test_the_sweeps_read_the_per_level_route():
+def test_the_sweeps_read_the_per_level_route_to_rounding():
     # product_sweep and intertwine_sweep report the norms of these operators
     f, g = (random_trig_poly(np.random.default_rng(7), 1, 2, decay=8.0) for _ in range(2))
     for k in (8, 64):
         want = per_level_remainder(lambda h: per_level_star_exact(f, g, h, Orientation.STAR),
                                    star_truncated(f, g, 1), k)
-        assert_same_operator(analysis.error_product(f, g, 1, k), want)
+        assert_close_operator(analysis.error_product(f, g, 1, k), want, f.l1_norm() * g.l1_norm())
         want = per_level_remainder(lambda h: per_level_berezin_exact(f, h), berezin_truncated(f, 2), k)
-        assert_same_operator(analysis.error_intertwine(f, 2, k), want)
+        assert_close_operator(analysis.error_intertwine(f, 2, k), want, f.l1_norm())
 
 
 @pytest.mark.parametrize("n, bandwidth", [(1, 3), (2, 1), (2, 2)])

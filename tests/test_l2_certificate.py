@@ -23,7 +23,6 @@ from torusquant.analysis import (
     _lanczos_top,
     _lower_solve,
     _panel_entries,
-    _product_remainder,
     _remainder_at,
     _schur_update,
     _tridiagonal,
@@ -41,6 +40,7 @@ from torusquant.starprod import (
     berezin_exact,
     berezin_map,
     berezin_truncated,
+    product_map,
     star_exact,
     star_truncated,
 )
@@ -462,7 +462,7 @@ def test_certificate_decides_every_product_n2_level_up_to_k32():
     # and 512 at k = 32 (halved at its slice boundary)
     cfg = parse_config(CONFIGS / "product_n2.json")
     f, g = cfg.symbols()
-    remainder = _product_remainder(f, g, cfg.order)
+    remainder = _remainder_at(product_map(f, g), cfg.order)
     for k in [k for k in cfg.k_values() if k <= 32]:
         op = remainder(k)
         interleaving = _interleaving(op)
@@ -480,7 +480,7 @@ def test_the_order2_n2_intertwine_fills_the_certificate_budget():
     cfg = parse_config(CONFIGS / "intertwine_n2_order2.json")
     assert (cfg.n, cfg.order, cfg.k_values()) == (2, 2, [16, 32, 64, 128, 256])
     (f,) = cfg.symbols()
-    op = _remainder_at(berezin_map(f), berezin_truncated(f, cfg.order))(256)
+    op = _remainder_at(berezin_map(f), cfg.order)(256)
     assert _interleaving(op)[1] == 2 * 4 * 256 == CERT_BLOCK_CAP
     reach = {tuple(s) for s in (op.shifts[:, None, :] - op.shifts[None, :, :]).reshape(-1, 2) % 256}
     assert len(reach) * 256**2 == 81 * 256**2 <= GRAM_ENTRY_CAP

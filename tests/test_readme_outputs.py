@@ -1,6 +1,7 @@
 """The script that runs the README's commands and compares two runs."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -35,3 +36,25 @@ def test_compare_names_the_files_that_differ(tmp_path, capsys):
     (second / "run" / "extra.csv").write_text("k\n")
     assert script.main(["compare", str(first), str(second)]) == 1
     assert "different files" in capsys.readouterr().err
+
+
+def test_compare_says_how_far_each_file_moved(tmp_path, capsys):
+    script = load_script()
+    first, second = tmp_path / "first", tmp_path / "second"
+    error = 0.123456789
+    for root, moved, outcome in ((first, error, "fit"), (second, error * (1 + 1e-12), "violation")):
+        (root / "run").mkdir(parents=True)
+        report = {"rows": [{"error": 2.5, "k": 8}, {"error": moved, "k": 16}], "series": [{"outcome": "fit"}]}
+        (root / "run" / "floats.report.json").write_text(json.dumps(report, indent=2) + "\n")
+        (root / "run" / "floats.csv").write_text(f"k,error,norm_kind\n8,2.5,l2\n16,{moved!r},l2\n")
+        report["series"][0]["outcome"] = outcome
+        (root / "run" / "string.report.json").write_text(json.dumps(report, indent=2) + "\n")
+    assert script.main(["compare", str(first), str(second)]) == 1
+    lines = {line.split(":", 1)[0].strip(): line for line in capsys.readouterr().err.splitlines()[1:]}
+    for name, where in (("run/floats.report.json", "$.rows[1].error"), ("run/floats.csv", "line 3, column 2")):
+        move = float(re.search(r"largest relative move (\S+) at (.*)$", lines[name]).group(1))
+        assert 0.9e-12 <= move <= 1.1e-12 and lines[name].endswith(f"at {where}")
+        assert "other difference" not in lines[name]
+    assert lines["run/string.report.json"].endswith(
+        'largest relative move 1e-12 at $.rows[1].error; first other difference: $.series[0].outcome: "fit" != "violation"'
+    )
