@@ -11,10 +11,12 @@ first one that exits non-zero.
 every file is byte-identical once ``reporting.normalize_volatile`` has
 blanked the timestamp and wall-time fields; it names the files that differ
 and exits 1 if any do.  For each file that differs it also says how far it
-moved: the largest relative move among its numbers (JSON floats, and in
-the CSV files cells that read as numbers on both sides) with where it is,
-and the first difference that is not such a number (a key, a string, an
-integer, a line), if there is one.
+moved: the largest relative move among its numbers (JSON floats, in the
+CSV files cells that read as numbers on both sides, and decimals inside
+strings that agree apart from them, such as a check summary's "worst
+relative error 4.847e-16") with where it is, and the first difference that
+is not such a number (a key, a string, an integer, a line), if there is
+one.
 """
 
 from __future__ import annotations
@@ -23,11 +25,16 @@ import argparse
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# a number as reports print it inside a string; a decimal point or an
+# exponent makes it a float
+NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
 
 # (output directory, command arguments): the README's list, in its order
 COMMANDS = (
@@ -80,6 +87,22 @@ def _relative(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _string_moves(a: str, b: str, where: str) -> list | None:
+    """(relative move, place) for each number that differs between two
+    strings, or None unless the strings agree apart from numbers and every
+    number that differs is a float."""
+    parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+        return None
+    moves = []
+    for i, (u, v) in enumerate(zip(parts_a[1::2], parts_b[1::2]), start=1):
+        if u != v:
+            if not any(c in u + v for c in ".eE"):
+                return None
+            moves.append((_relative(float(u), float(v)), f"{where}, number {i}"))
+    return moves
+
+
 def _walk(a, b, path: str, moves: list, others: list) -> None:
     """Append (relative move, path) for every pair of JSON numbers of which
     one is a float, and a description of every other difference."""
@@ -96,6 +119,8 @@ def _walk(a, b, path: str, moves: list, others: list) -> None:
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
             _walk(x, y, f"{path}[{i}]", moves, others)
+    elif isinstance(a, str) and isinstance(b, str) and (inside := _string_moves(a, b, path)) is not None:
+        moves.extend(inside)
     elif a != b:
         others.append(f"{path}: {json.dumps(a)} != {json.dumps(b)}")
 
@@ -108,11 +133,13 @@ def _csv_moves(a: str, b: str, moves: list, others: list) -> None:
             others.append(f"line {line}: {','.join(x)!r} != {','.join(y)!r}")
             continue
         for column, (u, v) in enumerate(zip(x, y), start=1):
-            fu, fv = _float(u), _float(v)
+            fu, fv, where = _float(u), _float(v), f"line {line}, column {column}"
             if fu is not None and fv is not None:
-                moves.append((_relative(fu, fv), f"line {line}, column {column}"))
-            elif u != v:
-                others.append(f"line {line}, column {column}: {u!r} != {v!r}")
+                moves.append((_relative(fu, fv), where))
+            elif (inside := _string_moves(u, v, where)) is not None:
+                moves.extend(inside)
+            else:
+                others.append(f"{where}: {u!r} != {v!r}")
     if len(rows_a) != len(rows_b):
         others.append(f"{len(rows_a)} lines against {len(rows_b)}")
 

@@ -38,10 +38,11 @@ interleaving block would pass ``config.CERT_BLOCK_CAP``, the run does not
 converge or the certificate fails, it is the LAPACK 2-norm again, and above
 the dense cap an ``L2RouteError``.  A certified value sits below the true
 norm by less than L2_CERT_DELTA / 2 relative and never above it beyond
-rounding; ``L2Reading`` says which route answered.  Lanczos and the
-certificate see A divided by 2^e, e the binary exponent of its bound
-sqrt(l1) sqrt(linf): a power of two keeps every product exact, and A*A
-then neither overflows nor underflows however large or small A is.
+rounding; an exactly zero operator reads 0 on the ``interp_bound`` route,
+its bound being the norm; ``L2Reading`` says which route answered.
+Lanczos and the certificate see A divided by 2^e, e the binary exponent of
+its bound sqrt(l1) sqrt(linf): a power of two keeps every product exact,
+and A*A then neither overflows nor underflows however large or small A is.
 
 Conventions are stated once and checked, never measured: TRANSFORM_PHASE
 is the phase of the exact Berezin transform that ``intertwine`` checks,
@@ -391,6 +392,9 @@ def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
 
 def _l2_diagonal(op: DiagonalOperator) -> L2Reading:
     if op.spec.dim > LAPACK_L2_MAX_DIM:
+        bound = math.sqrt(op.l1_norm()) * math.sqrt(op.linf_norm())
+        if bound == 0.0:  # A = 0, whose Gram no Lanczos value certifies
+            return L2Reading(0.0, "interp_bound", 0.0)
         steps, interleaving = 0, _interleaving(op)
         if interleaving is None:
             failed = f"the band of A*A needs certificate blocks above {CERT_BLOCK_CAP} entries"
@@ -398,7 +402,6 @@ def _l2_diagonal(op: DiagonalOperator) -> L2Reading:
             # A over 2^e, e the binary exponent of its bound sqrt(l1) sqrt(linf),
             # so that A*A neither overflows nor underflows; a power of two
             # keeps every product exact, and the reading is scaled back
-            bound = math.sqrt(op.l1_norm()) * math.sqrt(op.linf_norm())
             exponent = max(math.frexp(bound)[1], -1023)
             scaled = op.scale(math.ldexp(1.0, -exponent))
             gram = scaled.adjoint() @ scaled

@@ -237,16 +237,14 @@ class DiagonalOperator:
     def rmatvec(self, y) -> np.ndarray:
         """A* y (the conjugate transpose) for a length-k^n vector y.  The
         conjugated values are kept after the first call: the values are
-        read-only, and an iteration calls this once per step.  The gathered
-        copy of y is a temporary, so from 256 KiB on numpy multiplies into
-        it in place (temporary elision, as ``y[rows] *= conj``) and a call
-        makes one array the size of the values.  An in-place product written
-        out would fix one operand order at every size, and numpy's complex
-        product is not commutative bit for bit, so reported norms would move
-        in their last digit."""
+        read-only, and an iteration calls this once per step.  y is
+        gathered as a complex copy and the conjugated values, taken first,
+        are multiplied into it, so a call makes one array the size of the
+        values."""
         if self._conj is None:
             self._conj = self.values.conj()
-        return (self._conj * np.asarray(y)[self.rows]).sum(axis=0)
+        gathered = np.asarray(y, dtype=complex)[self.rows]
+        return np.multiply(self._conj, gathered, out=gathered).sum(axis=0)
 
     def l1_norm(self) -> float:
         """The largest column absolute sum, a sum of |values| over the

@@ -6,13 +6,15 @@ to a known key, so the exact map at hbar = 1/k is that exponential and its
 order-j term is the Taylor coefficient psi^j / j!.  An ``ExactMap`` holds
 the terms of one map grouped by key once, with their integer phase angles
 (``product_map`` for a symbol pair, ``berezin_map`` for one symbol, whose
-terms keep their own keys): ``ExactMap.at`` reads the exact map at any
-hbar = 1/k as one segmented sum, ``ExactMap.remainder`` its order-N Taylor
-remainder e^{psi hbar} - sum_{j<=N} (psi hbar)^j / j!, taken per term in
-closed form and summed the same way, and ``_phase_series`` reads orders
-0..N off the same groups.  ``star_exact`` and ``berezin_exact`` are the
-map read at one level; a sweep builds the map once and reads its
-remainder at every level, with no truncated series.
+terms keep their own keys), and it is the only engine: ``ExactMap.at``
+reads the exact map at any hbar = 1/k as one segmented sum,
+``ExactMap.remainder`` its order-N Taylor remainder e^{psi hbar} -
+sum_{j<=N} (psi hbar)^j / j!, taken per term in closed form and summed the
+same way, and ``ExactMap.series`` its orders 0..N off the same groups.
+``star_exact`` and ``berezin_exact`` are the map read at one level, the
+truncated series and ``equivalence_map`` (with its own psi) its orders; a
+sweep builds the map once and reads its remainder at every level, with no
+truncated series.
 
 * Products (``star_truncated``, ``bidifferential``, ``star_exact``): the
   pair of f-term (p, a) and g-term (q, b) lands on (p+q, a+b) with
@@ -146,7 +148,11 @@ class ExactMap:
     to its key, c being ``const``.  The terms are stored in the stable sort
     of their keys, each run of one key starting at an index of ``starts``,
     and ``keys`` holds one key per run, so reading the map at a level sorts
-    nothing.  The phase has period 2k / |c| in the angle.
+    nothing.  The phase has period 2k / |c| in the angle.  Every product
+    takes the amplitudes first, written as ``np.multiply`` where the other
+    operand is a temporary: numpy's complex product is not commutative bit
+    for bit, and in an expression its temporary elision (arrays of 256 KiB
+    or more) would pick the order.
     """
 
     n: int
@@ -159,11 +165,11 @@ class ExactMap:
     def at(self, h: HbarValue) -> TrigPoly:
         """The exact map at hbar = 1/k: one segmented sum of the terms'
         phased amplitudes."""
-        # the phases stay a temporary: past 256 KiB numpy multiplies into
-        # it, and that operand order decides the last bits
         step, period = self.const * math.pi * h.hbar, 2 * h.k // abs(self.const)
-        values = np.add.reduceat(self.amps * _unit_phases(step, period, self.angles), self.starts)
-        return TrigPoly._from_arrays(self.n, self.keys, values)
+        # a fresh output: written into its phases, a one-term map would take
+        # numpy's scalar loop and other bits
+        terms = np.multiply(self.amps, _unit_phases(step, period, self.angles))
+        return TrigPoly._from_arrays(self.n, self.keys, np.add.reduceat(terms, self.starts))
 
     def remainder(self, h: HbarValue, order: int) -> TrigPoly:
         """The map at hbar = 1/k minus its order-``order`` truncation: per
@@ -181,12 +187,22 @@ class ExactMap:
         for j in range(order, 0, -1):
             taylor = z / j * (1.0 + taylor)
         terms -= taylor
-        np.multiply(self.amps, terms, out=terms)  # one operand order, whatever numpy elides
+        np.multiply(self.amps, terms, out=terms)
         return TrigPoly._from_arrays(self.n, self.keys, np.add.reduceat(terms, self.starts))
 
-    def sum(self, amps: np.ndarray) -> TrigPoly:
-        """The polynomial of amplitudes ``amps`` given in term order."""
-        return TrigPoly._from_arrays(self.n, self.keys, np.add.reduceat(amps, self.starts))
+    def series(self, last: int, psi: np.ndarray | None = None) -> list[TrigPoly]:
+        """Orders j = 0..last of the map: order j adds amps[m] psi[m]^j / j!
+        to the key of term m, the j-th Taylor coefficient of e^{psi hbar}.
+        ``psi`` is given in term order and defaults to the map's own
+        i c pi angle; one grouping serves every order."""
+        if psi is None:
+            psi = 1j * (self.const * math.pi * self.angles)
+        amps, out = self.amps, []
+        for j in range(_check_order(last) + 1):
+            if j:
+                amps = amps * psi / j
+            out.append(TrigPoly._from_arrays(self.n, self.keys, np.add.reduceat(amps, self.starts)))
+        return out
 
 
 def product_map(f: TrigPoly, g: TrigPoly, orientation: Orientation = Orientation.STAR) -> ExactMap:
@@ -203,35 +219,13 @@ def berezin_map(f: TrigPoly) -> ExactMap:
     return ExactMap(f.n, f.keys, np.arange(len(f)), f.values, _mixed_dot(f), 2)
 
 
-def _phase_series(terms: ExactMap, psi: np.ndarray, last: int) -> list[TrigPoly]:
-    """Orders j = 0..last of sum_m amps[m] psi[m]^j / j! e^{2 pi i keys[m]}
-    over the grouped ``terms``, psi given in their order.
-
-    One grouping serves every order; order j is the j-th Taylor coefficient
-    of the per-term phase e^{psi hbar}.
-    """
-    amps = terms.amps
-    out = [terms.sum(amps)]
-    for j in range(1, last + 1):
-        amps = amps * psi / j
-        out.append(terms.sum(amps))
-    return out
-
-
-def _taylor_terms(f: TrigPoly, g: TrigPoly, orientation: Orientation, last: int) -> list[TrigPoly]:
-    """Order-j terms of the product for j = 0..last: each pair contributes
-    its amplitude times (i theta)^j / j!."""
-    pairs = product_map(f, g, orientation)
-    return _phase_series(pairs, 1j * (pairs.const * math.pi * pairs.angles), last)
-
-
 def bidifferential(order: int, f: TrigPoly, g: TrigPoly, orientation: Orientation) -> TrigPoly:
     """Order-``order`` bidifferential term of the chosen product.
 
     Order 0 is the pointwise product for every orientation; every order is
     the matching slice of the pass in ``star_truncated``.
     """
-    return _taylor_terms(f, g, orientation, _check_order(order))[-1]
+    return product_map(f, g, orientation).series(order)[-1]
 
 
 def star_truncated(f: TrigPoly, g: TrigPoly, order: int, orientation: Orientation = Orientation.STAR) -> HbarSeries:
@@ -239,7 +233,7 @@ def star_truncated(f: TrigPoly, g: TrigPoly, order: int, orientation: Orientatio
 
     Orders 0..order come from one pass over the term pairs of f and g.
     """
-    terms = _taylor_terms(f, g, orientation, _check_order(order))
+    terms = product_map(f, g, orientation).series(order)
     # The hbar^0 term is taken from multiply, which equals terms[0] bit for
     # bit but sorts the pair keys a second time: the benchmark's tracer
     # self-test expects a symbol_algebra round to reach TrigPoly.multiply.
@@ -294,8 +288,7 @@ def _mixed_dot(f: TrigPoly) -> np.ndarray:
 def berezin_truncated(f: TrigPoly, order: int) -> HbarSeries:
     """Series form e^{-hbar Delta} f of the Berezin transform: the hbar^j
     term multiplies the (p, a) amplitude by (2 pi i p.a)^j / j!."""
-    terms = berezin_map(f)
-    return HbarSeries(f.n, tuple(_phase_series(terms, 2j * math.pi * terms.angles, _check_order(order))))
+    return HbarSeries(f.n, tuple(berezin_map(f).series(order)))
 
 
 def berezin_exact(f: TrigPoly, h: HbarValue) -> TrigPoly:
@@ -326,7 +319,7 @@ def equivalence_map(gamma, order: int, f: TrigPoly) -> HbarSeries:
         raise ValueError("gamma must be symmetric")
     # u^T gamma u from the exact integer products u_i u_j of each key u
     quad = (f.keys[:, :, None] * f.keys[:, None, :]).reshape(len(f), 4 * n * n) @ gamma.reshape(-1)
-    return HbarSeries(n, tuple(_phase_series(berezin_map(f), -2.0 * math.pi**2 * quad, order)))
+    return HbarSeries(n, tuple(berezin_map(f).series(order, -2.0 * math.pi**2 * quad)))
 
 
 # -- trace -------------------------------------------------------------------

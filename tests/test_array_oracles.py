@@ -468,7 +468,7 @@ def test_berezin_and_equivalence_maps_take_the_keys_unsorted(monkeypatch):
         order, starts, unique = trigpoly._group_keys(f.keys)
         angles = starprod._mixed_dot(f)[order]
         sorted_terms = starprod.ExactMap(n, unique, starts, f.values[order], angles, 2)
-        sorted_route = starprod._phase_series(sorted_terms, 2j * math.pi * angles, 4)
+        sorted_route = sorted_terms.series(4, 2j * math.pi * angles)
         laplacian = ref_operator_series(lambda u: ref_mixed_laplacian(u, n), fd, 4, -1.0)
         second_order = ref_operator_series(lambda u: ref_second_order(gamma, u, n), fd, 4, 0.5)
         for j in range(5):

@@ -352,6 +352,21 @@ def test_cli_run_certifies_a_small_operator_above_the_dense_cap(tmp_path):
     assert [(m["k"], m["method"]) for m in methods] == [(128, "lanczos_certified")]
 
 
+def test_cli_run_reads_exactly_zero_remainders_past_the_dense_cap(tmp_path):
+    # f = e^{2 pi i x}, g = e^{2 pi i y}: every STAR phase a.q is 0, so each
+    # order-0 remainder is exactly 0, and its l2 norm reads 0 up to k = 8192
+    data = {"experiment": "product", "n": 1, "k_min": 64, "k_max": 8192, "order": 0,
+            "f": {"coeffs": [{"p": [1], "q": [0], "re": 1.0}]},
+            "g": {"coeffs": [{"p": [0], "q": [1], "re": 1.0}]}}
+    code = main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 0
+    (report,) = (tmp_path / "out").glob("*.report.json")
+    report = json.loads(report.read_text(encoding="utf-8"))
+    assert len(report["rows"]) == 3 * 8 and all(row["error"] == 0.0 for row in report["rows"])
+    assert [s["outcome"] for s in report["series"]] == ["exact_identity"] * 3
+    assert [m["method"] for m in report["details"]["l2_methods"]] == ["lapack_svd"] + ["interp_bound"] * 7
+
+
 def test_cli_run_reports_an_uncertified_l2_norm_in_one_line(tmp_path, capsys, monkeypatch):
     # above the dense cap no LAPACK route stands behind Lanczos: a run out of
     # budget fails the check with one line naming the level, no traceback

@@ -48,10 +48,11 @@ def assert_same_poly(got: TrigPoly, want: TrigPoly) -> None:
 
 
 def per_level_star_exact(f, g, h, orientation):
-    """star_exact with its pair keys sorted at this level."""
+    """star_exact with its pair keys sorted at this level, its product
+    written as star_exact writes it."""
     const, m = _pair_angles(f, g, orientation)
     groups, amps = _pair_terms(f, g)
-    return _sum_groups(f.n, groups, amps * _unit_phases(const * math.pi * h.hbar, 2 * h.k // abs(const), m))
+    return _sum_groups(f.n, groups, np.multiply(amps, _unit_phases(const * math.pi * h.hbar, 2 * h.k // abs(const), m)))
 
 
 def per_level_berezin_exact(f, h):
@@ -134,8 +135,8 @@ def test_product_remainders_are_the_per_level_route_to_rounding(f, g, order, ks,
 
 
 def test_an_n2_product_past_the_elision_threshold_is_the_per_level_route_to_rounding():
-    # 625 terms each: 390,625 pairs, whose 6 MiB of phases numpy multiplies
-    # into in place in the per-level route
+    # 625 terms each: 390,625 pairs, 6 MiB of phases, past the 256 KiB from
+    # which numpy's temporary elision would multiply into an operand
     rng = np.random.default_rng(22)
     f, g = random_trig_poly(rng, 2, 2), random_trig_poly(rng, 2, 2)
     assert len(f) * len(g) * 16 > 256 * 1024

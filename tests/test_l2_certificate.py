@@ -368,6 +368,23 @@ def test_zero_operator_reads_zero():
     assert reading == 0.0 and reading.upper == 0.0 and reading.method == "lapack_svd"
 
 
+@pytest.mark.parametrize("n, k", [(1, 128), (1, 8192), (2, 16)])
+def test_zero_operator_reads_zero_above_dimension_64(monkeypatch, n, k):
+    # Lanczos on a zero Gram finds theta = 0, which no certificate takes, and
+    # past the dense cap no SVD stands behind it: the bound sqrt(l1 linf) = 0
+    # is the norm itself
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a dense SVD ran")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    spec = HilbertSpec(n, k)
+    no_diagonal = toeplitz_diagonals(TrigPoly(n, {}), spec)
+    zero_diagonal = DiagonalOperator(spec, np.zeros((1, n), dtype=np.int64), np.zeros((1, spec.dim)))
+    for op in (no_diagonal, zero_diagonal):
+        reading = operator_norm(op, NormKind.L2)
+        assert reading == 0.0 and reading.upper == 0.0 and reading.method == "interp_bound"
+
+
 def test_lapack_answers_up_to_dimension_64_and_lanczos_above():
     assert LAPACK_L2_MAX_DIM == 64
     for n, k, method in ((1, 64, "lapack_svd"), (1, 128, "lanczos_certified")):

@@ -340,10 +340,8 @@ def test_kernel_temporaries_stay_bounded_with_more_terms_than_the_dimension():
 def test_rmatvec_makes_one_array_the_size_of_the_values():
     # a Lanczos step on the Gram of an n = 2, k = 64 symbol: 81 diagonals of
     # 4096 entries, 5 MiB; a product next to the gathered copy would be 10.
-    # rmatvec writes no in-place product: the bound holds because numpy's
-    # temporary elision multiplies into the gathered copy (arrays of 256 KiB
-    # or more, on CPython builds with the GIL and backtrace support), so on
-    # a numpy or CPython build without it this test fails with no change here
+    # rmatvec multiplies into the gathered copy, so the bound holds on every
+    # numpy and CPython build
     f = random_trig_poly(np.random.default_rng(3), 2, 2)
     a = toeplitz_diagonals(f, HilbertSpec(2, 64))
     gram = a.adjoint() @ a
@@ -358,6 +356,22 @@ def test_rmatvec_makes_one_array_the_size_of_the_values():
         tracemalloc.stop()
     assert gram.values.shape == (81, 4096)
     assert peak <= gram.values.nbytes + 2 * y.nbytes
+
+
+@pytest.mark.parametrize("n, k", [(1, 256), (2, 64)])  # 36 KiB and 5 MiB of values
+def test_rmatvec_writes_the_conjugated_values_first_into_the_gathered_copy(n, k):
+    # numpy's complex product is not commutative bit for bit, and past
+    # 256 KiB an expression would let its temporary elision pick the order;
+    # the oracle is the written form, computed here
+    f = random_trig_poly(np.random.default_rng(3), n, 2)
+    a = toeplitz_diagonals(f, HilbertSpec(n, k))
+    gram = a.adjoint() @ a
+    rng = np.random.default_rng(1)
+    dim = gram.spec.dim
+    for y in (rng.standard_normal(dim) + 1j * rng.standard_normal(dim), rng.standard_normal(dim)):
+        gathered = np.asarray(y, dtype=complex)[gram.rows]
+        want = np.multiply(gram.values.conj(), gathered, out=gathered).sum(axis=0)
+        assert np.array_equal(gram.rmatvec(y).view(np.uint64), want.view(np.uint64))
 
 
 def _apply_term_by_term(f, spec, x):

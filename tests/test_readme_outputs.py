@@ -58,3 +58,20 @@ def test_compare_says_how_far_each_file_moved(tmp_path, capsys):
     assert lines["run/string.report.json"].endswith(
         'largest relative move 1e-12 at $.rows[1].error; first other difference: $.series[0].outcome: "fit" != "violation"'
     )
+
+
+def test_compare_reads_the_numbers_inside_strings(tmp_path, capsys):
+    # a float inside a string is a move with its place; a differing integer
+    # keeps the string an other difference
+    script = load_script()
+    first, second = tmp_path / "first", tmp_path / "second"
+    for root, error, steps in ((first, "4.847e-16", 8), (second, "4.578e-16", 16)):
+        (root / "check").mkdir(parents=True)
+        report = {"summary": f"k in {{8..256}}, worst relative error {error}", "note": f"{steps} Lanczos steps"}
+        (root / "check" / "check_report.json").write_text(json.dumps(report, indent=2) + "\n")
+    assert script.main(["compare", str(first), str(second)]) == 1
+    line = capsys.readouterr().err.splitlines()[1]
+    assert line.endswith(
+        "largest relative move 0.0555 at $.summary, number 3; "
+        'first other difference: $.note: "8 Lanczos steps" != "16 Lanczos steps"'
+    )
