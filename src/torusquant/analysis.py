@@ -91,8 +91,9 @@ L2_CERT_DELTA = 1e-10
 # convergence every LANCZOS_CHECK steps.  Memory does not grow with the
 # budget.  n = 1 norm_bound symbols (bandwidth 2 to 4, decay 8) took up to
 # 136 steps at k = 1024, 184 at 2048 and 264 at 4096, the dense cap; a run
-# that uses all 512 spends about 0.55 s in its 64 eigh checks (26-31 ms at
-# 512 x 512), against more than a minute for one LAPACK SVD at dimension 4096.
+# that uses all 512 spends about 0.19 s in its 64 checks (0.27 s when each
+# formed the eigenvectors), against more than a minute for one LAPACK SVD
+# at dimension 4096.
 LANCZOS_BUDGET = 512
 LANCZOS_CHECK = 8
 # Up to this dimension the LAPACK 2-norm answers l2: it is cheaper there than
@@ -348,6 +349,41 @@ def _tridiagonal(diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
     return out
 
 
+def _top_ritz(diagonal: np.ndarray, off: np.ndarray) -> tuple[float, float, float]:
+    """(theta, gap, s) of the symmetric tridiagonal T of ``diagonal`` and
+    ``off``: its top eigenvalue, the distance to the next one (inf for a
+    1 x 1 T) and |s|, the last entry of the top unit eigenvector.
+
+    Only the eigenvalues come from LAPACK.  s has a closed form (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 7): s^2 = det(theta I - T') /
+    prod_{l < top} (theta - theta_l), T' being T without its last row and
+    column.  The determinant is the product of the LDL^T pivots
+    d_1 = theta - a_1, d_m = theta - a_m - b_{m-1}^2 / d_{m-1}, and both
+    products are summed in logs.  For an unreduced T both are positive in
+    exact arithmetic; a pivot or gap <= 0 arises only through rounding once
+    theta has converged (Paige's ghost copies, or A*A = cI), and s then
+    reads 0.  The determinant carries the rounding of theta, so s^2 is good
+    to about eps ||T|| / gap absolute, and a converged s reads near the
+    square root of that: the test rho^2 / gap of ``_lanczos_top`` sees it
+    as beta^2 eps ||T|| / gap^2, below theta L2_CERT_DELTA / 4 once the gap
+    passes about 3e-3 beta.
+    """
+    ritz = np.linalg.eigvalsh(_tridiagonal(diagonal, off))
+    theta = float(ritz[-1])
+    if len(ritz) == 1:
+        return theta, math.inf, 1.0
+    gap = theta - float(ritz[-2])
+    if gap <= 0.0:
+        return theta, gap, 0.0
+    log_s2, pivot = -float(np.log(theta - ritz[:-1]).sum()), 1.0
+    for a, b in zip(diagonal[:-1].tolist(), [0.0, *off[:-1].tolist()]):
+        pivot = theta - a - b * b / pivot
+        if pivot <= 0.0:
+            return theta, gap, 0.0
+        log_s2 += math.log(pivot)
+    return theta, gap, math.exp(min(log_s2, 0.0) / 2)  # |s| <= 1 also in rounding
+
+
 def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
     """(top Ritz value, steps) of Lanczos on the Hermitian ``gram`` from a
     seeded start; the value is None when the Ritz pair has not converged
@@ -356,10 +392,12 @@ def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
     The plain three-term recurrence keeps two vectors, O(S k^n) memory for
     S diagonals whatever the budget.  Its lost orthogonality only shows once
     a Ritz value has converged (Paige), so the top one converges as it does
-    with reorthogonalization.  Converged means the residual rho of the top
-    Ritz pair satisfies min(rho, rho^2 / gap) <= theta L2_CERT_DELTA / 4,
-    gap being the distance to the next Ritz value; the certificate, not this
-    test, decides.
+    with reorthogonalization.  Converged means the residual rho = beta |s|
+    of the top Ritz pair satisfies min(rho, rho^2 / gap) <= theta
+    L2_CERT_DELTA / 4, gap being the distance to the next Ritz value; every
+    LANCZOS_CHECK steps ``_top_ritz`` reads theta, gap and s off the
+    tridiagonal matrix without forming an eigenvector.  The certificate,
+    not this test, decides.
     """
     dim = gram.spec.dim
     budget = min(LANCZOS_BUDGET, dim)
@@ -378,11 +416,10 @@ def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
         beta[j] = math.sqrt(np.vdot(w, w).real)
         steps = j + 1
         if steps % LANCZOS_CHECK == 0 or steps == budget or beta[j] == 0:
-            ritz, vectors = np.linalg.eigh(_tridiagonal(alpha[:steps], beta[: steps - 1]))
-            theta, rho = ritz[-1], beta[j] * abs(vectors[-1, -1])
-            gap = theta - ritz[-2] if steps > 1 else np.inf
-            if min(rho, rho * rho / gap if gap > 0 else np.inf) <= theta * L2_CERT_DELTA / 4:
-                return float(theta), steps
+            theta, gap, s = _top_ritz(alpha[:steps], beta[: steps - 1])
+            rho = float(beta[j]) * s
+            if min(rho, rho * rho / gap if gap > 0 else math.inf) <= theta * L2_CERT_DELTA / 4:
+                return theta, steps
             if beta[j] == 0:
                 break
         w /= beta[j]

@@ -670,6 +670,8 @@ def test_every_shipped_config_runs_in_the_readme_and_both_ci_jobs():
     for step in steps:  # each job runs them twice and compares the two runs
         assert step.count("python scripts/readme_outputs.py run ") == 2
         assert "python scripts/readme_outputs.py compare " in step
+        # and a floating-point warning in a real CLI run fails the step
+        assert re.search(r"\n        env:\n          PYTHONWARNINGS: error::RuntimeWarning\n", step)
 
 
 def test_cli_threads_flag_is_a_usage_error(tmp_path):

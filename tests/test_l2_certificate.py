@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from torusquant.analysis import (
     CERT_MIN_ROWS,
     L2_CERT_DELTA,
+    LANCZOS_BUDGET,
     LANCZOS_CHECK,
     LAPACK_L2_MAX_DIM,
     LOWER_SOLVE_LEAF,
@@ -25,6 +26,7 @@ from torusquant.analysis import (
     _panel_entries,
     _remainder_at,
     _schur_update,
+    _top_ritz,
     _tridiagonal,
     intertwine_sweep,
     norm_bound_sweep,
@@ -94,9 +96,15 @@ def test_certified_l2_brackets_the_lapack_norm(seed, n, bandwidth, kind, k, pola
         assert reading.method == "lapack_svd" and reading.upper == float(reading) == lapack
 
 
-def _check_lanczos_answers(seed, n, bandwidth, kind, k):
+def _no_eigh(*args, **kwargs):
+    raise AssertionError("np.linalg.eigh called on the l2 route")
+
+
+def _check_lanczos_answers(monkeypatch, seed, n, bandwidth, kind, k):
     op = _diagonals(seed, n, bandwidth, kind, k)
-    reading = operator_norm(op, NormKind.L2)
+    with monkeypatch.context() as patch:  # no eigenvector is formed on the route
+        patch.setattr("torusquant.analysis.np.linalg.eigh", _no_eigh)
+        reading = operator_norm(op, NormKind.L2)
     assert reading.method == "lanczos_certified" and 0 < reading.steps <= op.spec.dim
     assert reading.describe() == {"method": "lanczos_certified", "steps": reading.steps}
     lapack = np.linalg.norm(op.dense(), 2)
@@ -116,8 +124,8 @@ def _block_count(op):
     "seed, n, bandwidth, kind, k",
     [(5, 1, 2, "product", 256), (6, 1, 3, "random", 128), (7, 2, 1, "random", 16), (8, 2, 1, "berezin", 12)],
 )
-def test_lanczos_answers_once_the_band_has_three_blocks(seed, n, bandwidth, kind, k):
-    op = _check_lanczos_answers(seed, n, bandwidth, kind, k)
+def test_lanczos_answers_once_the_band_has_three_blocks(monkeypatch, seed, n, bandwidth, kind, k):
+    op = _check_lanczos_answers(monkeypatch, seed, n, bandwidth, kind, k)
     assert _block_count(op) >= 3
 
 
@@ -128,9 +136,9 @@ def test_lanczos_answers_once_the_band_has_three_blocks(seed, n, bandwidth, kind
         (10, 2, 2, "product", 16, 1),  # blocks of 16 slices: one, the whole band
     ],
 )
-def test_lanczos_answers_with_one_or_two_blocks(seed, n, bandwidth, kind, k, blocks):
+def test_lanczos_answers_with_one_or_two_blocks(monkeypatch, seed, n, bandwidth, kind, k, blocks):
     # the block-tridiagonal form holds trivially with fewer than three blocks
-    op = _check_lanczos_answers(seed, n, bandwidth, kind, k)
+    op = _check_lanczos_answers(monkeypatch, seed, n, bandwidth, kind, k)
     assert _block_count(op) == blocks
 
 
@@ -525,8 +533,157 @@ def test_tridiagonal_has_the_bits_of_the_diag_build(size):
     want = np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
     got = _tridiagonal(alpha, off)
     assert got.tobytes() == want.tobytes()
-    for g, w in zip(np.linalg.eigh(got), np.linalg.eigh(want)):
-        assert g.tobytes() == w.tobytes()
+    assert np.linalg.eigvalsh(got).tobytes() == np.linalg.eigvalsh(want).tobytes()
+
+
+def _lanczos_top_eigh(gram):
+    """The oracle of ``_lanczos_top``: the same recurrence and test, with the
+    top Ritz pair read off a dense ``np.linalg.eigh`` of the tridiagonal
+    matrix; returns (theta, steps, [(test value, theta delta / 4) per check])."""
+    dim = gram.spec.dim
+    budget = min(LANCZOS_BUDGET, dim)
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v, previous = start / np.linalg.norm(start), None
+    alpha, beta, tests = np.zeros(budget), np.zeros(budget), []
+    for j in range(budget):
+        w = gram.rmatvec(v)
+        if previous is not None:
+            previous *= beta[j - 1]
+            w -= previous
+        alpha[j] = np.vdot(v, w).real
+        w -= alpha[j] * v
+        beta[j] = np.sqrt(np.vdot(w, w).real)
+        steps = j + 1
+        if steps % LANCZOS_CHECK == 0 or steps == budget or beta[j] == 0:
+            ritz, vectors = np.linalg.eigh(_tridiagonal(alpha[:steps], beta[: steps - 1]))
+            theta, rho = ritz[-1], beta[j] * abs(vectors[-1, -1])
+            gap = theta - ritz[-2] if steps > 1 else np.inf
+            tests.append((min(rho, rho * rho / gap if gap > 0 else np.inf), theta * L2_CERT_DELTA / 4))
+            if tests[-1][0] <= tests[-1][1]:
+                return float(theta), steps, tests
+            if beta[j] == 0:
+                break
+        w /= beta[j]
+        previous, v = v, w
+    return None, steps, tests
+
+
+def _top_entry_error(diagonal, off):
+    """|s| of ``_top_ritz`` against the last entry of the top eigenvector
+    from ``eigh``, in units of eps ||T|| / gap on s^2.  The pass reads s^2
+    as det(theta I - T') over the Ritz gaps, and det(theta I - T') moves by
+    the rounding of theta (about eps ||T||) times its derivative, so s^2 is
+    good to that over the gap: near convergence, where T' has a Ritz value
+    within rounding of theta, s reads at about the square root of it
+    (eigh reads s itself to eps ||T|| / gap)."""
+    theta, gap, s = _top_ritz(diagonal, off)
+    ritz, vectors = np.linalg.eigh(_tridiagonal(diagonal, off))
+    assert theta == pytest.approx(ritz[-1], rel=4e-15, abs=4e-15 * np.abs(ritz).max())
+    assert gap == pytest.approx(ritz[-1] - ritz[-2], abs=8e-15 * np.abs(ritz).max())
+    return abs(s * s - vectors[-1, -1] ** 2) / (np.finfo(float).eps * np.abs(ritz).max() / gap)
+
+
+def test_top_entry_pass_matches_eigh_on_random_tridiagonals():
+    # unreduced tridiagonals of 2 to 80 rows; the worst of these 400 is
+    # 3.8 eps ||T|| / gap (24.3 over 2000 draws from another seed), against
+    # a tolerance of 64
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(400):
+        size = int(rng.integers(2, 81))
+        diagonal, off = rng.standard_normal(size), np.abs(rng.standard_normal(size - 1)) + 1e-3
+        worst = max(worst, _top_entry_error(diagonal, off))
+    assert worst <= 64.0
+
+
+def _corpus_operators(seeds, levels):
+    """norm_bound operators and the product and Berezin remainders of
+    orders 0 to 2 that the sweeps take l2 norms of, per seed and level."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for n, ks in levels:
+            bandwidth = 2 + seed % 3 if n == 1 else 1
+            f = random_trig_poly(rng, n, bandwidth, decay=8.0)
+            g = random_trig_poly(rng, n, 3 - n, decay=8.0)
+            maps = (product_map(f, g), berezin_map(f))
+            for k in ks:
+                yield toeplitz_diagonals(f, HilbertSpec(n, k))
+                for exact in maps:
+                    for order in (0, 1, 2):
+                        yield _remainder_at(exact, order)(k)
+
+
+def test_top_entry_pass_matches_eigh_at_every_check_of_real_runs(monkeypatch):
+    # every check of the runs to convergence, 666 of them; the worst is
+    # 2.9 eps ||T|| / gap
+    worst = []
+
+    def compared(diagonal, off):
+        worst.append(_top_entry_error(diagonal, off) if len(diagonal) > 1 else 0.0)
+        return _top_ritz(diagonal, off)
+
+    monkeypatch.setattr("torusquant.analysis._top_ritz", compared)
+    for op in _corpus_operators(range(4), [(1, (128, 512, 2048)), (2, (16, 32))]):
+        assert _lanczos_top(op.adjoint() @ op)[0] is not None
+    assert len(worst) > 500 and max(worst) <= 64.0
+
+
+def test_pass_reads_steps_and_theta_of_the_eigh_oracle():
+    # a seeded corpus of 490 operators at n = 1, k = 128 to 2048, and
+    # n = 2, k = 16 to 32: the same steps, and theta within 4e-15 relative,
+    # wherever the oracle's test value stays off its threshold theta delta / 4
+    # by more than 1e-3 relative (a value on the threshold may go either way
+    # in the last bits of s)
+    ran = skipped = 0
+    for op in _corpus_operators(range(10), [(1, (128, 256, 512, 1024, 2048)), (2, (16, 32))]):
+        gram = op.adjoint() @ op
+        want, want_steps, tests = _lanczos_top_eigh(gram)
+        ran += 1
+        if any(abs(value - threshold) <= 1e-3 * threshold for value, threshold in tests):
+            skipped += 1
+            continue
+        theta, steps = _lanczos_top(gram)
+        assert steps == want_steps and theta == pytest.approx(want, rel=4e-15)
+    assert ran == 490 and skipped <= 1
+
+
+@pytest.mark.parametrize(
+    "diagonal, off, gap, s",
+    [
+        ([0.5], [], np.inf, 1.0),  # one step: T = (alpha_1), s = 1
+        ([1.0, 1.0], [0.0], 0.0, 0.0),  # equal top Ritz values
+        ([2.0, 0.0, 1.0], [0.0, 0.5], 1.5 - np.sqrt(0.5), 0.0),  # first pivot theta - alpha_1 = 0
+    ],
+)
+def test_degenerate_top_pairs_read_s_zero_or_one_without_a_log_of_zero(diagonal, off, gap, s):
+    # a log of 0 would warn, and pytest turns every warning into an error
+    theta, got_gap, got = _top_ritz(np.array(diagonal), np.array(off))
+    assert theta == max(diagonal) and got_gap == pytest.approx(gap, abs=1e-15) and got == s
+
+
+@pytest.mark.parametrize(
+    "symbol, steps",
+    [
+        (TrigPoly.zero(1), 1),  # A*A = 0: beta_1 = 0 breaks down at step 1
+        (TrigPoly.harmonic(1, (1,), (0,), 0.7), LANCZOS_CHECK),  # A*A = 0.49 I: eight equal Ritz values
+    ],
+)
+def test_lanczos_converges_on_breakdown_and_on_a_multiple_of_the_identity(symbol, steps):
+    op = toeplitz_diagonals(symbol, HilbertSpec(1, 128))
+    theta, got = _lanczos_top(op.adjoint() @ op)
+    assert got == steps and theta == pytest.approx(0.49 if steps > 1 else 0.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("k, steps", [(128, 24), (256, 40), (512, 48)])
+def test_a_double_top_eigenvalue_is_certified(k, steps):
+    # f = 2 cos 2 pi x + 2 cos 2 pi y is real, so Q_f is Hermitian with a
+    # spectrum symmetric about 0, and the top eigenvalue of A*A is double
+    f = TrigPoly(1, {((1,), (0,)): 1.0, ((-1,), (0,)): 1.0, ((0,), (1,)): 1.0, ((0,), (-1,)): 1.0})
+    op = toeplitz_diagonals(f, HilbertSpec(1, k))
+    reading = operator_norm(op, NormKind.L2)
+    assert reading.method == "lanczos_certified" and reading.steps == steps
+    assert np.linalg.norm(op.dense(), 2) * (1.0 - L2_CERT_DELTA / 2) <= reading <= reading.upper
 
 
 def _panel_entries_int64(gram, perm, bs, size):
