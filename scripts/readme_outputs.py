@@ -1,11 +1,18 @@
 """Run every command that README.md lists, or compare the outputs of two runs.
 
-    python scripts/readme_outputs.py run OUT
+    python scripts/readme_outputs.py run OUT [--src DIR]
     python scripts/readme_outputs.py compare FIRST SECOND
 
 ``run`` calls the installed ``torusquant`` console script once for each
 command of COMMANDS, with ``--quiet --out OUT/<name>``, and stops at the
-first one that exits non-zero.
+first one that exits non-zero.  With ``--src DIR`` it calls
+``python -m torusquant.cli`` with DIR first on PYTHONPATH instead, so that
+the package in another checkout's ``src/`` (a parent commit, say) writes
+the outputs, with no install:
+
+    python scripts/readme_outputs.py run /tmp/parent --src ../parent/src
+    python scripts/readme_outputs.py run /tmp/change --src src
+    python scripts/readme_outputs.py compare /tmp/parent /tmp/change
 
 ``compare`` checks that the two directories hold the same files and that
 every file is byte-identical once ``reporting.normalize_volatile`` has
@@ -25,6 +32,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -60,10 +68,21 @@ COMMANDS = (
 )
 
 
-def run(out: Path) -> int:
+def invocation(args, out: Path, src: Path | None) -> tuple[list[str], dict | None]:
+    """(command line, environment) that runs the CLI with ``args`` into
+    ``out``: the installed console script in this environment, or with
+    ``src`` the CLI module with ``src`` first on PYTHONPATH."""
+    tail = [*args, "--quiet", "--out", str(out)]
+    if src is None:
+        return ["torusquant", *tail], None
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    return [sys.executable, "-m", "torusquant.cli", *tail], {**os.environ, "PYTHONPATH": path}
+
+
+def run(out: Path, src: Path | None = None) -> int:
     for name, args in COMMANDS:
-        command = ["torusquant", *args, "--quiet", "--out", str(out / name)]
-        done = subprocess.run(command, cwd=ROOT)
+        command, env = invocation(args, out / name, src)
+        done = subprocess.run(command, cwd=ROOT, env=env)
         if done.returncode != 0:
             print(f"{' '.join(args)} exited {done.returncode}", file=sys.stderr)
             return 1
@@ -186,12 +205,13 @@ def main(argv: list[str] | None = None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
     run_parser = commands.add_parser("run", help="run every README command into OUT")
     run_parser.add_argument("out", type=Path)
+    run_parser.add_argument("--src", type=Path, help="run python -m torusquant.cli with DIR first on PYTHONPATH")
     compare_parser = commands.add_parser("compare", help="compare the outputs of two runs")
     compare_parser.add_argument("first", type=Path)
     compare_parser.add_argument("second", type=Path)
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.out.resolve())
+        return run(args.out.resolve(), args.src and args.src.resolve())
     return compare(args.first, args.second)
 
 

@@ -238,7 +238,7 @@ def _solve_gram(lower: np.ndarray, rhs: np.ndarray, inner: int) -> np.ndarray:
     Halving at the slice boundary nearest the middle, x = [[x11, 0], [x21,
     x22]]: the diagonal blocks recurse against the diagonal blocks of
     ``lower`` only, x21 is one GEMM update and a dense ``_lower_solve``, and
-    each level computes one off-diagonal block of x* x, x22* x21, and
+    each level computes one off-diagonal block of x* x, x21* x22, and
     mirrors it.  A block of at most LOWER_SOLVE_LEAF entries, or of one
     slice, is one dense solve and one GEMM."""
     size = len(lower)
@@ -252,9 +252,10 @@ def _solve_gram(lower: np.ndarray, rhs: np.ndarray, inner: int) -> np.ndarray:
     x21 -= lower[half:, :half] @ rhs[:half, :half]
     _lower_solve(lower[half:, half:], x21)
     out[half:, half:] = _solve_gram(lower[half:, half:], rhs[half:, half:], inner)
-    out[:half, :half] += x21.conj().T @ x21
-    out[half:, :half] = rhs[half:, half:].conj().T @ x21
-    out[:half, half:] = out[half:, :half].conj().T
+    adjoint = x21.conj().T  # the level's one conjugate copy
+    out[:half, :half] += adjoint @ x21
+    out[:half, half:] = adjoint @ rhs[half:, half:]
+    np.conjugate(out[:half, half:].T, out=out[half:, :half])
     return out
 
 

@@ -31,6 +31,7 @@ radix-sorted.  A product codes each term pair as code(f-term) plus
 code(g-term) over the box of the pair sums and never forms their keys.
 Boxes of 2^63 cells or more, which only keys near ``MAX_FREQ`` on several
 axes reach, have codes past int64 and take ``np.lexsort`` of the rows.
+One key, or a product with a one-term factor, is in order and sorts nothing.
 """
 
 from __future__ import annotations
@@ -300,8 +301,12 @@ def _as_order(orders: Sequence[int], n: int) -> tuple[int, ...]:
 def _pair_terms(f: TrigPoly, g: TrigPoly) -> tuple[tuple, np.ndarray]:
     """``_group_keys`` runs and amplitudes of every term pair of f and g,
     f-major: pair i * len(g) + j is the i-th term of f with the j-th of g,
-    at the frequency sum and with the amplitude product."""
+    at the frequency sum and with the amplitude product.  A one-term factor
+    translates the other's sorted, unique keys: one run per pair, no sort."""
     amps = (f.values[:, None] * g.values[None, :]).reshape(-1)
+    if min(len(f), len(g)) == 1:
+        pairs = np.arange(len(amps), dtype=np.intp)
+        return (pairs, pairs, (f.keys[:, None, :] + g.keys[None, :, :]).reshape(len(amps), -1)), amps
     return _group_pairs(f.keys, g.keys), amps
 
 
@@ -310,9 +315,8 @@ def _box(keys: np.ndarray) -> tuple[list[int], list[int]]:
     largest entry minus the least plus one, and 1 for no rows."""
     if not len(keys):
         return [0] * keys.shape[1], [1] * keys.shape[1]
-    lows = [int(column.min()) for column in keys.T]
-    spans = [int(column.max()) - low + 1 for column, low in zip(keys.T, lows)]
-    return lows, spans
+    lows = keys.min(axis=0).tolist()
+    return lows, [high - low + 1 for low, high in zip(lows, keys.max(axis=0).tolist())]
 
 
 def _code_dtype(cells: int) -> type:
@@ -324,26 +328,10 @@ def _code_dtype(cells: int) -> type:
 
 
 def _codes(keys: np.ndarray, lows: list[int], spans: list[int], dtype: type) -> np.ndarray:
-    """sum_c (keys[:, c] - lows[c]) * spans[c+1] ... spans[-1] for each row.
-
-    The sum is taken in int64, where a partial sum may wrap, but the
-    wrapping is modulo 2^64 and the final codes lie in [0, 2^63)."""
-    codes = np.zeros(len(keys), dtype=np.int64)
-    for column, low, span in zip(keys.T, lows, spans):
-        codes *= span
-        codes += column
-        codes -= low
-    return codes.astype(dtype)
-
-
-def _runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, starts): the stable sort of the codes and the index in it
-    where each run of equal codes begins."""
-    order = np.argsort(codes, kind="stable")
-    ordered = codes[order]
-    first = np.ones(len(codes), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return order, np.flatnonzero(first)
+    """sum_c (keys[:, c] - lows[c]) * spans[c+1] ... spans[-1] for each row,
+    one int64 product whose partial sums stay below the box's cell count."""
+    strides = np.array([math.prod(spans[c + 1 :]) for c in range(len(spans))], dtype=np.int64)
+    return ((keys - np.array(lows, dtype=np.int64)) @ strides).astype(dtype)
 
 
 def _group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,17 +339,20 @@ def _group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(order, starts, unique)``: ``keys[order]`` is sorted with rows
     of equal keys left in their given order, each run begins at an index of
-    ``starts``, and ``unique`` holds one key per run.  It is ``_group_pairs``
-    of the rows with one zero row, which gives the same box, codes and code
-    type as the rows alone.
+    ``starts``, and ``unique`` holds one key per run.  Past one row it is
+    ``_group_pairs`` of the rows with one zero row, which gives the same
+    box, codes and code type as the rows alone.
     """
+    if len(keys) < 2:
+        rows = np.arange(len(keys), dtype=np.intp)
+        return rows, rows, keys
     return _group_pairs(keys, np.zeros((1, keys.shape[1]), dtype=np.int64))
 
 
 def _group_pairs(f_keys: np.ndarray, g_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_group_keys`` of the f-major pair sums f_keys[i] + g_keys[j]: a
     stable ``np.argsort`` of their codes (see the module docstring), taken
-    without forming the sums.
+    without forming the sums.  Rows come in any order, so one row sorts too.
 
     The pair sums span the box whose column c runs from the sum of the two
     least entries over the sum of the two spans less one.  Over that box a
@@ -384,8 +375,12 @@ def _group_pairs(f_keys: np.ndarray, g_keys: np.ndarray) -> tuple[np.ndarray, np
         starts = np.flatnonzero(first)
         return order, starts, ordered[starts]
     dtype = _code_dtype(cells)
-    codes = np.add.outer(_codes(f_keys, f_lows, spans, dtype), _codes(g_keys, g_lows, spans, dtype))
-    order, starts = _runs(codes.reshape(-1))
+    codes = np.add.outer(_codes(f_keys, f_lows, spans, dtype), _codes(g_keys, g_lows, spans, dtype)).reshape(-1)
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
     i, j = np.divmod(order[starts], len(g_keys))
     return order, starts, f_keys[i] + g_keys[j]
 

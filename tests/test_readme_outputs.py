@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,6 +22,31 @@ def test_the_script_runs_the_commands_the_readme_lists_in_its_order():
     block = readme.split("Ready-made configs live in `configs/`:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     listed = [re.sub(r"\s+#.*", "", line).split()[1:] for line in block.strip().splitlines()]
     assert [list(args) for _name, args in load_script().COMMANDS] == listed
+
+
+def test_run_with_src_calls_the_cli_module_with_that_source_first(tmp_path, monkeypatch):
+    script = load_script()
+    calls = []
+
+    class Done:
+        returncode = 0
+
+    def fake_run(command, cwd, env):
+        calls.append((command, cwd, env))
+        return Done()
+
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    out, src = tmp_path / "out", tmp_path / "parent" / "src"
+    assert script.main(["run", str(out), "--src", str(src)]) == 0
+    assert len(calls) == len(script.COMMANDS)
+    for (name, args), (command, cwd, env) in zip(script.COMMANDS, calls):
+        assert command == [sys.executable, "-m", "torusquant.cli", *args, "--quiet", "--out", str(out / name)]
+        assert cwd == script.ROOT and env["PYTHONPATH"] == os.pathsep.join([str(src), "elsewhere"])
+    # without --src, the installed console script in this environment
+    calls.clear()
+    assert script.main(["run", str(out)]) == 0
+    assert calls[-1] == (["torusquant", "check", "--quiet", "--out", str(out / "check")], script.ROOT, None)
 
 
 def test_compare_names_the_files_that_differ(tmp_path, capsys):
