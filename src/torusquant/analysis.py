@@ -23,26 +23,31 @@ and norms from the wrapped-diagonal form of each operator
 (``quantize.DiagonalOperator`` and its operator algebra), with no dense
 product or assembly; only the LAPACK l2 route below scatters a matrix.  l1
 and linf are exact column and row sums, kept on each operator once
-computed.  l2 is the LAPACK 2-norm up to dimension LAPACK_L2_MAX_DIM, where
-it is the cheaper route.  Above it, l2 is the square root of the top Ritz
-value theta of a three-term Lanczos recurrence on A*A from a seeded start,
-which holds two vectors whatever its step budget, certified by a block
-Cholesky factorization of theta (1 + L2_CERT_DELTA) I - A*A, made block
-tridiagonal by interleaving the outermost axis and factored
-in block rows of at least CERT_MIN_ROWS entries, each carrying only the
-last interleaving block of the row before it (``_certify``).  That coupling
-is block-triangular in slices of the outermost axis, and the Schur update
-halves at slice boundaries to skip its zero blocks (``_schur_update``),
-which at n = 2, k = 128 takes the certificate from about 7.1 to 4.6 s; where an
-interleaving block would pass ``config.CERT_BLOCK_CAP``, the run does not
-converge or the certificate fails, it is the LAPACK 2-norm again, and above
-the dense cap an ``L2RouteError``.  A certified value sits below the true
-norm by less than L2_CERT_DELTA / 2 relative and never above it beyond
-rounding; an exactly zero operator reads 0 on the ``interp_bound`` route,
-its bound being the norm; ``L2Reading`` says which route answered.
-Lanczos and the certificate see A divided by 2^e, e the binary exponent of
-its bound sqrt(l1) sqrt(linf): a power of two keeps every product exact,
-and A*A then neither overflows nor underflows however large or small A is.
+computed.  Both l2 entry points read one route function, ``_l2_route``,
+with a tolerance (0 for ``operator_norm``, the check's own for
+``certified_l2_norm``); ``L2Reading`` says which route answered:
+
+1. ``interp_bound``, the bound sqrt(l1 linf), when it is within the
+   tolerance, so an exactly zero operator reads 0 at every dimension.  It
+   is the root of the product where that is a normal float and the product
+   of the roots outside, so it neither underflows to 0 nor overflows.
+2. The LAPACK 2-norm, up to dimension LAPACK_L2_MAX_DIM, where it is the
+   cheaper route.
+3. Certified Lanczos: the square root of the top Ritz value theta of a
+   three-term Lanczos recurrence on A*A from a seeded start, holding two
+   vectors whatever its step budget, certified by a block Cholesky
+   factorization of theta (1 + L2_CERT_DELTA) I - A*A, made block
+   tridiagonal by interleaving the outermost axis and factored in block
+   rows of at least CERT_MIN_ROWS entries, each carrying only the last
+   interleaving block of the row before it (``_certify``); the Schur update
+   halves at the slice boundaries of that coupling to skip its zero blocks
+   (``_schur_update``).  Both see A divided by 2^e, e the binary exponent
+   of the bound, so A*A neither overflows nor underflows and every product
+   stays exact.  The value sits below the true norm by less than
+   L2_CERT_DELTA / 2 relative and never above it beyond rounding.
+4. Where an interleaving block would pass ``config.CERT_BLOCK_CAP``, the
+   run does not converge or the certificate fails, the LAPACK 2-norm
+   again, and above the dense cap an ``L2RouteError``.
 
 Conventions are stated once and checked, never measured: TRANSFORM_PHASE
 is the phase of the exact Berezin transform that ``intertwine`` checks,
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -176,18 +182,10 @@ class L2RouteError(ValueError):
 
 
 def certified_l2_norm(op: DiagonalOperator, tol: float) -> L2Reading:
-    """l2 norm for comparisons against a tolerance.
-
-    Returns the interpolation bound sqrt(l1 * linf), method
-    ``interp_bound``, when it already sits at or below ``tol``: the bound
-    dominates the l2 norm, so it certifies the check with no l2 route; l1
-    and linf are exact sums over the diagonals.  Otherwise returns the
-    reading of the l2 route (``operator_norm``).
-    """
-    bound = float(np.sqrt(operator_norm(op, NormKind.L1) * operator_norm(op, NormKind.LINF)))
-    if bound <= tol:
-        return L2Reading(bound, "interp_bound", bound)
-    return operator_norm(op, NormKind.L2)
+    """l2 norm for comparisons against a tolerance: the reading of the l2
+    route (``_l2_route``) with tolerance ``tol``, so the interpolation
+    bound answers whenever it already certifies the check."""
+    return _l2_route(op, tol)
 
 
 def _interleaving(op: DiagonalOperator) -> tuple[np.ndarray, int] | None:
@@ -428,18 +426,22 @@ def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
     return None, steps
 
 
-def _l2_diagonal(op: DiagonalOperator) -> L2Reading:
+def _l2_route(op: DiagonalOperator, tol: float) -> L2Reading:
+    """The l2 reading of both entry points, its routes tried in the order
+    that the module docstring gives."""
+    l1, linf = op.l1_norm(), op.linf_norm()
+    product = l1 * linf
+    # the root of the product where it is a normal float, and the product of
+    # the roots where it would underflow to 0 or overflow
+    bound = math.sqrt(product) if sys.float_info.min <= product < math.inf else math.sqrt(l1) * math.sqrt(linf)
+    if bound <= tol:
+        return L2Reading(bound, "interp_bound", bound)
     if op.spec.dim > LAPACK_L2_MAX_DIM:
-        bound = math.sqrt(op.l1_norm()) * math.sqrt(op.linf_norm())
-        if bound == 0.0:  # A = 0, whose Gram no Lanczos value certifies
-            return L2Reading(0.0, "interp_bound", 0.0)
         steps, interleaving = 0, _interleaving(op)
         if interleaving is None:
             failed = f"the band of A*A needs certificate blocks above {CERT_BLOCK_CAP} entries"
         else:
-            # A over 2^e, e the binary exponent of its bound sqrt(l1) sqrt(linf),
-            # so that A*A neither overflows nor underflows; a power of two
-            # keeps every product exact, and the reading is scaled back
+            # A over 2^e, e the binary exponent of its bound; read scaled back
             exponent = max(math.frexp(bound)[1], -1023)
             scaled = op.scale(math.ldexp(1.0, -exponent))
             gram = scaled.adjoint() @ scaled
@@ -468,17 +470,17 @@ def operator_norm(op: DiagonalOperator, kind: NormKind | str) -> float:
     ``l1`` is the max column absolute sum and ``linf`` the max row absolute
     sum, sums of |D| over the diagonals, exact to rounding and kept on the
     operator once computed (``DiagonalOperator.l1_norm``, ``linf_norm``), so
-    a row's l1 and linf and the bound of its l2 route are one pass each.
-    ``l2`` is the largest singular value as an ``L2Reading``: the LAPACK
-    2-norm up to LAPACK_L2_MAX_DIM and certified Lanczos above it, as the
-    module docstring describes.
+    a row's l1 and linf and the bound of its l2 reading are one pass each.
+    ``l2`` is the largest singular value as an ``L2Reading``, read by the l2
+    route with tolerance 0: the interpolation bound answers only for an
+    exactly zero operator.
     """
     kind = NormKind(kind) if not isinstance(kind, NormKind) else kind
     if kind is NormKind.L1:
         return op.l1_norm()
     if kind is NormKind.LINF:
         return op.linf_norm()
-    return _l2_diagonal(op)
+    return _l2_route(op, 0.0)
 
 
 # -- error operators ----------------------------------------------------------

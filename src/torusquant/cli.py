@@ -23,7 +23,7 @@ import numpy as np
 from . import checks, reporting
 from .analysis import L2RouteError, run_experiment
 from .config import ConfigError, check_pair_product, config_hash, parse_config
-from .quantize import DENSE_DIM_CAP, HilbertSpec, toeplitz_diagonals, write_operator_csv
+from .quantize import DENSE_DIM_CAP, HilbertSpec, operator_to_csv, toeplitz_diagonals
 from .starprod import Orientation, star_truncated
 
 
@@ -131,7 +131,7 @@ def _cmd_assemble(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stem = f"assemble_{config_hash(cfg)[len('sha256:'):][:8]}_k{cfg.k_min}"
     path = out / f"{stem}.csv"
-    write_operator_csv(op, path)
+    path.write_text(operator_to_csv(op), encoding="utf-8")
     if not args.quiet:
         nnz = int(np.count_nonzero(op.values))
         print(f"wrote {path} (dim {op.spec.dim}, nnz {nnz}, polarization {cfg.polarization})")

@@ -489,13 +489,6 @@ def _halving_sum(sums: list):
     return _halving_sum(sums[:half]) + _halving_sum(sums[half:])
 
 
-def sample_grid(ast: ExprAst, n: int, grid: int) -> np.ndarray:
-    """sample_lattice spread to the full real array of shape (grid,)*2n."""
-    values = sample_lattice(ast, n, grid)
-    full = (grid,) * (2 * n)
-    return values if values.shape == full else np.broadcast_to(values, full).copy()
-
-
 def project(ast: ExprAst, spec: ProjectionSpec, n: int | None = None) -> TrigPoly:
     """Band-limit an expression to |p_i|, |q_i| <= bandwidth.
 
@@ -510,7 +503,7 @@ def project(ast: ExprAst, spec: ProjectionSpec, n: int | None = None) -> TrigPol
         raise ValueError("n must be at least 1")
     B = spec.bandwidth
     M = spec.grid
-    samples = sample_grid(ast, n, M)
+    samples = np.broadcast_to(sample_lattice(ast, n, M), (M,) * (2 * n))
     spectrum = np.fft.fftn(samples) / float(M ** (2 * n))
     keys = box_keys(n, B)
     values = spectrum[tuple((keys % M).T)]  # negative frequencies wrap around

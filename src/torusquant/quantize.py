@@ -406,8 +406,3 @@ def operator_to_csv(op: DiagonalOperator) -> str:
     for r, c, re, im in zip(rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist()):
         lines.append(f"{r},{c},{re!r},{im!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_operator_csv(op: DiagonalOperator, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(operator_to_csv(op))

@@ -352,9 +352,14 @@ def test_cli_run_certifies_a_small_operator_above_the_dense_cap(tmp_path):
     assert [(m["k"], m["method"]) for m in methods] == [(128, "lanczos_certified")]
 
 
-def test_cli_run_reads_exactly_zero_remainders_past_the_dense_cap(tmp_path):
+def test_cli_run_reads_exactly_zero_remainders_past_the_dense_cap(tmp_path, monkeypatch):
     # f = e^{2 pi i x}, g = e^{2 pi i y}: every STAR phase a.q is 0, so each
     # order-0 remainder is exactly 0, and its l2 norm reads 0 up to k = 8192
+    # on its bound, with no dense SVD at any level
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a dense SVD ran")
+
+    monkeypatch.setattr("numpy.linalg.svd", no_svd)
     data = {"experiment": "product", "n": 1, "k_min": 64, "k_max": 8192, "order": 0,
             "f": {"coeffs": [{"p": [1], "q": [0], "re": 1.0}]},
             "g": {"coeffs": [{"p": [0], "q": [1], "re": 1.0}]}}
@@ -364,7 +369,7 @@ def test_cli_run_reads_exactly_zero_remainders_past_the_dense_cap(tmp_path):
     report = json.loads(report.read_text(encoding="utf-8"))
     assert len(report["rows"]) == 3 * 8 and all(row["error"] == 0.0 for row in report["rows"])
     assert [s["outcome"] for s in report["series"]] == ["exact_identity"] * 3
-    assert [m["method"] for m in report["details"]["l2_methods"]] == ["lapack_svd"] + ["interp_bound"] * 7
+    assert [m["method"] for m in report["details"]["l2_methods"]] == ["interp_bound"] * 8
 
 
 def test_cli_run_reports_an_uncertified_l2_norm_in_one_line(tmp_path, capsys, monkeypatch):

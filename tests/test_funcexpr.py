@@ -26,7 +26,6 @@ from torusquant.funcexpr import (
     lattice_mean,
     parse,
     project,
-    sample_grid,
     sample_lattice,
 )
 
@@ -158,10 +157,10 @@ def test_evaluate_known_values():
     assert abs(evaluate(parse("cos(2*pi*x1)"), (0.25,), (0.0,))) < 1e-15
 
 
-def test_sample_grid_matches_scalar_evaluate():
+def test_broadcast_sample_lattice_matches_scalar_evaluate():
     ast = parse("exp(cos(2*pi*x1)) * sin(2*pi*y1)")
     m = 8
-    grid = sample_grid(ast, 1, m)
+    grid = np.broadcast_to(sample_lattice(ast, 1, m), (m, m))
     assert grid.shape == (m, m)
     for i in (0, 3, 5):
         for j in (1, 4, 7):
@@ -174,9 +173,6 @@ def test_sample_lattice_keeps_unread_axes_unspread():
     ast = parse("exp(sin(2*pi*y2)) + y2")
     sparse = sample_lattice(ast, 2, m)
     assert sparse.shape == (1, 1, 1, m)
-    full = sample_grid(ast, 2, m)
-    assert full.shape == (m,) * 4
-    assert np.array_equal(full, np.broadcast_to(sparse, full.shape))
     for l in range(m):
         assert sparse[0, 0, 0, l] == pytest.approx(evaluate(ast, (0.5, 0.25), (0.0, l / m)), rel=1e-14)
     assert sample_lattice(parse("2^3"), 1, m).shape == ()

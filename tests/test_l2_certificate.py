@@ -1,5 +1,6 @@
 """Certified Lanczos l2 norms of wrapped-diagonal operators against LAPACK."""
 
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from torusquant.analysis import (
     L2RouteError,
     NormKind,
     _certify,
+    _exact_transform_defect,
     _interleaving,
     _lanczos_top,
     _lower_solve,
@@ -28,6 +30,7 @@ from torusquant.analysis import (
     _schur_update,
     _top_ritz,
     _tridiagonal,
+    certified_l2_norm,
     intertwine_sweep,
     norm_bound_sweep,
     operator_norm,
@@ -368,29 +371,80 @@ def test_norm_bound_is_judged_on_the_certified_upper_value():
     assert report.details["max_upper"] > report.details["max_norm"]
 
 
-def test_zero_operator_reads_zero():
+@pytest.fixture
+def no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense SVD ran")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+
+
+def test_zero_operator_reads_zero(no_svd):
     op = toeplitz_diagonals(TrigPoly(1, {}), HilbertSpec(1, 16))
     assert op.values.shape == (0, 16)
     assert operator_norm(op, NormKind.L1) == operator_norm(op, NormKind.LINF) == 0.0
     reading = operator_norm(op, NormKind.L2)
-    assert reading == 0.0 and reading.upper == 0.0 and reading.method == "lapack_svd"
+    assert reading == 0.0 and reading.upper == 0.0 and reading.method == "interp_bound"
 
 
-@pytest.mark.parametrize("n, k", [(1, 128), (1, 8192), (2, 16)])
-def test_zero_operator_reads_zero_above_dimension_64(monkeypatch, n, k):
-    # Lanczos on a zero Gram finds theta = 0, which no certificate takes, and
-    # past the dense cap no SVD stands behind it: the bound sqrt(l1 linf) = 0
-    # is the norm itself
-    def no_svd(*args, **kwargs):
-        raise AssertionError("a dense SVD ran")
-
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
+@pytest.mark.parametrize("n, k", [(2, 4), (1, 64), (2, 8), (1, 128), (1, 8192), (2, 16)])
+def test_zero_operator_reads_zero_at_every_dimension(no_svd, n, k):
+    # the bound sqrt(l1 linf) = 0 is the norm itself, and within a plain l2
+    # reading's tolerance 0 at every dimension: no SVD up to dimension 64,
+    # and above it no Lanczos on a zero Gram, whose theta = 0 no certificate
+    # takes, with no SVD behind it past the dense cap
     spec = HilbertSpec(n, k)
     no_diagonal = toeplitz_diagonals(TrigPoly(n, {}), spec)
     zero_diagonal = DiagonalOperator(spec, np.zeros((1, n), dtype=np.int64), np.zeros((1, spec.dim)))
+    assert no_diagonal.values.shape == (0, spec.dim)
     for op in (no_diagonal, zero_diagonal):
+        assert operator_norm(op, NormKind.L1) == operator_norm(op, NormKind.LINF) == 0.0
         reading = operator_norm(op, NormKind.L2)
         assert reading == 0.0 and reading.upper == 0.0 and reading.method == "interp_bound"
+
+
+@pytest.mark.parametrize("k", [8, 128])
+def test_a_tiny_operator_reads_nonzero_on_both_entry_points(k):
+    # l1 linf = 2.25e-326 underflows to 0; the product of the roots does
+    # not, so both entry points read a nonzero value
+    op = toeplitz_diagonals(TrigPoly(1, {((1,), (0,)): 1e-163, ((0,), (1,)): 5e-164}), HilbertSpec(1, k))
+    norm = float(np.linalg.svd(op.dense(), compute_uv=False)[0])
+    assert op.l1_norm() * op.linf_norm() == 0.0 < norm
+    plain = operator_norm(op, NormKind.L2)
+    assert plain.method == ("lapack_svd" if k == 8 else "lanczos_certified")
+    bound = certified_l2_norm(op, 1e-10)
+    assert bound.method == "interp_bound" and bound == pytest.approx(1.5e-163, rel=1e-15)
+    for reading in (plain, bound, certified_l2_norm(op, 0.0)):
+        assert reading > 0.0 and reading.upper >= max(norm, plain)
+
+
+def test_a_tiny_exact_transform_defect_reads_nonzero():
+    f = random_trig_poly(np.random.default_rng(3), 1, 2, decay=8.0).scale(1e-170)
+    defect = _exact_transform_defect(f, 16)
+    reading = certified_l2_norm(defect, 1e-10)
+    assert reading.method == "interp_bound" and reading > 0.0
+    assert reading.upper >= operator_norm(defect, NormKind.L2) >= 6.4e-188
+
+
+@pytest.mark.parametrize("k", [8, 128])
+def test_a_huge_operator_bound_does_not_overflow(k):
+    # l1 linf = 2.25e320 overflows to inf; the product of the roots does not
+    op = toeplitz_diagonals(TrigPoly(1, {((1,), (0,)): 1e160, ((0,), (1,)): 5e159}), HilbertSpec(1, k))
+    assert op.l1_norm() * op.linf_norm() == math.inf
+    reading = certified_l2_norm(op, 1e300)
+    assert reading.method == "interp_bound" and reading == pytest.approx(1.5e160, rel=1e-15)
+    assert reading.upper >= operator_norm(op, NormKind.L2).upper
+
+
+def test_the_bound_keeps_the_root_of_a_normal_product():
+    # where l1 linf is a normal float the bound is its correctly rounded
+    # root, the bits that reports have always carried; on this operator the
+    # product of the roots rounds to another float
+    op = _diagonals(0, 1, 2, "random", 8)
+    l1, linf = op.l1_norm(), op.linf_norm()
+    assert math.sqrt(l1 * linf) != math.sqrt(l1) * math.sqrt(linf)
+    reading = certified_l2_norm(op, 1e300)
+    assert reading.method == "interp_bound" and reading == math.sqrt(l1 * linf) == float(np.sqrt(l1 * linf))
 
 
 def test_lapack_answers_up_to_dimension_64_and_lanczos_above():

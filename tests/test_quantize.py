@@ -21,7 +21,6 @@ from torusquant.quantize import (
     operator_to_csv,
     toeplitz_diagonals,
     torus_generator_diagonals,
-    write_operator_csv,
     _distinct_residues,
 )
 from torusquant.starprod import HbarValue, star_exact, star_truncated
@@ -585,7 +584,7 @@ def test_state_and_operator_are_frozen():
         QuantumOperator(spec, np.ones((4, 4)))
 
 
-def test_csv_golden(tmp_path):
+def test_csv_golden():
     # amplitudes chosen so every entry is exactly representable
     f = TrigPoly(1, {((0,), (0,)): 0.5, ((1,), (0,)): 0.25})
     op = toeplitz_diagonals(f, HilbertSpec(1, 2))
@@ -597,9 +596,6 @@ def test_csv_golden(tmp_path):
         "1,1,0.5,0.0\n"
     )
     assert operator_to_csv(op) == want
-    path = tmp_path / "op.csv"
-    write_operator_csv(op, path)
-    assert path.read_text(encoding="utf-8") == want
 
 
 def test_csv_skips_zero_entries():
