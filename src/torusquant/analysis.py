@@ -61,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -640,7 +640,7 @@ class SweepPoint:
 class SeriesSummary:
     name: str
     norm_kind: str
-    outcome: str  # "fit" | "exact_identity" | "bound" | "insufficient_points"
+    outcome: str  # "fit" | "exact_identity" | "bound" | "violation" | "insufficient_points"
     passed: bool
     slope: float | None = None
     residual: float | None = None
@@ -649,21 +649,7 @@ class SeriesSummary:
     n_excluded: int = 0
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "norm_kind": self.norm_kind,
-            "outcome": self.outcome,
-            "passed": self.passed,
-            "n_excluded": self.n_excluded,
-        }
-        if self.slope is not None:
-            out["slope"] = self.slope
-            out["residual"] = self.residual
-        if self.expected_slope is not None:
-            out["expected_slope"] = self.expected_slope
-        if self.window is not None:
-            out["window"] = list(self.window)
-        return out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 @dataclass
@@ -671,8 +657,12 @@ class ConvergenceReport:
     experiment: str
     rows: list[SweepPoint]
     series: list[SeriesSummary]
-    passed: bool
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """Whether every series passed."""
+        return all(s.passed for s in self.series)
 
     def to_dict(self) -> dict:
         return {
@@ -748,6 +738,19 @@ def _l2_details(ks: Sequence[int], readings: Sequence[L2Reading]) -> dict:
     }
 
 
+def _within(name: str, readings: Sequence[L2Reading], limit: float, outcome: str = "exact_identity") -> SeriesSummary:
+    """An l2 series that passes, reading ``outcome``, when the certified upper
+    value (``L2Reading.upper``) of every reading is within ``limit``, and
+    reads ``violation`` otherwise."""
+    ok = max(r.upper for r in readings) <= limit
+    return SeriesSummary(name, NormKind.L2.value, outcome if ok else "violation", ok)
+
+
+def _rows(ks: Sequence[int], values: Sequence[float], norm_kind: str) -> list[SweepPoint]:
+    """One row of ``norm_kind`` per level."""
+    return [SweepPoint(k, 1.0 / k, float(v), norm_kind) for k, v in zip(ks, values)]
+
+
 def _norm_report(
     experiment: str,
     ks: Sequence[int],
@@ -772,7 +775,7 @@ def _norm_report(
     series += extra
     l2 = [norms[NormKind.L2.value] for norms in cells]
     details = {"order": order, "error_floor": ERROR_FLOOR, **details, **_l2_details(ks, l2)}
-    return ConvergenceReport(experiment, rows, series, all(s.passed for s in series), details)
+    return ConvergenceReport(experiment, rows, series, details)
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -795,21 +798,13 @@ def intertwine_sweep(f: TrigPoly, order: int, ks: Sequence[int]) -> ConvergenceR
     judged on the certified upper values (``L2Reading.upper``)."""
     tol = EXACT_TRANSFORM_TOL * max(1.0, f.l1_norm())
     readings = [certified_l2_norm(_exact_transform_defect(f, k), tol) for k in ks]
-    exact_errors = [{"k": k, "error": float(e), **e.describe()} for k, e in zip(ks, readings)]
-    exact_max = float(max(readings))
-    ok = max(r.upper for r in readings) <= tol
-    exact = SeriesSummary(
-        name="exact_transform",
-        norm_kind=NormKind.L2.value,
-        outcome="exact_identity" if ok else "violation",
-        passed=ok,
-    )
     details = {
         "transform_phase": TRANSFORM_PHASE,
-        "exact_errors": exact_errors,
-        "exact_max_error": exact_max,
+        "exact_errors": [{"k": k, "error": float(e), **e.describe()} for k, e in zip(ks, readings)],
+        "exact_max_error": float(max(readings)),
         "exact_tolerance": tol,
     }
+    exact = _within("exact_transform", readings, tol)
     return _norm_report("intertwine", ks, _remainder_at(berezin_map(f), order), order, details, [exact])
 
 
@@ -838,9 +833,7 @@ def trace_sweep(f, ks: Sequence[int], reference: complex | None = None, n: int |
         }
     reference = complex(reference)
     details.update(error_floor=ERROR_FLOOR, reference_re=reference.real, reference_im=reference.imag)
-    rows = [SweepPoint(k, 1.0 / k, e, "abs") for k, e in zip(ks, errors)]
-    series = [SeriesSummary(name=name, norm_kind="abs", outcome=outcome, passed=ok)]
-    return ConvergenceReport("trace", rows, series, ok, details)
+    return ConvergenceReport("trace", _rows(ks, errors, "abs"), [SeriesSummary(name, "abs", outcome, ok)], details)
 
 
 def norm_bound_sweep(f: TrigPoly, ks: Sequence[int]) -> ConvergenceReport:
@@ -855,20 +848,15 @@ def norm_bound_sweep(f: TrigPoly, ks: Sequence[int]) -> ConvergenceReport:
     values = [
         operator_norm(toeplitz_diagonals(f, HilbertSpec(f.n, k, Polarization.POSITION)), NormKind.L2) for k in ks
     ]
-    rows = [SweepPoint(k, 1.0 / k, float(v), "l2") for k, v in zip(ks, values)]
     tol = bound * 1e-10 + 1e-12
-    max_upper = max(v.upper for v in values)
-    ok = max_upper <= bound + tol
-    series = [SeriesSummary(name="coefficient_bound", norm_kind="l2", outcome="bound", passed=ok)]
     return ConvergenceReport(
         experiment="norm_bound",
-        rows=rows,
-        series=series,
-        passed=ok,
+        rows=_rows(ks, values, "l2"),
+        series=[_within("coefficient_bound", values, bound + tol, "bound")],
         details={
             "bound": bound,
             "max_norm": float(max(values)),
-            "max_upper": max_upper,
+            "max_upper": max(v.upper for v in values),
             "tolerance": tol,
             "note": "rows carry the measured l2 norm, not an error; the bound is judged on max_upper",
             **_l2_details(ks, values),
@@ -923,16 +911,13 @@ def torus_relations_sweep(n: int, ks: Sequence[int]) -> ConvergenceReport:
     worst defect, and the details state COMMUTATION_SIGN and name the l2
     route of each level's worst defect."""
     defects = [torus_relation_defects(n, k) for k in ks]
-    max_defect = float(max(defects))
-    ok = max(d.upper for d in defects) <= TORUS_RELATION_TOL
     return ConvergenceReport(
         experiment="torus_relations",
-        rows=[SweepPoint(k, 1.0 / k, float(d), "l2") for k, d in zip(ks, defects)],
-        series=[SeriesSummary("generator_relations", "l2", "exact_identity" if ok else "violation", ok)],
-        passed=ok,
+        rows=_rows(ks, defects, "l2"),
+        series=[_within("generator_relations", defects, TORUS_RELATION_TOL)],
         details={
             "commutation_sign": COMMUTATION_SIGN,
-            "max_defect": max_defect,
+            "max_defect": float(max(defects)),
             "tolerance": TORUS_RELATION_TOL,
             **_l2_details(ks, defects),
         },
@@ -989,5 +974,9 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     if name == "intertwine":
         return intertwine_sweep(*symbols, cfg.order, ks)
     if name == "trace":
-        return trace_sweep(*symbols, ks)
+        (f,) = symbols
+        if max(ks) <= f.bandwidth():
+            raise ConfigError("k_max", f"{max(ks)} is not above f's bandwidth {f.bandwidth()}; "
+                              "a band-limited trace judges only the levels above it")
+        return trace_sweep(f, ks)
     return norm_bound_sweep(*symbols, ks)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import checks, reporting
 from .analysis import L2RouteError, run_experiment
-from .config import ConfigError, check_pair_product, config_hash, parse_config
+from .config import ConfigError, check_pair_product, parse_config
 from .quantize import DENSE_DIM_CAP, HilbertSpec, operator_to_csv, toeplitz_diagonals
 from .starprod import Orientation, star_truncated
 
@@ -61,6 +61,16 @@ def _load_config(args):
     return cfg
 
 
+def _output_dir(out: str) -> Path:
+    """``out`` as a path, checked before any work and created by none: a
+    ConfigError on ``out`` when its first existing part is not a directory."""
+    path = Path(out)
+    first = next(part for part in (path, *path.parents) if part.is_symlink() or part.exists())
+    if not first.is_dir():
+        raise ConfigError("out", f"{first} exists and is not a directory")
+    return path
+
+
 def _format_index(vec) -> str:
     return "[" + " ".join(str(v) for v in vec) + "]"
 
@@ -69,9 +79,10 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if not cfg.kind.sweep:
         raise ConfigError("experiment", "star_table configs are handled by the star subcommand")
+    out = _output_dir(cfg.out)
     t0 = perf_counter()
     result = run_experiment(cfg)
-    report_path, csv_path = reporting.write_report(cfg, result, perf_counter() - t0, cfg.out)
+    report_path, csv_path = reporting.write_report(cfg, result, perf_counter() - t0, out)
     if not args.quiet:
         print(f"{cfg.experiment}: {'PASS' if result.passed else 'FAIL'}")
         for s in result.series:
@@ -88,28 +99,25 @@ def _cmd_star(args) -> int:
     cfg = _load_config(args)
     if cfg.kind.sweep:
         raise ConfigError("experiment", "the star subcommand expects a star_table config")
+    # the CSV is written only when an output directory is asked for
+    out = _output_dir(cfg.out) if args.out is not None or cfg.out != "reports" else None
     f, g = cfg.symbols()
     check_pair_product(cfg, f, g)
     series = star_truncated(f, g, cfg.order, Orientation(cfg.orientation))
-    lines = []
+    lines, rows = [], ["order,p,q,re,im"]
     for i in range(cfg.order + 1):
-        coeff = series.coefficient(i)
-        lines.append(f"order {i}: {len(coeff.terms())} terms")
-        for (p, q), c in coeff.terms():
+        terms = series.coefficient(i).terms()
+        lines.append(f"order {i}: {len(terms)} terms")
+        for (p, q), c in terms:
             lines.append(f"  p={_format_index(p)} q={_format_index(q)} re={c.real!r} im={c.imag!r}")
+            rows.append(f'{i},"{" ".join(map(str, p))}","{" ".join(map(str, q))}",{c.real!r},{c.imag!r}')
     if not args.quiet:
         print(f"star table: orientation={cfg.orientation}, order={cfg.order}, n={cfg.n}")
         for line in lines:
             print(line)
-    if args.out is not None or cfg.out != "reports":
-        out = Path(args.out if args.out is not None else cfg.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        stem = f"star_{config_hash(cfg)[len('sha256:'):][:8]}"
-        rows = ["order,p,q,re,im"]
-        for i in range(cfg.order + 1):
-            for (p, q), c in series.coefficient(i).terms():
-                rows.append(f'{i},"{" ".join(map(str, p))}","{" ".join(map(str, q))}",{c.real!r},{c.imag!r}')
-        path = out / f"{stem}.csv"
+        path = out / f"{reporting.file_stem(cfg, 'star')}.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         if not args.quiet:
             print(f"csv: {path}")
@@ -124,13 +132,12 @@ def _cmd_assemble(args) -> int:
         raise ConfigError("k_min", "assemble uses k_min as the level; it must be >= 2")
     if cfg.k_min**cfg.n > DENSE_DIM_CAP:
         raise ConfigError("k_min", f"dimension {cfg.k_min**cfg.n} is above the dense cap {DENSE_DIM_CAP}")
+    out = _output_dir(cfg.out)
     f = next(cfg.symbols())
     spec = HilbertSpec(cfg.n, cfg.k_min, cfg.polarization)
     op = toeplitz_diagonals(f, spec)
-    out = Path(args.out if args.out is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    stem = f"assemble_{config_hash(cfg)[len('sha256:'):][:8]}_k{cfg.k_min}"
-    path = out / f"{stem}.csv"
+    path = out / f"{reporting.file_stem(cfg, 'assemble')}_k{cfg.k_min}.csv"
     path.write_text(operator_to_csv(op), encoding="utf-8")
     if not args.quiet:
         nnz = int(np.count_nonzero(op.values))
@@ -139,9 +146,9 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    out = _output_dir(args.out if args.out is not None else "reports")
     echo = None if args.quiet else print
     passed, results, wall = checks.run_all(echo=echo)
-    out = Path(args.out) if args.out is not None else Path("reports")
     out.mkdir(parents=True, exist_ok=True)
     report = {
         "schema": "torusquant-check-v1",
@@ -177,9 +184,6 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except L2RouteError as exc:

@@ -28,17 +28,13 @@ def rows_to_csv(rows: Iterable[SweepPoint]) -> str:
 
 
 def report_dict(cfg: ExperimentConfig, result: ConvergenceReport, wall_time_s: float) -> dict:
-    body = result.to_dict()
     return {
+        **result.to_dict(),
         "schema": "torusquant-report-v1",
         "experiment": cfg.experiment,
         "config": cfg.normalized(),
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
-        "rows": body["rows"],
-        "series": body["series"],
-        "details": body["details"],
-        "passed": body["passed"],
         "timestamp": _now(),
         "wall_time_s": round(wall_time_s, 3),
     }
@@ -63,11 +59,17 @@ def normalize_volatile(text: str) -> str:
     return "\n".join(out)
 
 
+def file_stem(cfg: ExperimentConfig, prefix: str) -> str:
+    """``<prefix>_<hash8>``: the first eight hex digits of the config hash,
+    which every file a subcommand writes for a config is named by."""
+    return f"{prefix}_{config_hash(cfg)[len('sha256:'):][:8]}"
+
+
 def write_report(cfg: ExperimentConfig, result: ConvergenceReport, wall_time_s: float, out_dir) -> tuple[Path, Path]:
     """Write <stem>.report.json and <stem>.csv; returns both paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = f"{cfg.experiment}_{config_hash(cfg)[len('sha256:'):][:8]}"
+    stem = file_stem(cfg, cfg.experiment)
     report_path = out / f"{stem}.report.json"
     csv_path = out / f"{stem}.csv"
     report_path.write_text(dump_json(report_dict(cfg, result, wall_time_s)), encoding="utf-8")

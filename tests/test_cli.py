@@ -234,7 +234,7 @@ def test_normalize_volatile():
 
 def test_write_report_roundtrip(tmp_path):
     cfg = parse_config(PRODUCT_CFG)
-    result = ConvergenceReport(experiment="product", rows=make_rows(), series=[], passed=True)
+    result = ConvergenceReport(experiment="product", rows=make_rows(), series=[])
     report_path, csv_path = write_report(cfg, result, 0.5, tmp_path)
     assert report_path.name == f"product_{config_hash(cfg)[7:15]}.report.json"
     assert csv_path.read_text(encoding="utf-8").startswith(CSV_HEADER)
@@ -576,6 +576,13 @@ def test_cli_run_trace_smooth_memory_is_one_slab(tmp_path):
         pytest.param(b"\xff\xfe{}", "{path}: config file is not UTF-8", id="not-utf-8"),
         # parsing accepts it for assemble; run would ignore it
         pytest.param(dict(PRODUCT_CFG, polarization="momentum"), "polarization: ", id="polarization"),
+        # a band-limited trace is judged only above its bandwidth: no level is
+        pytest.param(
+            {"experiment": "trace", "n": 1, "k_min": 2, "k_max": 3, "k_rule": "linear",
+             "f": {"random": {"bandwidth": 3}}},
+            "k_max: ",
+            id="band-limited-trace-with-no-level-above-its-bandwidth",
+        ),
     ],
 )
 def test_cli_run_refuses_configs_past_parsing(tmp_path, capsys, data, message):
@@ -589,6 +596,34 @@ def test_cli_run_refuses_configs_past_parsing(tmp_path, capsys, data, message):
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "configs/norm_bound.json"],
+        ["star", "configs/star_table.json"],
+        ["assemble", "configs/assemble_example.json"],
+        ["check"],
+    ],
+    ids=["run", "star", "assemble", "check"],
+)
+@pytest.mark.parametrize("blocked", ["the-file", "a-path-under-it", "a-dangling-link"])
+def test_cli_refuses_an_output_path_that_a_file_blocks(tmp_path, capsys, argv, blocked):
+    # refused with exit 2 on out before any work, not with a traceback after
+    # it; the file is kept and nothing is written
+    root = Path(__file__).resolve().parents[1]
+    blocker = tmp_path / "file"
+    if blocked == "a-dangling-link":
+        blocker.symlink_to(tmp_path / "nowhere")
+    else:
+        blocker.write_text("kept", encoding="utf-8")
+    out = blocker / "sub" if blocked == "a-path-under-it" else blocker
+    argv = [argv[0], *(str(root / path) for path in argv[1:])]
+    assert main([*argv, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: out: ")
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.is_symlink() or blocker.read_text(encoding="utf-8") == "kept"
 
 
 def test_cli_run_trace_needs_no_dense_cap(tmp_path):

@@ -810,3 +810,19 @@ def test_identity_checks_are_judged_on_the_certified_upper_value(monkeypatch, up
     criterion = check_exact_homomorphism()
     assert criterion.details["worst_ratio"] < 1.0
     assert criterion.passed is passes
+
+
+def test_a_failed_coefficient_bound_reads_violation(monkeypatch):
+    # a reading below ||f||_l1 whose certified upper value is above it fails
+    # the norm bound; the series reads violation, as the exact-transform
+    # identity and the torus relations do, and the report fails with it
+    f = random_trig_poly(np.random.default_rng(3000), 1, 2, decay=8.0)
+    bound = f.l1_norm()
+    monkeypatch.setattr(
+        "torusquant.analysis.operator_norm", lambda op, kind: L2Reading(0.5 * bound, "lanczos", 1.01 * bound, 1)
+    )
+    report = norm_bound_sweep(f, (8, 16))
+    (series,) = report.series
+    assert (series.name, series.outcome, series.passed) == ("coefficient_bound", "violation", False)
+    assert report.details["max_upper"] == 1.01 * bound and [r.error for r in report.rows] == [0.5 * bound] * 2
+    assert report.passed is False and report.to_dict()["passed"] is False
