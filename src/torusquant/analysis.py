@@ -45,9 +45,10 @@ with a tolerance (0 for ``operator_norm``, the check's own for
    of the bound, so A*A neither overflows nor underflows and every product
    stays exact.  The value sits below the true norm by less than
    L2_CERT_DELTA / 2 relative and never above it beyond rounding.
-4. Where an interleaving block would pass ``config.CERT_BLOCK_CAP``, the
-   run does not converge or the certificate fails, the LAPACK 2-norm
-   again, and above the dense cap an ``L2RouteError``.
+4. Where ``config.certificate_shape``, one rule for both caps at parse
+   time and here (on A*A's diagonals counted off A's shifts, before A*A
+   is formed), refuses, Lanczos does not converge or the certificate
+   fails: the LAPACK 2-norm again, above the dense cap ``L2RouteError``.
 
 Conventions are stated once and checked, never measured: TRANSFORM_PHASE
 is the phase of the exact Berezin transform that ``intertwine`` checks,
@@ -68,12 +69,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import funcexpr
-from .config import CERT_BLOCK_CAP, ConfigError, ExperimentConfig, check_pair_product, expression_mean
+from .config import ConfigError, ExperimentConfig, certificate_shape, check_pair_product, expression_mean
 from .quantize import (
     DENSE_DIM_CAP,
     DiagonalOperator,
     HilbertSpec,
     Polarization,
+    _residue_codes,
     intertwine,
     toeplitz_diagonals,
     torus_generator_diagonals,
@@ -188,10 +190,10 @@ def certified_l2_norm(op: DiagonalOperator, tol: float) -> L2Reading:
     return _l2_route(op, tol)
 
 
-def _interleaving(op: DiagonalOperator) -> tuple[np.ndarray, int] | None:
-    """(permutation, block size) that makes A*A block tridiagonal, or None
-    when a block would hold more than CERT_BLOCK_CAP entries, the cap that
-    parsing holds configs to.
+def _interleaving(op: DiagonalOperator) -> tuple[np.ndarray, int] | str:
+    """(permutation, block size) that makes A*A block tridiagonal, or the
+    refusal of ``config.certificate_shape``, which reads the reach below and
+    the number of A*A's diagonals.
 
     The diagonals of A*A sit at the shifts s - r of pairs of diagonals of A;
     on the outermost axis they reach at most w residues either way,
@@ -201,15 +203,16 @@ def _interleaving(op: DiagonalOperator) -> tuple[np.ndarray, int] | None:
     blocks that holds trivially.  ``perm[new] = old`` on flat indices.
     """
     k, inner = op.spec.k, op.spec.dim // op.spec.k
-    axis0 = op.shifts[:, 0]
-    reach = (axis0[None, :] - axis0[:, None]) % k
-    block = max(2 * int(np.minimum(reach, k - reach).max(initial=0)), 1)
-    if block * inner > CERT_BLOCK_CAP:
-        return None
+    codes = _residue_codes((op.shifts[None, :, :] - op.shifts[:, None, :]).reshape(-1, op.spec.n), k)
+    outer = codes // inner  # codes: A*A's diagonals; outer: their outermost residues
+    reach = int(np.minimum(outer, k - outer).max(initial=0))
+    block = certificate_shape(op.spec.n, k, reach, int(np.count_nonzero(np.bincount(codes))))
+    if isinstance(block, str):
+        return block
     order = np.empty(k, dtype=np.int64)
     order[0::2] = np.arange((k + 1) // 2)
     order[1::2] = k - 1 - np.arange(k // 2)
-    return (order[:, None] * inner + np.arange(inner)).ravel(), block * inner
+    return (order[:, None] * inner + np.arange(inner)).ravel(), block
 
 
 def _lower_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -353,34 +356,49 @@ def _top_ritz(diagonal: np.ndarray, off: np.ndarray) -> tuple[float, float, floa
     ``off``: its top eigenvalue, the distance to the next one (inf for a
     1 x 1 T) and |s|, the last entry of the top unit eigenvector.
 
-    Only the eigenvalues come from LAPACK.  s has a closed form (Parlett,
-    The Symmetric Eigenvalue Problem, ch. 7): s^2 = det(theta I - T') /
-    prod_{l < top} (theta - theta_l), T' being T without its last row and
-    column.  The determinant is the product of the LDL^T pivots
-    d_1 = theta - a_1, d_m = theta - a_m - b_{m-1}^2 / d_{m-1}, and both
-    products are summed in logs.  For an unreduced T both are positive in
-    exact arithmetic; a pivot or gap <= 0 arises only through rounding once
-    theta has converged (Paige's ghost copies, or A*A = cI), and s then
-    reads 0.  The determinant carries the rounding of theta, so s^2 is good
-    to about eps ||T|| / gap absolute, and a converged s reads near the
-    square root of that: the test rho^2 / gap of ``_lanczos_top`` sees it
-    as beta^2 eps ||T|| / gap^2, below theta L2_CERT_DELTA / 4 once the gap
-    passes about 3e-3 beta.
+    Only the eigenvalues come from LAPACK.  s comes from a twisted
+    factorization of T - theta I (Parlett and Dhillon, "Fernando's solution
+    to Wilkinson's problem", Linear Algebra Appl. 267, 1997): forward
+    pivots d_i = a_i - theta - b_{i-1}^2 / d_{i-1}, backward pivots
+    e_i = a_i - theta - b_i^2 / e_{i+1}, the twist r at the smallest
+    |gamma_r| = |d_r + e_r - (a_r - theta)|, the largest diagonal entry of
+    (T - theta I)^{-1}, and from z_r = 1 one backward pass
+    z_i = -b_i z_{i+1} / d_i and one forward pass z_i = -b_{i-1} z_{i-1} / e_i,
+    both carried as z_i^2; s = |z_m| / ||z||.  The eigenvector's entry at r
+    is within about sqrt(m) of its largest, so s is good to about
+    eps ||T|| / gap however the pivots round, also once Lanczos has converged and T without its
+    last row has a Ritz value within rounding of theta.  A pivot that
+    rounds to 0 is taken as -eps ||T||.
     """
     ritz = np.linalg.eigvalsh(_tridiagonal(diagonal, off))
-    theta = float(ritz[-1])
-    if len(ritz) == 1:
+    theta, size = float(ritz[-1]), len(ritz)
+    if size == 1:
         return theta, math.inf, 1.0
-    gap = theta - float(ritz[-2])
-    if gap <= 0.0:
-        return theta, gap, 0.0
-    log_s2, pivot = -float(np.log(theta - ritz[:-1]).sum()), 1.0
-    for a, b in zip(diagonal[:-1].tolist(), [0.0, *off[:-1].tolist()]):
-        pivot = theta - a - b * b / pivot
-        if pivot <= 0.0:
-            return theta, gap, 0.0
-        log_s2 += math.log(pivot)
-    return theta, gap, math.exp(min(log_s2, 0.0) / 2)  # |s| <= 1 also in rounding
+    tiny = max(sys.float_info.epsilon * max(theta, -float(ritz[0])), sys.float_info.min)
+    shifted, squares = (diagonal - theta).tolist(), (off * off).tolist()
+    forward, pivot = [], 1.0
+    for a, b2 in zip(shifted, [0.0, *squares]):
+        pivot = a - b2 / pivot or -tiny
+        forward.append(pivot)
+    # backward pivots, last row first, and the twist at the first smallest gamma
+    backward, pivot, least, twist = [], 1.0, math.inf, 0
+    for r, a, b2, d in zip(range(size - 1, -1, -1), shifted[::-1], [0.0, *squares[::-1]], forward[::-1]):
+        pivot = a - b2 / pivot or -tiny
+        backward.append(pivot)
+        gamma = abs(d + pivot - a)
+        if gamma <= least:
+            least, twist = gamma, r
+    backward.reverse()
+    # z^2 from z_twist = 1: up to the first row, then down to the last
+    norm2 = z2 = 1.0
+    for b2, d in zip(reversed(squares[:twist]), reversed(forward[:twist])):
+        z2 *= b2 / d / d
+        norm2 += z2
+    z2 = 1.0
+    for b2, e in zip(squares[twist:], backward[twist + 1 :]):
+        z2 *= b2 / e / e
+        norm2 += z2
+    return theta, theta - float(ritz[-2]), math.sqrt(z2 / norm2)
 
 
 def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
@@ -395,7 +413,7 @@ def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:
     of the top Ritz pair satisfies min(rho, rho^2 / gap) <= theta
     L2_CERT_DELTA / 4, gap being the distance to the next Ritz value; every
     LANCZOS_CHECK steps ``_top_ritz`` reads theta, gap and s off the
-    tridiagonal matrix without forming an eigenvector.  The certificate,
+    tridiagonal matrix with no eigenvector from LAPACK.  The certificate,
     not this test, decides.
     """
     dim = gram.spec.dim
@@ -438,8 +456,8 @@ def _l2_route(op: DiagonalOperator, tol: float) -> L2Reading:
         return L2Reading(bound, "interp_bound", bound)
     if op.spec.dim > LAPACK_L2_MAX_DIM:
         steps, interleaving = 0, _interleaving(op)
-        if interleaving is None:
-            failed = f"the band of A*A needs certificate blocks above {CERT_BLOCK_CAP} entries"
+        if isinstance(interleaving, str):
+            failed = f"the certificate needs {interleaving}"
         else:
             # A over 2^e, e the binary exponent of its bound; read scaled back
             exponent = max(math.frexp(bound)[1], -1023)

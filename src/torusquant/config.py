@@ -52,12 +52,9 @@ KINDS = {
     "star_table": Kind(symbols=2, order=True, sweep=False),
 }
 K_RULES = ("pow2", "linear")
-# Most entries of one block of the l2 certificate (analysis._certify): it
-# factors A*A in blocks of 2 (Gram reach) k^(n-1) entries, the Gram reach
-# being twice the x-bandwidth of A, and a block costs O(b^3).
+# Most entries of one l2 certificate block, which costs O(b^3), and of A*A,
+# about 24 bytes each with temporaries of that size; see ``certificate_shape``.
 CERT_BLOCK_CAP = 2048
-# Most stored entries of A*A, its diagonals times k^n, that Lanczos and the
-# certificate read: about 24 bytes each, and a few temporaries of that size.
 GRAM_ENTRY_CAP = 1 << 23
 # Most term pairs |f| |g| of one symbol product (star_exact, star_truncated):
 # each pair holds about a hundred bytes of phases, amplitudes and sort codes
@@ -519,31 +516,30 @@ def _check_term_budget(experiment: str, spec: FunctionSpec, n: int) -> None:
         raise ConfigError(f"f.{spec.size_field()}", f"f has up to {terms} terms, above {PAIR_BUDGET}")
 
 
-def _check_certificate_budget(cfg: ExperimentConfig) -> None:
-    """Refuse, on k_max, a largest level above the dense cap whose l2
-    certificate would pass CERT_BLOCK_CAP or GRAM_ENTRY_CAP.  Both grow with
-    k, and every level at or below the dense cap has the LAPACK route, so
-    the largest level decides.  The bounds take the x-bandwidth W of the
-    operator: f's, f's plus g's for a product remainder, 1 for the torus
-    relations, which read no symbol; A*A then reaches 2W residues on each
-    axis."""
-    top, n = max(cfg.k_values()), cfg.n
-    if top**n <= DENSE_DIM_CAP:
-        return
-    width = 1 if cfg.f is None else cfg.f.x_bandwidth() + (cfg.g.x_bandwidth() if cfg.g is not None else 0)
-    reach = min(2 * width, top // 2)
-    block = max(2 * reach, 1) * top ** (n - 1)
+def certificate_shape(n: int, k: int, reach: int, diagonals: int) -> int | str:
+    """Entries of one interleaving block of the l2 certificate at level k,
+    max(2 reach, 1) slices of k^(n-1), for an A*A of ``diagonals`` diagonals
+    of k^n entries that reaches ``reach`` residues either way on its
+    outermost axis; or the refusal that names the cap passed."""
+    reach = min(reach, k // 2)
+    block = max(2 * reach, 1) * k ** (n - 1)
     if block > CERT_BLOCK_CAP:
-        raise ConfigError(
-            "k_max",
-            f"level {top} needs l2 certificate blocks of 2 x {reach} x {top}^{n - 1} = {block} entries "
-            f"(x-bandwidth {width}), above {CERT_BLOCK_CAP}",
-        )
-    entries = min(4 * width + 1, top) ** n * top**n
-    if entries > GRAM_ENTRY_CAP:
-        raise ConfigError(
-            "k_max", f"level {top} needs {entries} entries of A*A (x-bandwidth {width}), above {GRAM_ENTRY_CAP}"
-        )
+        return f"l2 certificate blocks of 2 x {reach} x {k}^{n - 1} = {block} entries, above {CERT_BLOCK_CAP}"
+    if diagonals * k**n > GRAM_ENTRY_CAP:
+        return f"{diagonals * k**n} entries of A*A, above {GRAM_ENTRY_CAP}"
+    return block
+
+
+def _check_certificate_budget(cfg: ExperimentConfig) -> None:
+    """Refuse, on k_max, a largest level (both caps grow with k) above the
+    dense cap whose l2 certificate ``certificate_shape`` refuses.  A*A
+    reaches 2W residues on each axis, so at most min(4W + 1, k)^n diagonals:
+    W is f's x-bandwidth, f's plus g's for a product, 1 for torus relations."""
+    top, n = max(cfg.k_values()), cfg.n
+    width = 1 if cfg.f is None else cfg.f.x_bandwidth() + (cfg.g.x_bandwidth() if cfg.g is not None else 0)
+    refusal = certificate_shape(n, top, 2 * width, min(4 * width + 1, top) ** n)
+    if top**n > DENSE_DIM_CAP and isinstance(refusal, str):
+        raise ConfigError("k_max", f"level {top} needs {refusal} (x-bandwidth {width})")
 
 
 def canonical_json(obj) -> str:
