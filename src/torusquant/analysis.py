@@ -965,14 +965,16 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     """Realize a config's inputs (``cfg.symbols()``) and run the sweep of its kind.
 
     An expression is traced as itself, not as its projection, against its
-    mean on a fine reference grid (_expression_mean).  A polarization other
-    than position is refused, since sweeps fix their own bases.  The
-    ``check`` criteria call the same sweeps on their own corpora; see the
-    package README for the per-kind row and series layout.
+    mean on a fine reference grid (_expression_mean).  A kind that is not a
+    sweep is refused on ``experiment``, since the star subcommand runs it,
+    and a polarization other than position on ``polarization``, since
+    sweeps fix their own bases.  The ``check`` criteria call the same sweeps
+    on their own corpora; see the package README for the per-kind row and
+    series layout.
     """
     name = cfg.experiment
     if not cfg.kind.sweep:
-        raise ValueError(f"experiment {name!r} is not a sweep; use the star subcommand")
+        raise ConfigError("experiment", f"{name} configs are handled by the star subcommand")
     if cfg.polarization != "position":
         raise ConfigError("polarization", "only the assemble subcommand reads it")
     ks = cfg.k_values()

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import checks, reporting
 from .analysis import L2RouteError, run_experiment
-from .config import ConfigError, check_pair_product, parse_config
+from .config import ConfigError, _as_int, check_pair_product, parse_config
 from .quantize import DENSE_DIM_CAP, HilbertSpec, operator_to_csv, toeplitz_diagonals
 from .starprod import Orientation, star_truncated
 
@@ -53,9 +53,7 @@ def _load_config(args):
     if args.out is not None:
         overrides["out"] = args.out
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed", f"must be at least 0, got {args.seed}")
-        overrides["seed"] = args.seed
+        overrides["seed"] = _as_int(args.seed, "seed", minimum=0)
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
@@ -77,8 +75,6 @@ def _format_index(vec) -> str:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    if not cfg.kind.sweep:
-        raise ConfigError("experiment", "star_table configs are handled by the star subcommand")
     out = _output_dir(cfg.out)
     t0 = perf_counter()
     result = run_experiment(cfg)

@@ -3,10 +3,11 @@
 Configs are JSON objects.  Parsing is strict: unknown keys are rejected, and
 every validation error names the offending field path (``"f.bandwidth"``).
 Inputs too large to run (more than MAX_LEVELS levels, levels beyond int64,
-lattices of more than ``funcexpr.SAMPLE_BUDGET`` samples, products past
-PAIR_BUDGET term pairs, single symbols past PAIR_BUDGET terms, or operators
-past the certificate budgets below) are refused the same way, and so are
-non-finite numbers, which ``json`` reads from ``NaN`` and ``Infinity``.
+lattices of more than ``funcexpr.SAMPLE_BUDGET`` samples, symbols past
+PAIR_BUDGET, one budget on the terms of a lone f or the term pairs of f and
+g, or operators past the certificate budgets below) are refused the same
+way, and so are non-finite numbers, which ``json`` reads from ``NaN`` and
+``Infinity``.
 The normalized form (defaults filled in) is what reports echo and hash, so a
 report can always be traced back to the exact configuration that produced it.
 """
@@ -466,8 +467,7 @@ def parse_config(source) -> ExperimentConfig:
     )
     if kind.sweep and not cfg.k_values():
         raise ConfigError("k_min", "sweep is empty; check k_min/k_max/k_rule")
-    if kind.symbols == 2:
-        _check_pair_budget(cfg)
+    _check_symbol_budget(cfg)
     if kind.operator:
         _check_certificate_budget(cfg)
     for name, spec in (("f", f_spec), ("g", g_spec)):
@@ -479,8 +479,6 @@ def parse_config(source) -> ExperimentConfig:
                     f"{name}.grid", f"projection grid {grid}^{2 * n} points, above {funcexpr.SAMPLE_BUDGET}"
                 )
             expression_mean(spec, n, grid, name)
-    if kind.symbols == 1:
-        _check_term_budget(experiment, f_spec, n)
     if experiment == "trace" and f_spec.kind == "expr":
         top = max(cfg.k_values())
         for label, ast in zip(("expr", "expr_im"), f_spec.asts()):
@@ -492,39 +490,35 @@ def parse_config(source) -> ExperimentConfig:
     return cfg
 
 
-def _check_pair_budget(cfg: ExperimentConfig) -> None:
-    """Refuse a product of more than PAIR_BUDGET term pairs, on the size
-    field of the larger symbol."""
-    f_terms, g_terms = cfg.f.max_terms(cfg.n), cfg.g.max_terms(cfg.n)
-    if f_terms * g_terms > PAIR_BUDGET:
-        name, spec = ("f", cfg.f) if f_terms >= g_terms else ("g", cfg.g)
-        raise ConfigError(
-            f"{name}.{spec.size_field()}",
-            f"f has up to {f_terms} terms and g up to {g_terms}: {f_terms * g_terms} term pairs, "
-            f"above {PAIR_BUDGET}",
-        )
-
-
-def _check_term_budget(experiment: str, spec: FunctionSpec, n: int) -> None:
-    """Refuse, on its size field, a lone symbol f of more than PAIR_BUDGET
-    terms.  A trace of an expression is not held to it: it samples the
-    expression and never realizes the symbol."""
-    if experiment == "trace" and spec.kind == "expr":
+def _check_symbol_budget(cfg: ExperimentConfig) -> None:
+    """Refuse, on the size field of the larger symbol, what the kind realizes
+    past PAIR_BUDGET: the terms of a lone f, or the term pairs |f| |g| of a
+    product.  A trace of an expression is exempt: it samples the expression
+    and never realizes the symbol."""
+    if cfg.experiment == "trace" and cfg.f.kind == "expr":
         return
-    terms = spec.max_terms(n)
-    if terms > PAIR_BUDGET:
-        raise ConfigError(f"f.{spec.size_field()}", f"f has up to {terms} terms, above {PAIR_BUDGET}")
+    specs = [spec for spec in (cfg.f, cfg.g) if spec is not None]
+    terms = [spec.max_terms(cfg.n) for spec in specs]
+    if math.prod(terms) > PAIR_BUDGET:
+        larger = terms.index(max(terms))  # f on a tie
+        sizes = f"f has up to {terms[0]} terms"
+        if len(terms) == 2:
+            sizes += f" and g up to {terms[1]}: {terms[0] * terms[1]} term pairs"
+        raise ConfigError(f"{'fg'[larger]}.{specs[larger].size_field()}", f"{sizes}, above {PAIR_BUDGET}")
 
 
 def certificate_shape(n: int, k: int, reach: int, diagonals: int) -> int | str:
     """Entries of one interleaving block of the l2 certificate at level k,
-    max(2 reach, 1) slices of k^(n-1), for an A*A of ``diagonals`` diagonals
-    of k^n entries that reaches ``reach`` residues either way on its
-    outermost axis; or the refusal that names the cap passed."""
+    2 x reach slices of k^(n-1) (one slice at reach 0), for an A*A of
+    ``diagonals`` diagonals of k^n entries that reaches ``reach`` residues
+    either way on its outermost axis; or the refusal that names the cap
+    passed and the block it computed."""
     reach = min(reach, k // 2)
-    block = max(2 * reach, 1) * k ** (n - 1)
+    slices = (2, reach) if reach else (1,)
+    block = math.prod(slices) * k ** (n - 1)
     if block > CERT_BLOCK_CAP:
-        return f"l2 certificate blocks of 2 x {reach} x {k}^{n - 1} = {block} entries, above {CERT_BLOCK_CAP}"
+        factors = " x ".join(map(str, (*slices, f"{k}^{n - 1}")))
+        return f"l2 certificate blocks of {factors} = {block} entries, above {CERT_BLOCK_CAP}"
     if diagonals * k**n > GRAM_ENTRY_CAP:
         return f"{diagonals * k**n} entries of A*A, above {GRAM_ENTRY_CAP}"
     return block

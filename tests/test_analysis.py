@@ -634,9 +634,13 @@ def test_run_torus_relations():
 
 
 def test_run_experiment_rejects_star_table():
+    # a library caller gets the field path that the CLI prints
     cfg = ExperimentConfig(experiment="star_table", n=1, f=RANDOM_F, g=RANDOM_F)
-    with pytest.raises(ValueError, match="star subcommand"):
+    with pytest.raises(ConfigError) as info:
         run_experiment(cfg)
+    assert (info.value.path, str(info.value)) == (
+        "experiment", "experiment: star_table configs are handled by the star subcommand"
+    )
 
 
 def test_run_experiment_refuses_a_polarization_it_would_ignore():

@@ -2,8 +2,10 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,3 +76,20 @@ def test_trace_criterion_memory_is_one_slab():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_a_warning_in_a_criterion_surfaces_where_it_is_raised(monkeypatch):
+    # under an error filter the warning ends the criterion at the statement
+    # that raises it; it is not held back until the criterion has run out
+    reached = []
+
+    def criterion():
+        warnings.warn("unexpected", RuntimeWarning)
+        reached.append("the statement after the warning")
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (criterion,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="unexpected"):
+            checks.run_all()
+    assert reached == []

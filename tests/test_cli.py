@@ -310,7 +310,7 @@ def test_cli_run_rejects_star_table(tmp_path, capsys):
     }
     code = main(["run", str(write_cfg(tmp_path, data))])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    assert "config error: experiment: star_table configs are handled by the star subcommand" in capsys.readouterr().err
 
 
 def test_cli_run_rejects_level_above_dense_cap(tmp_path, capsys):
@@ -501,11 +501,20 @@ def test_cli_run_trace_smooth_memory_is_one_slab(tmp_path):
             id="expr_im-past-the-sample-budget",
         ),
         pytest.param(
-            # the default grid of bandwidth 12 is 52 points per axis: 52^6 at n = 3
+            # the default grid of bandwidth 4 is 20 points per axis: 20^6 at
+            # n = 3, while its 9^6 terms are within PAIR_BUDGET
+            {"experiment": "norm_bound", "n": 3, "k_min": 2, "k_max": 4,
+             "f": {"expr": "cos(2*pi*x1) * cos(2*pi*y3)", "bandwidth": 4}},
+            "f.grid: projection grid 20^6 points, above 16777216",
+            id="projection-grid-past-the-sample-budget",
+        ),
+        pytest.param(
+            # bandwidth 12 is past both, 52^6 grid points and 25^6 terms; the
+            # symbol budget, checked before any expression is sampled, names it
             {"experiment": "norm_bound", "n": 3, "k_min": 2, "k_max": 4,
              "f": {"expr": "cos(2*pi*x1) * cos(2*pi*y3)", "bandwidth": 12}},
-            "f.grid: projection grid 52^6 points, above 16777216",
-            id="projection-grid-past-the-sample-budget",
+            "f.bandwidth: f has up to 244140625 terms, above 4194304",
+            id="projection-grid-and-terms-past-their-budgets",
         ),
         pytest.param(
             {"experiment": "trace", "n": 1, "k_min": 2, "k_max": 10**12, "k_rule": "linear",
@@ -692,11 +701,11 @@ def test_cli_refuses_a_negative_seed_override(tmp_path, capsys, command, config)
     assert not (tmp_path / "out").exists()
 
 
-def test_every_shipped_config_runs_in_the_readme_and_both_ci_jobs():
-    # CI checks byte identity on exactly the README commands, which both
-    # jobs run twice through scripts/readme_outputs.py
-    # (tests/test_readme_outputs.py holds its list to the README's); a
-    # config missing from the README would ship unchecked, and a name
+def test_every_shipped_config_runs_in_the_readme_and_in_ci():
+    # CI checks byte identity on exactly the README commands, which its one
+    # job runs twice through scripts/readme_outputs.py on each numpy of its
+    # matrix (tests/test_readme_outputs.py holds its list to the README's);
+    # a config missing from the README would ship unchecked, and a name
     # without a config would fail only in CI
     root = Path(__file__).resolve().parents[1]
     shipped = {path.stem for path in (root / "configs").glob("*.json")}
@@ -705,13 +714,14 @@ def test_every_shipped_config_runs_in_the_readme_and_both_ci_jobs():
     # each names every shipped config once, and nothing else
     assert sorted(re.findall(r"configs/(\w+)\.json", block)) == sorted(shipped)
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
-    steps = re.findall(r"- name: Run the README commands.*?\n(?=      - name|\n  \S|\Z)", workflow, re.S)
-    assert len(steps) == 2
-    for step in steps:  # each job runs them twice and compares the two runs
-        assert step.count("python scripts/readme_outputs.py run ") == 2
-        assert "python scripts/readme_outputs.py compare " in step
-        # and a floating-point warning in a real CLI run fails the step
-        assert re.search(r"\n        env:\n          PYTHONWARNINGS: error::RuntimeWarning\n", step)
+    assert '\n        numpy: ["default", "1.25.*"]\n' in workflow
+    (step,) = re.findall(r"- name: Run the README commands.*?\n(?=      - name|\n  \S|\Z)", workflow, re.S)
+    # on every numpy of the matrix, it runs them twice and compares the runs
+    assert "if:" not in step
+    assert step.count("python scripts/readme_outputs.py run ") == 2
+    assert "python scripts/readme_outputs.py compare " in step
+    # and a floating-point warning in a real CLI run fails the step
+    assert re.search(r"\n        env:\n          PYTHONWARNINGS: error::RuntimeWarning\n", step)
 
 
 def test_cli_threads_flag_is_a_usage_error(tmp_path):

@@ -628,8 +628,14 @@ def _top_operator(cfg, k: int) -> DiagonalOperator:
         (_full_band(255), 8192, 2 * 510),  # 1021 x 8192 = 8364032 entries of A*A
         # blocks of 1024 entries, but 1025 x 8192 entries of A*A
         (_full_band(256), 8192, "8396800 entries of A*A, above 8388608"),
+        # x-free, so A*A is diagonal: blocks of one slice of 64^2 entries
+        ({"experiment": "norm_bound", "n": 3, "k_min": 2, "f": {"coeffs": [{"p": [0, 0, 0], "q": [1, 0, 0], "re": 1.0}]}},
+         64, "l2 certificate blocks of 1 x 64^2 = 4096 entries, above 2048"),
     ],
-    ids=["product_n2-128", "product_n2-256", "intertwine_n2_order2-256", "intertwine_n2_order2-512", "n1-255", "n1-256"],
+    ids=[
+        "product_n2-128", "product_n2-256", "intertwine_n2_order2-256", "intertwine_n2_order2-512", "n1-255", "n1-256",
+        "n3-reach0",
+    ],
 )
 def test_parse_and_route_read_one_certificate_shape(monkeypatch, source, k, shape):
     # the parser bounds the reach and the diagonals of A*A by the symbols'
