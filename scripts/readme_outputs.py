@@ -5,10 +5,11 @@
 
 ``run`` calls the installed ``torusquant`` console script once for each
 command of COMMANDS, with ``--quiet --out OUT/<name>``, and stops at the
-first one that exits non-zero.  With ``--src DIR`` it calls
-``python -m torusquant.cli`` with DIR first on PYTHONPATH instead, so that
-the package in another checkout's ``src/`` (a parent commit, say) writes
-the outputs, with no install:
+first one that exits non-zero.  It prints one line per command with its
+wall seconds, so a CI log shows the runtimes that README.md quotes.  With
+``--src DIR`` it calls ``python -m torusquant.cli`` with DIR first on
+PYTHONPATH instead, so that the package in another checkout's ``src/`` (a
+parent commit, say) writes the outputs, with no install:
 
     python scripts/readme_outputs.py run /tmp/parent --src ../parent/src
     python scripts/readme_outputs.py run /tmp/change --src src
@@ -36,6 +37,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,9 +84,11 @@ def invocation(args, out: Path, src: Path | None) -> tuple[list[str], dict | Non
 def run(out: Path, src: Path | None = None) -> int:
     for name, args in COMMANDS:
         command, env = invocation(args, out / name, src)
+        label, began = " ".join(args), time.perf_counter()
         done = subprocess.run(command, cwd=ROOT, env=env)
+        print(f"{label}: {time.perf_counter() - began:.2f} s", flush=True)
         if done.returncode != 0:
-            print(f"{' '.join(args)} exited {done.returncode}", file=sys.stderr)
+            print(f"{label} exited {done.returncode}", file=sys.stderr)
             return 1
     return 0
 

@@ -35,7 +35,9 @@ with a tolerance (0 for ``operator_norm``, the check's own for
    cheaper route.
 3. Certified Lanczos: the square root of the top Ritz value theta of a
    three-term Lanczos recurrence on A*A from a seeded start, holding two
-   vectors whatever its step budget, certified by a block Cholesky
+   vectors whatever its step budget and testing its top Ritz pair off the
+   eigenvalues of its tridiagonal matrix and one inverse-iteration solve
+   (``_top_ritz``), certified by a block Cholesky
    factorization of theta (1 + L2_CERT_DELTA) I - A*A, made block
    tridiagonal by interleaving the outermost axis and factored in block
    rows of at least CERT_MIN_ROWS entries, each carrying only the last
@@ -356,49 +358,36 @@ def _top_ritz(diagonal: np.ndarray, off: np.ndarray) -> tuple[float, float, floa
     ``off``: its top eigenvalue, the distance to the next one (inf for a
     1 x 1 T) and |s|, the last entry of the top unit eigenvector.
 
-    Only the eigenvalues come from LAPACK.  s comes from a twisted
-    factorization of T - theta I (Parlett and Dhillon, "Fernando's solution
-    to Wilkinson's problem", Linear Algebra Appl. 267, 1997): forward
-    pivots d_i = a_i - theta - b_{i-1}^2 / d_{i-1}, backward pivots
-    e_i = a_i - theta - b_i^2 / e_{i+1}, the twist r at the smallest
-    |gamma_r| = |d_r + e_r - (a_r - theta)|, the largest diagonal entry of
-    (T - theta I)^{-1}, and from z_r = 1 one backward pass
-    z_i = -b_i z_{i+1} / d_i and one forward pass z_i = -b_{i-1} z_{i-1} / e_i,
-    both carried as z_i^2; s = |z_m| / ||z||.  The eigenvector's entry at r
-    is within about sqrt(m) of its largest, so s is good to about
-    eps ||T|| / gap however the pivots round, also once Lanczos has converged and T without its
-    last row has a Ritz value within rounding of theta.  A pivot that
-    rounds to 0 is taken as -eps ||T||.
+    Only the eigenvalues come from LAPACK.  s comes from one step of inverse
+    iteration (Parlett, "The Symmetric Eigenvalue Problem", SIAM 1998): one
+    solve of (T - theta I) z = (1, ..., 1), by forward elimination
+    d_i = a_i - theta - b_{i-1}^2 / d_{i-1}, y_i = 1 - (b_{i-1} / d_{i-1}) y_{i-1}
+    and back substitution z_m = y_m / d_m, z_i = (y_i - b_i z_{i+1}) / d_i;
+    s = |z_m| / ||z||.  ``_lanczos_top`` hands only unreduced T (every
+    b_i > 0), whose top eigenvector is entrywise positive (Perron-Frobenius
+    on T + cI), so the right-hand side has a component along it and s is
+    good to a few eps ||T|| / gap, also once Lanczos has converged and T
+    without its last row has a Ritz value within rounding of theta.  A
+    pivot that rounds to 0 is taken as -eps ||T||.
     """
     ritz = np.linalg.eigvalsh(_tridiagonal(diagonal, off))
     theta, size = float(ritz[-1]), len(ritz)
     if size == 1:
         return theta, math.inf, 1.0
     tiny = max(sys.float_info.epsilon * max(theta, -float(ritz[0])), sys.float_info.min)
-    shifted, squares = (diagonal - theta).tolist(), (off * off).tolist()
-    forward, pivot = [], 1.0
-    for a, b2 in zip(shifted, [0.0, *squares]):
-        pivot = a - b2 / pivot or -tiny
-        forward.append(pivot)
-    # backward pivots, last row first, and the twist at the first smallest gamma
-    backward, pivot, least, twist = [], 1.0, math.inf, 0
-    for r, a, b2, d in zip(range(size - 1, -1, -1), shifted[::-1], [0.0, *squares[::-1]], forward[::-1]):
-        pivot = a - b2 / pivot or -tiny
-        backward.append(pivot)
-        gamma = abs(d + pivot - a)
-        if gamma <= least:
-            least, twist = gamma, r
-    backward.reverse()
-    # z^2 from z_twist = 1: up to the first row, then down to the last
-    norm2 = z2 = 1.0
-    for b2, d in zip(reversed(squares[:twist]), reversed(forward[:twist])):
-        z2 *= b2 / d / d
-        norm2 += z2
-    z2 = 1.0
-    for b2, e in zip(squares[twist:], backward[twist + 1 :]):
-        z2 *= b2 / e / e
-        norm2 += z2
-    return theta, theta - float(ritz[-2]), math.sqrt(z2 / norm2)
+    offs = off.tolist()
+    # forward elimination of (T - theta I) z = (1, ..., 1)
+    pivots, rhs, pivot, y = [], [], 1.0, 0.0
+    for a, b in zip((diagonal - theta).tolist(), [0.0, *offs]):
+        y = 1.0 - b / pivot * y
+        pivot = a - b * b / pivot or -tiny
+        pivots.append(pivot)
+        rhs.append(y)
+    # back substitution, last row first, so z[0] is z_m
+    z = [rhs[-1] / pivots[-1]]
+    for b, d, y in zip(offs[::-1], pivots[-2::-1], rhs[-2::-1]):
+        z.append((y - b * z[-1]) / d)
+    return theta, theta - float(ritz[-2]), abs(z[0]) / math.hypot(*z)
 
 
 def _lanczos_top(gram: DiagonalOperator) -> tuple[float | None, int]:

@@ -49,6 +49,21 @@ def test_run_with_src_calls_the_cli_module_with_that_source_first(tmp_path, monk
     assert calls[-1] == (["torusquant", "check", "--quiet", "--out", str(out / "check")], script.ROOT, None)
 
 
+def test_run_prints_the_wall_seconds_of_each_command(tmp_path, monkeypatch, capsys):
+    script = load_script()
+
+    class Done:
+        returncode = 0
+
+    clock = iter(range(2 * len(script.COMMANDS)))
+    monkeypatch.setattr(script.subprocess, "run", lambda command, cwd, env: Done())
+    monkeypatch.setattr(script.time, "perf_counter", lambda: 0.25 * next(clock) ** 2)
+    assert script.main(["run", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # command i starts at 0.25 (2i)^2 and ends at 0.25 (2i + 1)^2 seconds
+    assert lines == [f"{' '.join(args)}: {i + 0.25:.2f} s" for i, (_name, args) in enumerate(script.COMMANDS)]
+
+
 def test_compare_names_the_files_that_differ(tmp_path, capsys):
     script = load_script()
     first, second = tmp_path / "first", tmp_path / "second"
