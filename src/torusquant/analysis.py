@@ -27,7 +27,9 @@ computed.  Both l2 entry points read one route function, ``_l2_route``,
 with a tolerance (0 for ``operator_norm``, the check's own for
 ``certified_l2_norm``); ``L2Reading`` says which route answered:
 
-1. ``interp_bound``, the bound sqrt(l1 linf), when it is within the
+1. ``interp_bound``: for an operator of one diagonal d, a weighted
+   permutation, its l2 norm max |d| = l1 = linf, read as l1 at any
+   tolerance; otherwise the bound sqrt(l1 linf), when it is within the
    tolerance, so an exactly zero operator reads 0 at every dimension.  It
    is the root of the product where that is a normal float and the product
    of the roots outside, so it neither underflows to 0 nor overflows.
@@ -42,8 +44,9 @@ with a tolerance (0 for ``operator_norm``, the check's own for
    tridiagonal by interleaving the outermost axis and factored in block
    rows of at least CERT_MIN_ROWS entries, each carrying only the last
    interleaving block of the row before it (``_certify``); the Schur update
-   halves at the slice boundaries of that coupling to skip its zero blocks
-   (``_schur_update``).  Both see A divided by 2^e, e the binary exponent
+   is one recursion that halves at the slice boundaries of that coupling to
+   skip its zero blocks and halves a one-slice block by rows
+   (``_solve_gram``).  Both see A divided by 2^e, e the binary exponent
    of the bound, so A*A neither overflows nor underflows and every product
    stays exact.  The value sits below the true norm by less than
    L2_CERT_DELTA / 2 relative and never above it beyond rounding.
@@ -112,12 +115,12 @@ LANCZOS_CHECK = 8
 # the cheaper (1.0-2.9 against 4.1-4.8 ms).  See the README's table for the
 # set-up.
 LAPACK_L2_MAX_DIM = 64
-# Largest block that the certificate's Schur update handles whole: the
-# triangular solve hands diagonal blocks of at most this many entries to
-# np.linalg.solve and halves larger ones, the off-diagonal part going through
-# one matrix product, and the slice-triangular recursion of ``_solve_gram``
-# stops at this size too.  At n = 2, k = 64 and 128, leaves of 128, 256 and
-# 512 entries gave certificates within 7 % of each other.
+# Largest block that the certificate's Schur update handles whole: the one
+# recursion of ``_solve_gram`` hands blocks of at most this many entries to
+# np.linalg.solve and one matrix product and halves larger ones, the
+# off-diagonal part going through one matrix product.  At n = 2, k = 64 and
+# 128, leaves of 128, 256 and 512 entries gave certificates within 7 % of
+# each other.
 LOWER_SOLVE_LEAF = 256
 # Fewest entries in a block row of the certificate: interleaving blocks of
 # fewer entries are merged into block rows of at least this many, since at
@@ -161,8 +164,9 @@ class L2Reading(float):
 
     The float is the reported value.  ``method`` is one of three routes:
     ``"lapack_svd"`` (exact to rounding; ``upper`` is the value itself),
-    ``"interp_bound"`` (the bound sqrt(l1 * linf), at least the norm;
-    ``upper`` is the value itself) or ``"lanczos_certified"``: the value
+    ``"interp_bound"`` (the bound sqrt(l1 * linf), at least the norm, or
+    for an operator of one diagonal d its norm max |d| = l1; ``upper`` is
+    the value itself) or ``"lanczos_certified"``: the value
     sqrt(theta) is at most the norm and below it by less than
     L2_CERT_DELTA / 2 relative, and ``upper`` = sqrt(theta (1 +
     L2_CERT_DELTA)) is certified to be at least the norm.
@@ -217,61 +221,40 @@ def _interleaving(op: DiagonalOperator) -> tuple[np.ndarray, int] | str:
     return (order[:, None] * inner + np.arange(inner)).ravel(), block
 
 
-def _lower_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """lower^{-1} rhs for a lower-triangular ``lower``, written over ``rhs``
-    and returned: recursive halving, so that most of the work is the GEMM
-    update of the bottom half, with ``np.linalg.solve`` on diagonal blocks
-    of at most LOWER_SOLVE_LEAF."""
-    size = len(lower)
-    if size <= LOWER_SOLVE_LEAF:
-        rhs[...] = np.linalg.solve(lower, rhs)
-        return rhs
-    half = size // 2
-    top = _lower_solve(lower[:half, :half], rhs[:half])
-    rhs[half:] -= lower[half:, :half] @ top
-    _lower_solve(lower[half:, half:], rhs[half:])
-    return rhs
-
-
 def _solve_gram(lower: np.ndarray, rhs: np.ndarray, inner: int) -> np.ndarray:
     """x* x for x = lower^{-1} rhs, with x written over ``rhs``, for a
     lower-triangular ``lower`` and a ``rhs`` lower block-triangular in slices
-    of ``inner`` entries, as x then is.
+    of ``inner`` entries, as x then is; a dense ``rhs`` is one slice.
 
-    Halving at the slice boundary nearest the middle, x = [[x11, 0], [x21,
-    x22]]: the diagonal blocks recurse against the diagonal blocks of
-    ``lower`` only, x21 is one GEMM update and a dense ``_lower_solve``, and
-    each level computes one off-diagonal block of x* x, x21* x22, and
-    mirrors it.  A block of at most LOWER_SOLVE_LEAF entries, or of one
-    slice, is one dense solve and one GEMM."""
+    A block of at most LOWER_SOLVE_LEAF entries is one ``np.linalg.solve``
+    and one GEMM.  A larger block of one slice halves its rows: the top half
+    recurses, one GEMM updates the bottom half, the bottom half recurses, and
+    x* x is the sum of the two halves' Grams.  A larger block of several
+    slices halves at the slice boundary nearest the middle, x = [[x11, 0],
+    [x21, x22]]: the diagonal blocks recurse against the diagonal blocks of
+    ``lower`` only, x21 is one GEMM update and a dense recursion whose Gram
+    joins x11* x11, and each level computes one off-diagonal block of x* x,
+    x21* x22, and mirrors it."""
     size = len(lower)
-    if size <= LOWER_SOLVE_LEAF or size < 2 * inner:
-        x = _lower_solve(lower, rhs)
-        return x.conj().T @ x
+    if size <= LOWER_SOLVE_LEAF:
+        rhs[...] = np.linalg.solve(lower, rhs)
+        return rhs.conj().T @ rhs
+    if size < 2 * inner:
+        half = size // 2
+        out = _solve_gram(lower[:half, :half], rhs[:half], inner)
+        rhs[half:] -= lower[half:, :half] @ rhs[:half]
+        out += _solve_gram(lower[half:, half:], rhs[half:], inner)
+        return out
     half = size // inner // 2 * inner
     out = np.empty((size, size), dtype=complex)
     out[:half, :half] = _solve_gram(lower[:half, :half], rhs[:half, :half], inner)
     x21 = rhs[half:, :half]
     x21 -= lower[half:, :half] @ rhs[:half, :half]
-    _lower_solve(lower[half:, half:], x21)
+    out[:half, :half] += _solve_gram(lower[half:, half:], x21, len(x21))
     out[half:, half:] = _solve_gram(lower[half:, half:], rhs[half:, half:], inner)
-    adjoint = x21.conj().T  # the level's one conjugate copy
-    out[:half, :half] += adjoint @ x21
-    out[:half, half:] = adjoint @ rhs[half:, half:]
+    out[:half, half:] = x21.conj().T @ rhs[half:, half:]
     np.conjugate(out[:half, half:].T, out=out[half:, :half])
     return out
-
-
-def _schur_update(factor: np.ndarray, coupling: np.ndarray, inner: int) -> np.ndarray:
-    """C S^{-1} C* for S = factor factor*: x* x with x = factor^{-1} C*.
-
-    C couples an interleaving block to the one before it.  The interleaved
-    Gram matrix reaches at most one block from its diagonal, in slices of
-    ``inner`` entries, so slice q of a block meets only slices p >= q of the
-    block before: C is upper block-triangular, and C* and x are lower
-    block-triangular, which ``_solve_gram`` follows.  Every n = 1 block
-    (at most 16 entries) is a single leaf."""
-    return _solve_gram(factor, coupling.conj().T, inner)
 
 
 def _panel_entries(
@@ -317,9 +300,14 @@ def _certify(gram: DiagonalOperator, mu: float, interleaving: tuple[np.ndarray, 
     R = b ceil(CERT_MIN_ROWS / b), so that each LAPACK call has enough
     work to outweigh its call cost; with b >= CERT_MIN_ROWS, R = b.  Only
     the first b rows of a block row couple to the previous one, and only to
-    its last b columns, so the Schur update is a b x b corner computed
-    against the trailing b x b of the previous Cholesky factor
-    (``_schur_update``, which follows the corner's slice-triangular form).
+    its last b columns, so the Schur update is a b x b corner C S^{-1} C*,
+    S = L L* the trailing b x b of the previous factorization: x* x with
+    x = L^{-1} C* (``_solve_gram``).  The interleaved Gram matrix reaches
+    at most one block from its diagonal, in slices of k^(n-1) entries, so
+    slice q of a block meets only slices p >= q of the block before: C is
+    upper block-triangular, and C* and x are lower block-triangular, which
+    ``_solve_gram`` follows.  Every n = 1 block (at most 16 entries) is a
+    single leaf.
     The place and value of every entry of mu I - G in its block row are
     computed once (``_panel_entries``), and one panel of R x (b + R)
     entries is refilled for each block row."""
@@ -335,7 +323,7 @@ def _certify(gram: DiagonalOperator, mu: float, interleaving: tuple[np.ndarray, 
             panel.reshape(-1)[flat[start:stop]] = values[start:stop]
             diag = panel[:, bs:]
             if factor is not None:
-                diag[:bs, :bs] -= _schur_update(factor[-bs:, -bs:], panel[:bs, :bs], inner)
+                diag[:bs, :bs] -= _solve_gram(factor[-bs:, -bs:], panel[:bs, :bs].conj().T, inner)
             factor = np.linalg.cholesky(diag)
     except np.linalg.LinAlgError:
         return False
@@ -441,6 +429,8 @@ def _l2_route(op: DiagonalOperator, tol: float) -> L2Reading:
     # the root of the product where it is a normal float, and the product of
     # the roots where it would underflow to 0 or overflow
     bound = math.sqrt(product) if sys.float_info.min <= product < math.inf else math.sqrt(l1) * math.sqrt(linf)
+    if len(op.shifts) == 1:  # l1 = linf = max |d|, the norm of one diagonal d
+        return L2Reading(l1, "interp_bound", l1)
     if bound <= tol:
         return L2Reading(bound, "interp_bound", bound)
     if op.spec.dim > LAPACK_L2_MAX_DIM:

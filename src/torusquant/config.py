@@ -528,10 +528,15 @@ def _check_certificate_budget(cfg: ExperimentConfig) -> None:
     """Refuse, on k_max, a largest level (both caps grow with k) above the
     dense cap whose l2 certificate ``certificate_shape`` refuses.  A*A
     reaches 2W residues on each axis, so at most min(4W + 1, k)^n diagonals:
-    W is f's x-bandwidth, f's plus g's for a product, 1 for torus relations."""
+    W is f's x-bandwidth, f's plus g's for a product, 1 for torus relations.
+    At W = 0 every operator has one diagonal, whose l2 norm the route reads
+    exactly with no certificate, so only its k^n entries are capped."""
     top, n = max(cfg.k_values()), cfg.n
     width = 1 if cfg.f is None else cfg.f.x_bandwidth() + (cfg.g.x_bandwidth() if cfg.g is not None else 0)
-    refusal = certificate_shape(n, top, 2 * width, min(4 * width + 1, top) ** n)
+    if width:
+        refusal = certificate_shape(n, top, 2 * width, min(4 * width + 1, top) ** n)
+    else:
+        refusal = f"{top**n} entries of A*A, above {GRAM_ENTRY_CAP}" if top**n > GRAM_ENTRY_CAP else None
     if top**n > DENSE_DIM_CAP and isinstance(refusal, str):
         raise ConfigError("k_max", f"level {top} needs {refusal} (x-bandwidth {width})")
 

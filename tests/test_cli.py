@@ -535,6 +535,20 @@ def test_cli_run_trace_smooth_memory_is_one_slab(tmp_path):
             "k_max: levels must fit a 64-bit integer, got 9223372036854775808",
             id="expression-trace-past-int64",
         ),
+        # an x-free symbol is one diagonal, read with no certificate, but its
+        # k^n entries are still capped
+        pytest.param(
+            {"experiment": "norm_bound", "n": 1, "k_min": 2, "k_max": 2**24,
+             "f": {"coeffs": [{"p": [0], "q": [1], "re": 1.0}]}},
+            "k_max: level 16777216 needs 16777216 entries of A*A, above 8388608 (x-bandwidth 0)",
+            id="x-free-norm-bound-past-the-entry-cap-n1",
+        ),
+        pytest.param(
+            {"experiment": "norm_bound", "n": 3, "k_min": 2, "k_max": 256,
+             "f": {"coeffs": [{"p": [0, 0, 0], "q": [1, 0, 0], "re": 1.0}]}},
+            "k_max: level 256 needs 16777216 entries of A*A, above 8388608 (x-bandwidth 0)",
+            id="x-free-norm-bound-past-the-entry-cap-n3",
+        ),
         # products past the term-pair budget: 25^4 x 25^4 and 9^6 x 9^6 pairs
         pytest.param(
             {"experiment": "star_table", "n": 2, "order": 1,
