@@ -6,7 +6,9 @@
 ``run`` calls the installed ``torusquant`` console script once for each
 command of COMMANDS, with ``--quiet --out OUT/<name>``, and stops at the
 first one that exits non-zero.  It prints one line per command with its
-wall seconds, so a CI log shows the runtimes that README.md quotes.  With
+wall seconds and its peak resident memory (``ru_maxrss`` of the child as
+``os.wait4`` reaps it, KiB on Linux), so a CI log shows the runtimes and
+memory that README.md quotes.  With
 ``--src DIR`` it calls ``python -m torusquant.cli`` with DIR first on
 PYTHONPATH instead, so that the package in another checkout's ``src/`` (a
 parent commit, say) writes the outputs, with no install:
@@ -85,10 +87,13 @@ def run(out: Path, src: Path | None = None) -> int:
     for name, args in COMMANDS:
         command, env = invocation(args, out / name, src)
         label, began = " ".join(args), time.perf_counter()
-        done = subprocess.run(command, cwd=ROOT, env=env)
-        print(f"{label}: {time.perf_counter() - began:.2f} s", flush=True)
-        if done.returncode != 0:
-            print(f"{label} exited {done.returncode}", file=sys.stderr)
+        child = subprocess.Popen(command, cwd=ROOT, env=env)
+        _pid, status, usage = os.wait4(child.pid, 0)
+        # reaped here: the exit code is set so that Popen does not wait for it
+        child.returncode = code = os.waitstatus_to_exitcode(status)
+        print(f"{label}: {time.perf_counter() - began:.2f} s, {usage.ru_maxrss / 1024:.0f} MiB", flush=True)
+        if code != 0:
+            print(f"{label} exited {code}", file=sys.stderr)
             return 1
     return 0
 

@@ -78,7 +78,13 @@ def _cmd_run(args) -> int:
     out = _output_dir(cfg.out)
     t0 = perf_counter()
     result = run_experiment(cfg)
-    report_path, csv_path = reporting.write_report(cfg, result, perf_counter() - t0, out)
+    report = reporting.with_volatile(reporting.report_dict(cfg, result), perf_counter() - t0)
+    stem = reporting.file_stem(cfg, cfg.experiment)
+    texts = {
+        f"{stem}.report.json": reporting.dump_json(report),
+        f"{stem}.csv": reporting.rows_to_csv(result.rows),
+    }
+    report_path, csv_path = reporting.write(out, texts)
     if not args.quiet:
         print(f"{cfg.experiment}: {'PASS' if result.passed else 'FAIL'}")
         for s in result.series:
@@ -112,9 +118,8 @@ def _cmd_star(args) -> int:
         for line in lines:
             print(line)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{reporting.file_stem(cfg, 'star')}.csv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        name = f"{reporting.file_stem(cfg, 'star')}.csv"
+        (path,) = reporting.write(out, {name: "\n".join(rows) + "\n"})
         if not args.quiet:
             print(f"csv: {path}")
     return 0
@@ -122,19 +127,18 @@ def _cmd_star(args) -> int:
 
 def _cmd_assemble(args) -> int:
     cfg = _load_config(args)
+    if not cfg.kind.sweep:
+        raise ConfigError("experiment", "the assemble subcommand expects a sweep config, whose k_min is the level")
     if cfg.f is None:
         raise ConfigError("f", "the assemble subcommand needs a function")
-    if cfg.k_min < 2:
-        raise ConfigError("k_min", "assemble uses k_min as the level; it must be >= 2")
     if cfg.k_min**cfg.n > DENSE_DIM_CAP:
         raise ConfigError("k_min", f"dimension {cfg.k_min**cfg.n} is above the dense cap {DENSE_DIM_CAP}")
     out = _output_dir(cfg.out)
     f = next(cfg.symbols())
     spec = HilbertSpec(cfg.n, cfg.k_min, cfg.polarization)
     op = toeplitz_diagonals(f, spec)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{reporting.file_stem(cfg, 'assemble')}_k{cfg.k_min}.csv"
-    path.write_text(operator_to_csv(op), encoding="utf-8")
+    name = f"{reporting.file_stem(cfg, 'assemble')}_k{cfg.k_min}.csv"
+    (path,) = reporting.write(out, {name: operator_to_csv(op)})
     if not args.quiet:
         nnz = int(np.count_nonzero(op.values))
         print(f"wrote {path} (dim {op.spec.dim}, nnz {nnz}, polarization {cfg.polarization})")
@@ -145,19 +149,13 @@ def _cmd_check(args) -> int:
     out = _output_dir(args.out if args.out is not None else "reports")
     echo = None if args.quiet else print
     passed, results, wall = checks.run_all(echo=echo)
-    out.mkdir(parents=True, exist_ok=True)
-    report = {
-        "schema": "torusquant-check-v1",
-        "criteria": [r.to_dict() for r in results],
-        "passed": passed,
-        "timestamp": reporting._now(),
-        "wall_time_s": round(wall, 3),
-    }
-    report_path = out / "check_report.json"
-    report_path.write_text(reporting.dump_json(report), encoding="utf-8")
+    criteria = [r.to_dict() for r in results]
+    report = {"schema": "torusquant-check-v1", "criteria": criteria, "passed": passed}
+    texts = {"check_report.json": reporting.dump_json(reporting.with_volatile(report, wall))}
     for r in results:
         for name, rows in r.csv_blocks.items():
-            (out / f"criterion{r.cid}_{name}.csv").write_text(reporting.rows_to_csv(rows), encoding="utf-8")
+            texts[f"criterion{r.cid}_{name}.csv"] = reporting.rows_to_csv(rows)
+    report_path, *_ = reporting.write(out, texts)
     if not args.quiet:
         failed = [r.cid for r in results if not r.passed]
         if failed:

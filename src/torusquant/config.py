@@ -99,8 +99,9 @@ def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
 @dataclass(frozen=True)
 class FunctionSpec:
     """One test function: inline coefficients, an expression, or random.
-    A trace reads an expression itself (``asts``), not its projection
-    (``realize``), so its bandwidth and grid only set the parse-time check."""
+    A trace reads an expression itself (``asts``) on its level lattices and
+    reference grid, not its projection (``realize``), so nothing reads its
+    bandwidth or grid, and parsing never samples its projection grid."""
 
     coeffs: tuple | None = None
     expr: str | None = None
@@ -471,10 +472,10 @@ def parse_config(source) -> ExperimentConfig:
     if kind.operator:
         _check_certificate_budget(cfg)
     for name, spec in (("f", f_spec), ("g", g_spec)):
-        if spec is not None and spec.kind == "expr":
+        # project() spreads the samples to the full grid, which a trace never samples
+        if spec is not None and spec.kind == "expr" and experiment != "trace":
             grid = spec.projection_spec().grid
-            # project() spreads the samples to the full grid; a trace projects nothing
-            if experiment != "trace" and grid ** (2 * n) > funcexpr.SAMPLE_BUDGET:
+            if grid ** (2 * n) > funcexpr.SAMPLE_BUDGET:
                 raise ConfigError(
                     f"{name}.grid", f"projection grid {grid}^{2 * n} points, above {funcexpr.SAMPLE_BUDGET}"
                 )

@@ -1,8 +1,8 @@
-"""Report serialization: JSON reports and CSV sweep dumps.
+"""Report serialization, and ``write``, the one writer of every output file.
 
 Reports are byte-stable across runs of the same configuration on the same
-platform, except for exactly two volatile fields: ``timestamp`` and
-``wall_time_s``.  Comparisons should normalize those two lines.
+platform, except for exactly two volatile fields, ``timestamp`` and
+``wall_time_s``, which ``with_volatile`` adds and ``normalize_volatile`` blanks.
 """
 
 from __future__ import annotations
@@ -27,21 +27,24 @@ def rows_to_csv(rows: Iterable[SweepPoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_dict(cfg: ExperimentConfig, result: ConvergenceReport, wall_time_s: float) -> dict:
+def report_dict(cfg: ExperimentConfig, result: ConvergenceReport) -> dict:
     return {
         **result.to_dict(),
         "schema": "torusquant-report-v1",
-        "experiment": cfg.experiment,
         "config": cfg.normalized(),
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
-        "timestamp": _now(),
-        "wall_time_s": round(wall_time_s, 3),
     }
 
 
 def dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def with_volatile(body: dict, wall_time_s: float) -> dict:
+    """``body`` with the volatile fields added: the UTC time now, and ``wall_time_s`` to the ms."""
+    timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return {**body, "timestamp": timestamp, "wall_time_s": round(wall_time_s, 3)}
 
 
 def normalize_volatile(text: str) -> str:
@@ -65,17 +68,12 @@ def file_stem(cfg: ExperimentConfig, prefix: str) -> str:
     return f"{prefix}_{config_hash(cfg)[len('sha256:'):][:8]}"
 
 
-def write_report(cfg: ExperimentConfig, result: ConvergenceReport, wall_time_s: float, out_dir) -> tuple[Path, Path]:
-    """Write <stem>.report.json and <stem>.csv; returns both paths."""
+def write(out_dir, texts: dict[str, str]) -> list[Path]:
+    """Create ``out_dir`` and write each text of ``texts`` as UTF-8 under its
+    file name there; returns the paths in the order of ``texts``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = file_stem(cfg, cfg.experiment)
-    report_path = out / f"{stem}.report.json"
-    csv_path = out / f"{stem}.csv"
-    report_path.write_text(dump_json(report_dict(cfg, result, wall_time_s)), encoding="utf-8")
-    csv_path.write_text(rows_to_csv(result.rows), encoding="utf-8")
-    return report_path, csv_path
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    paths = [out / name for name in texts]
+    for path, text in zip(paths, texts.values()):
+        path.write_text(text, encoding="utf-8")
+    return paths

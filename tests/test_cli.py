@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import torusquant
-from torusquant import funcexpr
+from torusquant import funcexpr, reporting
 from torusquant.analysis import ConvergenceReport, SweepPoint, run_experiment
 from torusquant.cli import main
 from torusquant.config import (
@@ -26,10 +26,12 @@ from torusquant.config import (
 from torusquant.reporting import (
     CSV_HEADER,
     dump_json,
+    file_stem,
     normalize_volatile,
     report_dict,
     rows_to_csv,
-    write_report,
+    with_volatile,
+    write,
 )
 
 PRODUCT_CFG = {
@@ -232,18 +234,27 @@ def test_normalize_volatile():
     assert "2026" not in normed
 
 
-def test_write_report_roundtrip(tmp_path):
+def test_a_run_report_roundtrips_through_the_writer(tmp_path):
     cfg = parse_config(PRODUCT_CFG)
     result = ConvergenceReport(experiment="product", rows=make_rows(), series=[])
-    report_path, csv_path = write_report(cfg, result, 0.5, tmp_path)
-    assert report_path.name == f"product_{config_hash(cfg)[7:15]}.report.json"
+    stem = file_stem(cfg, cfg.experiment)
+    texts = {
+        f"{stem}.report.json": dump_json(with_volatile(report_dict(cfg, result), 0.5004)),
+        f"{stem}.csv": rows_to_csv(result.rows),
+    }
+    # the writer makes the directory and returns the paths in the order given
+    report_path, csv_path = write(tmp_path / "new", texts)
+    assert report_path == tmp_path / "new" / f"product_{config_hash(cfg)[7:15]}.report.json"
     assert csv_path.read_text(encoding="utf-8").startswith(CSV_HEADER)
     body = json.loads(report_path.read_text(encoding="utf-8"))
     assert body["schema"] == "torusquant-report-v1"
+    assert body["experiment"] == "product"
     assert body["config_hash"] == config_hash(cfg)
     assert body["config"] == cfg.normalized()
     assert body["passed"] is True
     assert len(body["rows"]) == 3
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", body["timestamp"])
+    assert body["wall_time_s"] == 0.5
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -435,15 +446,33 @@ def test_cli_run_rejects_expression_that_fails_on_its_grid(tmp_path, capsys):
 def test_a_fault_in_the_last_slab_is_a_config_error_on_its_field(spec, path, message):
     assert 1024**2 // funcexpr.SLAB_POINTS > 1
     data = {"experiment": "trace", "n": 1, "k_min": 4, "k_max": 16, "f": dict(spec, bandwidth=2)}
-    # parsing checks the projection grid, here 1024 points an axis
+    # parsing checks the projection grid of a kind that projects, here 1024 points an axis
     with pytest.raises(ConfigError) as info:
-        parse_config(json.dumps(dict(data, f=dict(data["f"], grid=1024))))
+        parse_config(json.dumps(dict(data, experiment="norm_bound", f=dict(data["f"], grid=1024))))
     assert (info.value.path, str(info.value)) == (path, f"{path}: {message}")
     # a run checks the 1024^2 reference grid before the levels
     cfg = parse_config(json.dumps(data))
     with pytest.raises(ConfigError) as info:
         run_experiment(cfg)
     assert (info.value.path, str(info.value)) == (path, f"{path}: {message}")
+
+
+@pytest.mark.parametrize("bandwidth", [2, 5, 11])
+def test_a_trace_expression_is_never_sampled_on_its_projection_grid(tmp_path, capsys, bandwidth):
+    # the projection grids of 24 and 48 points at bandwidths 5 and 11 hold
+    # y1 = 1/3; the trace's levels and reference grid are powers of two
+    data = {"experiment": "trace", "n": 1, "k_min": 16, "k_max": 64,
+            "f": {"expr": "exp(cos(2*pi*y1)) + 0*(1/(3*y1 - 1))", "bandwidth": bandwidth}}
+    parse_config(data)
+    assert main(["run", str(write_cfg(tmp_path, data)), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    # a kind that projects the expression samples that grid at parse time
+    if funcexpr.ProjectionSpec(bandwidth, 0).grid % 3 == 0:
+        with pytest.raises(ConfigError) as info:
+            parse_config(dict(data, experiment="norm_bound"))
+        assert str(info.value) == "f.expr: division by zero"
+    else:
+        parse_config(dict(data, experiment="norm_bound"))
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_run_trace_smooth_memory_is_one_slab(tmp_path):
@@ -621,7 +650,8 @@ def test_cli_run_refuses_configs_past_parsing(tmp_path, capsys, data, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
+# one shipped config for each subcommand, paths relative to the repository
+EVERY_SUBCOMMAND = pytest.mark.parametrize(
     "argv",
     [
         ["run", "configs/norm_bound.json"],
@@ -631,6 +661,9 @@ def test_cli_run_refuses_configs_past_parsing(tmp_path, capsys, data, message):
     ],
     ids=["run", "star", "assemble", "check"],
 )
+
+
+@EVERY_SUBCOMMAND
 @pytest.mark.parametrize("blocked", ["the-file", "a-path-under-it", "a-dangling-link"])
 def test_cli_refuses_an_output_path_that_a_file_blocks(tmp_path, capsys, argv, blocked):
     # refused with exit 2 on out before any work, not with a traceback after
@@ -647,6 +680,44 @@ def test_cli_refuses_an_output_path_that_a_file_blocks(tmp_path, capsys, argv, b
     assert capsys.readouterr().err.startswith("config error: out: ")
     assert list(tmp_path.iterdir()) == [blocker]
     assert blocker.is_symlink() or blocker.read_text(encoding="utf-8") == "kept"
+
+
+@EVERY_SUBCOMMAND
+def test_every_file_a_subcommand_writes_comes_from_one_call_of_the_writer(tmp_path, monkeypatch, argv):
+    root = Path(__file__).resolve().parents[1]
+    calls = []
+
+    def spy(out_dir, texts):
+        calls.append((out_dir, list(texts)))
+        return write(out_dir, texts)
+
+    monkeypatch.setattr(reporting, "write", spy)
+    out = tmp_path / "out"
+    argv = [argv[0], *(str(root / path) for path in argv[1:])]
+    assert main([*argv, "--out", str(out), "--quiet"]) == 0
+    ((out_dir, names),) = calls
+    assert Path(out_dir) == out
+    assert sorted(path.name for path in out.iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize(
+    "argv, report",
+    [(["run", "configs/norm_bound.json"], "norm_bound_*.report.json"), (["check"], "check_report.json")],
+    ids=["run", "check"],
+)
+def test_normalize_volatile_blanks_exactly_the_fields_with_volatile_adds(tmp_path, argv, report):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    argv = [argv[0], *(str(root / path) for path in argv[1:])]
+    assert main([*argv, "--out", str(out), "--quiet"]) == 0
+    (path,) = out.glob(report)
+    raw = path.read_text(encoding="utf-8")
+    normed = normalize_volatile(raw)
+    assert len(normed.splitlines()) == len(raw.splitlines())
+    changed = [line for line, before in zip(normed.splitlines(), raw.splitlines()) if line != before]
+    assert changed == ['  "timestamp": null,', '  "wall_time_s": null']
+    body = json.loads(raw)
+    assert json.loads(normed) == {**body, "timestamp": None, "wall_time_s": None}
 
 
 def test_cli_run_trace_needs_no_dense_cap(tmp_path):
@@ -736,6 +807,11 @@ def test_every_shipped_config_runs_in_the_readme_and_in_ci():
     assert "python scripts/readme_outputs.py compare " in step
     # and a floating-point warning in a real CLI run fails the step
     assert re.search(r"\n        env:\n          PYTHONWARNINGS: error::RuntimeWarning\n", step)
+    # when a step fails, the outputs of both runs are kept as an artifact
+    (upload,) = re.findall(r"- name: Upload the README outputs.*?\n(?=      - name|\n  \S|\Z)", workflow, re.S)
+    assert 'outputs="$RUNNER_TEMP/readme-outputs"' in step
+    assert "if: failure()" in upload and "uses: actions/upload-artifact@v4" in upload
+    assert "path: ${{ runner.temp }}/readme-outputs" in upload
 
 
 def test_cli_threads_flag_is_a_usage_error(tmp_path):
@@ -833,6 +909,16 @@ def test_cli_assemble_golden(tmp_path, capsys):
         "1,0,0.25,0.0\n"
         "1,1,0.5,0.0\n"
     )
+
+
+def test_cli_assemble_refuses_a_star_table_config_on_experiment(tmp_path, capsys):
+    # a star_table config has no level, and parsing refuses the k_min it would need
+    config = Path(__file__).resolve().parents[1] / "configs" / "star_table.json"
+    assert main(["assemble", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: experiment: the assemble subcommand expects a sweep config, whose k_min is the level\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_assemble_needs_function_and_level(tmp_path, capsys):

@@ -6,6 +6,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,6 +16,27 @@ def load_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def fake_children(script, monkeypatch, calls, statuses=None, peaks=None):
+    """Replace starting and reaping a child: each Popen records (command,
+    cwd, env) in ``calls``, and its os.wait4 returns the next of ``statuses``
+    (0 by default) with the next of ``peaks`` as ru_maxrss in KiB."""
+    statuses = iter(statuses or [])
+    peaks = iter(peaks or [])
+
+    class Child:
+        def __init__(self, command, cwd, env):
+            calls.append((command, cwd, env))
+            self.pid = 1000 + len(calls)
+            self.returncode = None
+
+    def wait4(pid, options):
+        assert options == 0
+        return pid, next(statuses, 0), SimpleNamespace(ru_maxrss=next(peaks, 0))
+
+    monkeypatch.setattr(script.subprocess, "Popen", Child)
+    monkeypatch.setattr(script.os, "wait4", wait4)
 
 
 def test_the_script_runs_the_commands_the_readme_lists_in_its_order():
@@ -27,15 +49,7 @@ def test_the_script_runs_the_commands_the_readme_lists_in_its_order():
 def test_run_with_src_calls_the_cli_module_with_that_source_first(tmp_path, monkeypatch):
     script = load_script()
     calls = []
-
-    class Done:
-        returncode = 0
-
-    def fake_run(command, cwd, env):
-        calls.append((command, cwd, env))
-        return Done()
-
-    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    fake_children(script, monkeypatch, calls)
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
     out, src = tmp_path / "out", tmp_path / "parent" / "src"
     assert script.main(["run", str(out), "--src", str(src)]) == 0
@@ -49,19 +63,28 @@ def test_run_with_src_calls_the_cli_module_with_that_source_first(tmp_path, monk
     assert calls[-1] == (["torusquant", "check", "--quiet", "--out", str(out / "check")], script.ROOT, None)
 
 
-def test_run_prints_the_wall_seconds_of_each_command(tmp_path, monkeypatch, capsys):
+def test_run_prints_the_wall_seconds_and_peak_memory_of_each_command(tmp_path, monkeypatch, capsys):
     script = load_script()
-
-    class Done:
-        returncode = 0
-
     clock = iter(range(2 * len(script.COMMANDS)))
-    monkeypatch.setattr(script.subprocess, "run", lambda command, cwd, env: Done())
+    # command i peaks at 40 + i MiB, given in KiB as Linux does
+    fake_children(script, monkeypatch, [], peaks=[1024 * (40 + i) for i in range(len(script.COMMANDS))])
     monkeypatch.setattr(script.time, "perf_counter", lambda: 0.25 * next(clock) ** 2)
     assert script.main(["run", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     # command i starts at 0.25 (2i)^2 and ends at 0.25 (2i + 1)^2 seconds
-    assert lines == [f"{' '.join(args)}: {i + 0.25:.2f} s" for i, (_name, args) in enumerate(script.COMMANDS)]
+    assert lines == [
+        f"{' '.join(args)}: {i + 0.25:.2f} s, {40 + i} MiB" for i, (_name, args) in enumerate(script.COMMANDS)
+    ]
+
+
+def test_run_stops_at_the_first_command_that_exits_non_zero(tmp_path, monkeypatch, capsys):
+    script = load_script()
+    calls = []
+    # the second child exits 3 (a wait status of 3 << 8)
+    fake_children(script, monkeypatch, calls, statuses=[0, 3 << 8])
+    assert script.main(["run", str(tmp_path)]) == 1
+    assert len(calls) == 2
+    assert capsys.readouterr().err == f"{' '.join(script.COMMANDS[1][1])} exited 3\n"
 
 
 def test_compare_names_the_files_that_differ(tmp_path, capsys):
