@@ -4,14 +4,14 @@
     python scripts/readme_outputs.py compare FIRST SECOND
 
 ``run`` calls the installed ``torusquant`` console script once for each
-command of COMMANDS, with ``--quiet --out OUT/<name>``, and stops at the
-first one that exits non-zero.  It prints one line per command with its
-wall seconds and its peak resident memory (``ru_maxrss`` of the child as
-``os.wait4`` reaps it, KiB on Linux), so a CI log shows the runtimes and
-memory that README.md quotes.  With
-``--src DIR`` it calls ``python -m torusquant.cli`` with DIR first on
-PYTHONPATH instead, so that the package in another checkout's ``src/`` (a
-parent commit, say) writes the outputs, with no install:
+command that README.md lists (``commands``), with ``--quiet --out
+OUT/<name>``, and stops at the first one that exits non-zero.  It prints one
+line per command with its wall seconds and its peak resident memory
+(``ru_maxrss`` of the child as ``os.wait4`` reaps it, KiB on Linux), so a CI
+log shows the runtimes and memory that README.md quotes.  With ``--src
+DIR`` it calls ``python -m torusquant.cli`` with DIR first on PYTHONPATH
+instead, so that the package in another checkout's ``src/`` (a parent
+commit, say) writes the outputs, with no install:
 
     python scripts/readme_outputs.py run /tmp/parent --src ../parent/src
     python scripts/readme_outputs.py run /tmp/change --src src
@@ -48,28 +48,27 @@ ROOT = Path(__file__).resolve().parent.parent
 # exponent makes it a float
 NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
 
-# (output directory, command arguments): the README's list, in its order
-COMMANDS = (
-    *(
-        (config, ("run", f"configs/{config}.json"))
-        for config in (
-            "product_random",
-            "product_n2",
-            "intertwine_random",
-            "intertwine_n2",
-            "intertwine_n2_order2",
-            "trace_smooth",
-            "trace_bandlimited",
-            "riemann_smooth",
-            "torus_relations",
-            "norm_bound",
-            "norm_bound_large_k",
-        )
-    ),
-    ("star", ("star", "configs/star_table.json")),
-    ("assemble", ("assemble", "configs/assemble_example.json")),
-    ("check", ("check",)),
-)
+BLOCK = re.compile(r"^Ready-made configs live in `configs/`:\n\n```sh\n(.*?)^```", re.M | re.S)
+
+
+def commands(readme: Path = ROOT / "README.md") -> list[tuple[str, tuple[str, ...]]]:
+    """(output directory, arguments) of each ``torusquant <args>  # comment`` line of BLOCK,
+    in order, a ``run`` under its config's stem; a fault exits naming the README line."""
+    text = readme.read_text(encoding="utf-8")
+    if (block := BLOCK.search(text)) is None:
+        sys.exit(f"{readme}: no block matches {BLOCK.pattern!r}")
+    first, found = text.count("\n", 0, block.start(1)) + 1, {}
+    for number, line in enumerate(block.group(1).splitlines(), start=first):
+        words = line.split("#", 1)[0].split()
+        if words[:1] != ["torusquant"] or len(words) < 2:
+            sys.exit(f"{readme} line {number}: {line!r} is not a command `torusquant <args>`")
+        name = Path(words[2]).stem if words[1] == "run" and len(words) > 2 else words[1]
+        if name in found:
+            sys.exit(f"{readme} line {number}: {line!r} writes under {name}, as line {found[name][0]} does")
+        found[name] = number, tuple(words[1:])
+    if not found:
+        sys.exit(f"{readme} line {first - 1}: the ```sh block lists no command")
+    return [(name, args) for name, (_number, args) in found.items()]
 
 
 def invocation(args, out: Path, src: Path | None) -> tuple[list[str], dict | None]:
@@ -84,7 +83,7 @@ def invocation(args, out: Path, src: Path | None) -> tuple[list[str], dict | Non
 
 
 def run(out: Path, src: Path | None = None) -> int:
-    for name, args in COMMANDS:
+    for name, args in commands():
         command, env = invocation(args, out / name, src)
         label, began = " ".join(args), time.perf_counter()
         child = subprocess.Popen(command, cwd=ROOT, env=env)
@@ -211,11 +210,11 @@ def compare(first: Path, second: Path) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True)
-    run_parser = commands.add_parser("run", help="run every README command into OUT")
+    subcommands = parser.add_subparsers(dest="command", required=True)
+    run_parser = subcommands.add_parser("run", help="run every README command into OUT")
     run_parser.add_argument("out", type=Path)
     run_parser.add_argument("--src", type=Path, help="run python -m torusquant.cli with DIR first on PYTHONPATH")
-    compare_parser = commands.add_parser("compare", help="compare the outputs of two runs")
+    compare_parser = subcommands.add_parser("compare", help="compare the outputs of two runs")
     compare_parser.add_argument("first", type=Path)
     compare_parser.add_argument("second", type=Path)
     args = parser.parse_args(argv)

@@ -110,10 +110,8 @@ L2_CERT_DELTA = 1e-10
 LANCZOS_BUDGET = 512
 LANCZOS_CHECK = 8
 # Up to this dimension the LAPACK 2-norm answers l2: it is cheaper there than
-# certified three-term Lanczos (per call, 0.12-0.24 against 0.56-1.1 ms at
-# dim 32, 0.38-0.42 against 0.60-0.91 ms at dim 64); at dim 128 Lanczos is
-# the cheaper (1.0-2.9 against 4.1-4.8 ms).  See the README's table for the
-# set-up.
+# certified three-term Lanczos, and from dim 128 Lanczos is the cheaper.  The
+# README's Norms table holds the measured costs per dimension and their set-up.
 LAPACK_L2_MAX_DIM = 64
 # Largest block that the certificate's Schur update handles whole: the one
 # recursion of ``_solve_gram`` hands blocks of at most this many entries to
@@ -937,7 +935,7 @@ def _expression_mean(spec_f, n: int, k_max: int) -> complex:
     """
     axes = max(len(funcexpr.variables(ast)) for ast in spec_f.asts() if ast is not None)
     m = min(max(4 * k_max, 1024), int(2 ** (math.log2(funcexpr.SAMPLE_BUDGET) / max(axes, 1))))
-    return expression_mean(spec_f, n, m + m % 2, "f")
+    return expression_mean(spec_f, n, m, "f")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:

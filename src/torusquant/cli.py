@@ -59,10 +59,11 @@ def _load_config(args):
     return cfg
 
 
-def _output_dir(out: str) -> Path:
-    """``out`` as a path, checked before any work and created by none: a
-    ConfigError on ``out`` when its first existing part is not a directory."""
-    path = Path(out)
+def _output_dir(out: str | None) -> Path:
+    """``out`` as a path, ``reports`` when None, checked before any work and
+    created by none: a ConfigError on ``out`` when its first existing part is
+    not a directory."""
+    path = Path("reports" if out is None else out)
     first = next(part for part in (path, *path.parents) if part.is_symlink() or part.exists())
     if not first.is_dir():
         raise ConfigError("out", f"{first} exists and is not a directory")
@@ -101,8 +102,8 @@ def _cmd_star(args) -> int:
     cfg = _load_config(args)
     if cfg.kind.sweep:
         raise ConfigError("experiment", "the star subcommand expects a star_table config")
-    # the CSV is written only when an output directory is asked for
-    out = _output_dir(cfg.out) if args.out is not None or cfg.out != "reports" else None
+    # the CSV is written only when an output directory is asked for, by --out or the config
+    out = None if cfg.out is None else _output_dir(cfg.out)
     f, g = cfg.symbols()
     check_pair_product(cfg, f, g)
     series = star_truncated(f, g, cfg.order, Orientation(cfg.orientation))
@@ -146,7 +147,7 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    out = _output_dir(args.out if args.out is not None else "reports")
+    out = _output_dir(args.out)
     echo = None if args.quiet else print
     passed, results, wall = checks.run_all(echo=echo)
     criteria = [r.to_dict() for r in results]

@@ -314,7 +314,7 @@ class ExperimentConfig:
     k_step: int = 1
     order: int = 0
     seed: int = 0
-    out: str = "reports"
+    out: str | None = None
     polarization: str = "position"
     orientation: str = "star"
     f: FunctionSpec | None = None
@@ -410,7 +410,7 @@ def parse_config(source) -> ExperimentConfig:
     order = _as_int(data.get("order", 0), "order", minimum=0)
     if order > MAX_ORDER:
         raise ConfigError("order", f"must be at most {MAX_ORDER}, got {order}")
-    out = _as_str(data.get("out", "reports"), "out")
+    out = _as_str(data["out"], "out") if "out" in data else None
     polarization = _as_str(data.get("polarization", "position"), "polarization", tuple(p.value for p in Polarization))
     orientation = _as_str(data.get("orientation", "star"), "orientation", tuple(o.value for o in Orientation))
     # a field the experiment would ignore is refused unless it has its default;

@@ -397,12 +397,18 @@ def sample_lattice(ast: ExprAst, n: int, grid: int) -> np.ndarray:
     the axes read, all at once.  A division by zero, a zero raised to a
     negative power or a non-finite value is an EvaluationError.
     """
-    return _sample(ast, n, _lattice_axes(n, grid))
+    return _sample(ast, n, _lattice_axes(n, grid, range(2 * n)))
 
 
-def _lattice_axes(n: int, grid: int) -> list[np.ndarray]:
+def _lattice_axes(n: int, grid: int, read: Sequence[int]) -> list:
+    """The coordinates of the 2n lattice axes, sparse over the axes ``read``:
+    the i-th of them varies along dimension i of len(read), and an axis not
+    read is None, so no array has more dimensions than axes read."""
     coords = np.arange(grid, dtype=float) / grid
-    return list(np.meshgrid(*([coords] * (2 * n)), indexing="ij", sparse=True))
+    axes = [None] * (2 * n)
+    for i, axis in enumerate(read):
+        axes[axis] = coords.reshape((1,) * i + (grid,) + (1,) * (len(read) - i - 1))
+    return axes
 
 
 def _sample(ast: ExprAst, n: int, axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -448,15 +454,17 @@ def _slab_mean(ast: ExprAst, n: int, grid: int) -> float:
     compute again, so the mean is unchanged bit for bit.
     """
     read = sorted(_axes_read(ast, n))
+    axes = _lattice_axes(n, grid, read)
+    if not read:
+        return float(_sample(ast, n, axes))
     points = grid ** len(read)
-    axes = _lattice_axes(n, grid)
-    outer = read[0] if read else 0
+    outer = read[0]
     ast = _hoisted(ast, n, axes, outer)
     coords = axes[outer]
     rows = max(1, SLAB_POINTS * grid // points)
     sums = []
     for start in range(0, grid, rows):
-        axes[outer] = coords[(slice(None),) * outer + (slice(start, start + rows),)]
+        axes[outer] = coords[start:start + rows]
         sums.append(np.add.reduce(_sample(ast, n, axes), axis=None))
     return _halving_sum(sums) / points
 

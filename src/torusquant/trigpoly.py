@@ -398,8 +398,9 @@ def _collect(n: int, keys: np.ndarray, values: np.ndarray) -> TrigPoly:
 def box_keys(n: int, bandwidth: int) -> np.ndarray:
     """Every key with |p_i|, |q_i| <= bandwidth, in lexicographic order."""
     side = 2 * bandwidth + 1
-    keys = np.indices((side,) * (2 * n), dtype=np.int64).reshape(2 * n, -1).T - bandwidth
-    return np.ascontiguousarray(keys)
+    # key m's entries are the base-side digits of m, so no array has an axis per entry
+    strides = side ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
+    return np.arange(side ** (2 * n), dtype=np.int64)[:, None] // strides % side - bandwidth
 
 
 def poisson_bracket(f: TrigPoly, g: TrigPoly) -> TrigPoly:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import iv
 
-from torusquant import analysis, checks
+from torusquant import analysis, checks, funcexpr
 from torusquant.analysis import (
     COMMUTATION_SIGN,
     ERROR_FLOOR,
@@ -612,6 +612,22 @@ def test_trace_reference_grid_counts_the_axes_read():
     report = run_experiment(cfg)
     assert report.details["reference_re"] == pytest.approx(1 / math.sqrt(1.01**2 - 1), rel=1e-13)
     assert report.passed and report.rows[-1].error <= ERROR_FLOOR
+
+
+@pytest.mark.parametrize(
+    "n, k_max, variables, grid",
+    [(3, 27, 5, 27), (5, 5, 10, 5), (8, 3, 15, 3)],  # rounded up to even, 28, 6 and 4
+)
+def test_trace_reference_grid_stays_within_the_sample_budget(monkeypatch, n, k_max, variables, grid):
+    names = [f"{axis}{i}" for axis in "xy" for i in range(1, n + 1)][:variables]
+    data = {"experiment": "trace", "n": n, "k_min": 2, "k_max": k_max,
+            "f": {"expr": " + ".join(f"cos(2*pi*{v})" for v in names), "bandwidth": 1}}
+    cfg = parse_config(data)
+    grids = []
+    # nothing is evaluated: 4^15 samples would be 2^30
+    monkeypatch.setattr(analysis, "expression_mean", lambda spec, n, grid, path: grids.append(grid) or 0j)
+    analysis._expression_mean(cfg.f, cfg.n, max(cfg.k_values()))
+    assert grids == [grid] and grid ** variables <= funcexpr.SAMPLE_BUDGET < (grid + 1) ** variables
 
 
 def test_run_norm_bound():

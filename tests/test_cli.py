@@ -1,5 +1,6 @@
 """Config parsing, report serialization and the CLI subcommands end to end."""
 
+import importlib.util
 import json
 import math
 import os
@@ -65,7 +66,8 @@ def test_parse_defaults():
     cfg = parse_config(PRODUCT_CFG)
     assert cfg.k_rule == "pow2"
     assert cfg.k_step == 1
-    assert cfg.out == "reports"
+    # unset: run and assemble write under reports, star writes no CSV
+    assert cfg.out is None
     assert cfg.polarization == "position"
     assert cfg.k_values() == [8, 16, 32]
     assert cfg.f.kind == "random"
@@ -789,15 +791,16 @@ def test_cli_refuses_a_negative_seed_override(tmp_path, capsys, command, config)
 def test_every_shipped_config_runs_in_the_readme_and_in_ci():
     # CI checks byte identity on exactly the README commands, which its one
     # job runs twice through scripts/readme_outputs.py on each numpy of its
-    # matrix (tests/test_readme_outputs.py holds its list to the README's);
-    # a config missing from the README would ship unchecked, and a name
+    # matrix, reading them off the README with the script's one parser; a
+    # config missing from the README would ship unchecked, and a name
     # without a config would fail only in CI
     root = Path(__file__).resolve().parents[1]
-    shipped = {path.stem for path in (root / "configs").glob("*.json")}
-    readme = (root / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"Ready-made configs live in `configs/`:\n\n```sh\n(.*?)```", readme, re.S).group(1)
-    # each names every shipped config once, and nothing else
-    assert sorted(re.findall(r"configs/(\w+)\.json", block)) == sorted(shipped)
+    shipped = [f"configs/{path.name}" for path in (root / "configs").glob("*.json")]
+    spec = importlib.util.spec_from_file_location("readme_outputs", root / "scripts" / "readme_outputs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # the commands name every shipped config once, and nothing else
+    assert sorted(arg for _name, args in script.commands() for arg in args[1:]) == sorted(shipped)
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     assert '\n        numpy: ["default", "1.25.*"]\n' in workflow
     (step,) = re.findall(r"- name: Run the README commands.*?\n(?=      - name|\n  \S|\Z)", workflow, re.S)
@@ -886,6 +889,28 @@ def test_cli_star_table(tmp_path, capsys):
     assert csv.splitlines()[0] == "order,p,q,re,im"
     code = main(["star", str(write_cfg(tmp_path, PRODUCT_CFG, "p.json"))])
     assert code == 2
+
+
+@pytest.mark.parametrize("out_key, flag, written", [
+    ("reports", None, "reports"),  # the config's out, even the name run defaults to
+    ("other", None, "other"),
+    (None, "flagged", "flagged"),
+    ("other", "flagged", "flagged"),  # --out overrides the config's out
+    (None, None, None),  # asked for by neither: only the table is printed
+])
+def test_cli_star_writes_its_csv_exactly_when_out_is_given(tmp_path, monkeypatch, out_key, flag, written):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "star_table.json"
+    data = json.loads(shipped.read_text(encoding="utf-8"))
+    data.pop("out", None)
+    if out_key is not None:
+        data["out"] = out_key
+    cfg_path = write_cfg(tmp_path, data)
+    monkeypatch.chdir(tmp_path)
+    assert main(["star", str(cfg_path), "--quiet", *(["--out", flag] if flag else [])]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == ([written] if written else [])
+    if written:
+        (csv,) = (tmp_path / written).glob("star_*.csv")
+        assert csv.read_text(encoding="utf-8").startswith("order,p,q,re,im\n")
 
 
 def test_cli_assemble_golden(tmp_path, capsys):

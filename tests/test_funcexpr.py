@@ -293,6 +293,14 @@ def test_lattice_mean_is_the_one_pass_mean_bit_for_bit(monkeypatch, source, n, g
     assert lattice_mean((None, ast), n, grid) == complex(0.0, sample_lattice(ast, n, grid).mean())
 
 
+def test_lattice_mean_builds_only_the_axes_it_reads():
+    # 2n = 80 lattice axes are past numpy's array rank (32 axes on numpy 1.x,
+    # 64 on 2.x); the axes read, x40 then y1, are x1 then y1 at n = 1
+    big, small = parse("exp(cos(2*pi*y1)) * (1 + x40)"), parse("exp(cos(2*pi*y1)) * (1 + x1)")
+    assert lattice_mean(big, 40, 64) == lattice_mean(small, 1, 64) == sample_lattice(small, 1, 64).mean()
+    assert lattice_mean(parse("2^3"), 40, 64) == 8.0
+
+
 @pytest.mark.parametrize(
     "source, n, grid",
     [(SMOOTH, 1, 1000), (SMOOTH, 1, 1536), ("exp(cos(2*pi*x1) + sin(2*pi*y2) + cos(2*pi*(x2 - y1)))", 2, 24)],

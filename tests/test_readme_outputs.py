@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -39,11 +41,59 @@ def fake_children(script, monkeypatch, calls, statuses=None, peaks=None):
     monkeypatch.setattr(script.os, "wait4", wait4)
 
 
-def test_the_script_runs_the_commands_the_readme_lists_in_its_order():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("Ready-made configs live in `configs/`:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    listed = [re.sub(r"\s+#.*", "", line).split()[1:] for line in block.strip().splitlines()]
-    assert [list(args) for _name, args in load_script().COMMANDS] == listed
+def readme_with(tmp_path, block: str) -> Path:
+    """A README.md in tmp_path whose line 3 is the heading of the command
+    block and whose block (``block``) starts on line 5."""
+    readme = tmp_path / "README.md"
+    text = f"# title\n\nReady-made configs live in `configs/`:\n\n{block}## Configuration\n"
+    readme.write_text(text, encoding="utf-8")
+    return readme
+
+
+def test_the_commands_are_read_off_the_readme_block(tmp_path):
+    readme = readme_with(
+        tmp_path,
+        "```sh\n"
+        "torusquant run configs/a.json    # a comment\n"
+        "torusquant star configs/b.json\n"
+        "torusquant check                 # with # inside\n"
+        "```\n",
+    )
+    assert load_script().commands(readme) == [
+        ("a", ("run", "configs/a.json")),
+        ("star", ("star", "configs/b.json")),
+        ("check", ("check",)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ("Some prose, no block.\n\n", "no block matches"),
+        ("```sh\n```\n", "line 5: the ```sh block lists no command"),
+        (
+            "```sh\ntorusquant check\npython -m torusquant.cli check\n```\n",
+            "line 7: 'python -m torusquant.cli check' is not a command `torusquant <args>`",
+        ),
+        ("```sh\ntorusquant  # no arguments\n```\n", "line 6: 'torusquant  # no arguments' is not a command"),
+        (
+            "```sh\ntorusquant run configs/a.json\ntorusquant check\ntorusquant run other/a.json  # same stem\n```\n",
+            "line 8: 'torusquant run other/a.json  # same stem' writes under a, as line 6 does",
+        ),
+    ],
+    ids=["missing", "empty", "not-torusquant", "no-arguments", "same-name"],
+)
+def test_run_refuses_a_faulty_readme_block_before_running_anything(tmp_path, monkeypatch, block, message):
+    script = load_script()
+    readme = readme_with(tmp_path, block)
+    monkeypatch.setattr(script.commands, "__defaults__", (readme,))
+    calls = []
+    fake_children(script, monkeypatch, calls)
+    with pytest.raises(SystemExit) as info:
+        script.main(["run", str(tmp_path / "out")])
+    # a message is a non-zero exit status; it names the README and the line
+    assert info.value.code.startswith(f"{readme}") and message in info.value.code
+    assert calls == []
 
 
 def test_run_with_src_calls_the_cli_module_with_that_source_first(tmp_path, monkeypatch):
@@ -53,8 +103,8 @@ def test_run_with_src_calls_the_cli_module_with_that_source_first(tmp_path, monk
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
     out, src = tmp_path / "out", tmp_path / "parent" / "src"
     assert script.main(["run", str(out), "--src", str(src)]) == 0
-    assert len(calls) == len(script.COMMANDS)
-    for (name, args), (command, cwd, env) in zip(script.COMMANDS, calls):
+    assert len(calls) == len(script.commands())
+    for (name, args), (command, cwd, env) in zip(script.commands(), calls):
         assert command == [sys.executable, "-m", "torusquant.cli", *args, "--quiet", "--out", str(out / name)]
         assert cwd == script.ROOT and env["PYTHONPATH"] == os.pathsep.join([str(src), "elsewhere"])
     # without --src, the installed console script in this environment
@@ -65,15 +115,16 @@ def test_run_with_src_calls_the_cli_module_with_that_source_first(tmp_path, monk
 
 def test_run_prints_the_wall_seconds_and_peak_memory_of_each_command(tmp_path, monkeypatch, capsys):
     script = load_script()
-    clock = iter(range(2 * len(script.COMMANDS)))
+    listed = script.commands()
+    clock = iter(range(2 * len(listed)))
     # command i peaks at 40 + i MiB, given in KiB as Linux does
-    fake_children(script, monkeypatch, [], peaks=[1024 * (40 + i) for i in range(len(script.COMMANDS))])
+    fake_children(script, monkeypatch, [], peaks=[1024 * (40 + i) for i in range(len(listed))])
     monkeypatch.setattr(script.time, "perf_counter", lambda: 0.25 * next(clock) ** 2)
     assert script.main(["run", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     # command i starts at 0.25 (2i)^2 and ends at 0.25 (2i + 1)^2 seconds
     assert lines == [
-        f"{' '.join(args)}: {i + 0.25:.2f} s, {40 + i} MiB" for i, (_name, args) in enumerate(script.COMMANDS)
+        f"{' '.join(args)}: {i + 0.25:.2f} s, {40 + i} MiB" for i, (_name, args) in enumerate(listed)
     ]
 
 
@@ -84,7 +135,7 @@ def test_run_stops_at_the_first_command_that_exits_non_zero(tmp_path, monkeypatc
     fake_children(script, monkeypatch, calls, statuses=[0, 3 << 8])
     assert script.main(["run", str(tmp_path)]) == 1
     assert len(calls) == 2
-    assert capsys.readouterr().err == f"{' '.join(script.COMMANDS[1][1])} exited 3\n"
+    assert capsys.readouterr().err == f"{' '.join(script.commands()[1][1])} exited 3\n"
 
 
 def test_compare_names_the_files_that_differ(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""Inputs at the edges of the float range and of the frequency bound.
+"""Inputs at the edges of the float range, of the frequency bound and of
+numpy's array rank.
 
 Each config below once ended in a traceback (exit 1) or printed nan: a pair
-whose product overflows, and l2 norms whose A*A overflows or underflows.
+whose product overflows, l2 norms whose A*A overflows or underflows, and
+symbols at an n whose 2n key entries or lattice axes pass numpy's rank.
 Through ``cli.main`` each must now exit 0 with a certified reading, or 2
 with the field at fault.  Keys up to ``MAX_FREQ`` give star and Berezin
 phases of angles up to 2^48 n; the exact identities must hold there as they
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from torusquant.analysis import certified_l2_norm, error_intertwine
 from torusquant.cli import main
+from torusquant.config import parse_config
 from torusquant.quantize import HilbertSpec, Polarization, toeplitz_diagonals
 from torusquant.starprod import HbarValue, Orientation, star_exact
 from torusquant.trigpoly import MAX_FREQ, TrigPoly
@@ -85,6 +88,38 @@ def test_l2_norms_far_from_one_are_certified(tmp_path, data, first):
     assert {m["method"] for m in report["details"]["l2_methods"]} == {"lanczos_certified"}
     if first is not None:
         assert report["rows"][0]["error"] == pytest.approx(first, rel=1e-5)
+
+
+# 2n = 80 is past numpy's array rank on every supported numpy: 32 axes on
+# numpy 1.x and 64 on 2.x
+LARGE_N = 40
+FLAT = {"random": {"bandwidth": 0}}
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("run", {"experiment": "trace", "n": LARGE_N, "k_min": 2, "k_max": 4, "f": FLAT}),
+        ("star", {"experiment": "star_table", "n": LARGE_N, "order": 1, "f": FLAT, "g": FLAT}),
+        ("run", {"experiment": "trace", "n": LARGE_N, "k_min": 2, "k_max": 4,
+                 "f": {"expr": "cos(2*pi*y1)", "bandwidth": 1}}),
+        ("run", {"experiment": "trace", "n": LARGE_N, "k_min": 2, "k_max": 4,
+                 "f": coeffs(([0] * LARGE_N, [1] + [0] * (LARGE_N - 1), 1.0))}),
+    ],
+    ids=["random-trace", "random-star", "expr-trace", "coeffs-trace"],
+)
+def test_symbols_at_large_n_run_with_no_axis_per_dimension(tmp_path, command, data):
+    assert run_cli(tmp_path, command, data) == 0
+    if command == "star":
+        # one flat term each: the order-0 product is their product, and no order-1 term
+        f, g = parse_config(data).symbols()
+        (csv,) = (tmp_path / "out").glob("*.csv")
+        zeros = " ".join(["0"] * LARGE_N)
+        c = complex(f.values[0] * g.values[0])
+        assert csv.read_text(encoding="utf-8").splitlines()[1:] == [f'0,"{zeros}","{zeros}",{c.real!r},{c.imag!r}']
+    else:
+        report = report_of(tmp_path)
+        assert report["passed"] and all(row["error"] <= 1e-15 for row in report["rows"])
 
 
 def test_the_exact_transform_of_a_large_symbol_is_judged_relative_to_its_size(tmp_path):

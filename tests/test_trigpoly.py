@@ -1,5 +1,6 @@
 """Trig polynomial algebra against grid-evaluation and finite-difference oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from torusquant.trigpoly import (
     TrigPoly,
     _group_keys,
     _group_pairs,
+    box_keys,
     poisson_bracket,
     random_trig_poly,
 )
@@ -335,3 +337,16 @@ def test_box_edges_reach_every_code_width_and_the_fallback():
         cells = math.prod(int(c.max()) - int(c.min()) + 1 for c in keys.T)
         assert 2**bits <= cells <= 2 * 2**bits
     assert math.prod(int(c.max()) - int(c.min()) + 1 for c in draw_keys(0, 2, 64, 50).T) >= CODE_CELLS
+
+
+@pytest.mark.parametrize("n, bandwidth", [(1, 0), (1, 3), (2, 1), (2, 2), (3, 1)])
+def test_box_keys_are_the_box_in_lexicographic_order(n, bandwidth):
+    box = list(itertools.product(range(-bandwidth, bandwidth + 1), repeat=2 * n))
+    keys = box_keys(n, bandwidth)
+    assert keys.dtype == np.int64 and keys.flags.c_contiguous
+    assert keys.tolist() == [list(key) for key in box]
+
+
+def test_box_keys_hold_no_axis_per_entry():
+    # 2n entries are past numpy's array rank (32 axes on numpy 1.x, 64 on 2.x)
+    assert box_keys(40, 0).tolist() == [[0] * 80]
